@@ -9,7 +9,6 @@ exact-sequence style vector identities (`catident`), b-file cross-checks
 """
 
 from .errors import (
-    BaseMismatch,
     BFileParseError,
     NotNeighbors,
     NotSymmetric,
@@ -52,11 +51,10 @@ from .reflect import (
     edge_unit,
     parity_sums,
     r_vec,
-    rebase,
     s_vec,
     sigma,
     unit,
 )
-from .tree import BALL_RADIUS_CAP, BASE, Orientation, ball, distance, neighbors, side_counts
+from .tree import BALL_RADIUS_CAP, BASE, ball, distance, neighbors
 
 __version__ = "0.1.0"

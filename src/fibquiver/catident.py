@@ -17,9 +17,9 @@ from typing import NamedTuple, Optional
 
 from . import reflect
 from .errors import NotNeighbors, OracleCapExceeded
-from .fibcore import DimPair, fib, fib_pair
+from .fibcore import DimPair, fib
 from .reflect import ORACLE_CAP, TreeVector, parity_sums
-from .tree import BASE, Orientation, Vertex, distance, neighbors
+from .tree import BASE, Vertex, distance, neighbors
 
 
 @dataclass(frozen=True)
@@ -163,39 +163,26 @@ def check_prop41(t: int, *, y_letter: str = "0", cap: int = ORACLE_CAP) -> Ident
     y = y_letter
     y2, y3 = [n for n in neighbors(x) if n != y]
 
-    orient = Orientation.for_step(x, t)
-    checks = [
-        Check(
-            "orientation",
-            orient.is_sink(x) == (t % 2 == 0)
-            and orient.is_sink(y) == (t % 2 == 1),
-        )
-    ]
-
     s_t = reflect.s_vec_at(t, x, cap=cap)
     r_t = reflect.r_vec_at(t, x, y, cap=cap)
-    checks.append(
+    checks = (
         _vector_eq_check(
             "vertex-splits-into-neighbor-plus-edge",
             s_t,
             reflect.s_vec_at(t - 1, y, cap=cap).add(r_t),
-        )
-    )
-    checks.append(
+        ),
         _vector_eq_check(
             "edge-splits-into-neighbor-plus-turned-edge",
             r_t,
             reflect.s_vec_at(t - 1, y2, cap=cap).add(reflect.r_vec_at(t - 1, y3, x, cap=cap)),
-        )
-    )
-    checks.append(
+        ),
         Check(
             "scalar-shadow",
             fib(2 * t + 2) == fib(2 * t) + fib(2 * t + 1)
             and fib(2 * t) == fib(2 * t - 2) + fib(2 * t - 1),
-        )
+        ),
     )
-    return IdentityReport("prop41", t, PathSpec((x, y)), tuple(checks))
+    return IdentityReport("prop41", t, PathSpec((x, y)), checks)
 
 
 def check_cor42(t: int, path: Optional[PathSpec] = None, *, cap: int = ORACLE_CAP) -> IdentityReport:
@@ -211,21 +198,14 @@ def check_cor42(t: int, path: Optional[PathSpec] = None, *, cap: int = ORACLE_CA
     if len(xs) != t + 1:
         raise ValueError(f"need {t + 1} path vertices for t={t}, got {len(xs)}")
 
-    orient = Orientation.for_step(xs[0], 0)
-    checks = [
-        Check("orientation", all(orient.is_sink(xs[i]) == (i % 2 == 0) for i in range(t + 1)))
-    ]
-
     total = reflect.unit(xs[0])
     for i in range(1, t + 1):
         total = total.add(reflect.r_vec_at(i, xs[i], xs[i - 1], cap=cap))
-    checks.append(
-        _vector_eq_check("filtration-sum", reflect.s_vec_at(t, xs[t], cap=cap), total)
+    checks = (
+        _vector_eq_check("filtration-sum", reflect.s_vec_at(t, xs[t], cap=cap), total),
+        Check("scalar-shadow", fib(2 * t) == sum(fib(2 * i - 1) for i in range(1, t + 1))),
     )
-    checks.append(
-        Check("scalar-shadow", fib(2 * t) == sum(fib(2 * i - 1) for i in range(1, t + 1)))
-    )
-    return IdentityReport("cor42", t, path, tuple(checks))
+    return IdentityReport("cor42", t, path, checks)
 
 
 def check_cor43(t: int, path: Optional[PathSpec] = None, *, cap: int = ORACLE_CAP) -> IdentityReport:
@@ -245,34 +225,20 @@ def check_cor43(t: int, path: Optional[PathSpec] = None, *, cap: int = ORACLE_CA
         raise ValueError(f"need anchors and {t + 1} interior vertices for t={t}")
     full = path.full()
 
-    orient = Orientation.for_step(xs[0], 1)
-    checks = [
-        Check("orientation", all(orient.is_source(xs[i]) == (i % 2 == 0) for i in range(t + 1)))
-    ]
-
     total = reflect.edge_unit(path.before, xs[0])
     for i in range(t + 1):
         z = third_neighbor(full[i + 1], full[i], full[i + 2])
         total = total.add(reflect.s_vec_at(i, z, cap=cap))
-    checks.append(
+    checks = (
         _vector_eq_check(
             "side-branch-sum", reflect.r_vec_at(t + 1, xs[t], path.after, cap=cap), total
-        )
+        ),
+        Check("scalar-shadow", fib(2 * t + 1) == 1 + sum(fib(2 * i) for i in range(1, t + 1))),
     )
-    checks.append(
-        Check("scalar-shadow", fib(2 * t + 1) == 1 + sum(fib(2 * i) for i in range(1, t + 1)))
-    )
-    return IdentityReport("cor43", t, path, tuple(checks))
+    return IdentityReport("cor43", t, path, checks)
 
 
 def pushdown(a: TreeVector, t: int) -> DimPair:
     """Collapse a tree vector to its two parity sums as a dimension pair."""
     minus, plus = parity_sums(a, t)
     return DimPair(minus, plus)
-
-
-def preprojective_triple_ok(n: int) -> bool:
-    """Componentwise p(n-1) + p(n+1) = 3 p(n) for the even up-pairs
-    p(k) = [f(2k), f(2k+2)]."""
-    a, b, c = (fib_pair(2 * k) for k in (n - 1, n, n + 1))
-    return a.x + c.x == 3 * b.x and a.y + c.y == 3 * b.y

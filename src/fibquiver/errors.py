@@ -23,10 +23,6 @@ class OracleCapExceeded(ValueError):
         self.cap = cap
 
 
-class BaseMismatch(ValueError):
-    """The vectors are encoded relative to different root vertices."""
-
-
 class NotSymmetric(ValueError):
     """The vector does not have the symmetry required for compression.
 

@@ -148,17 +148,6 @@ def _descend(p: DimPair) -> tuple[list[str], DimPair]:
     return ops, DimPair(x, y)
 
 
-def descent_path(p: DimPair) -> list[DimPair]:
-    """The pairs visited by the descent, from p down to its seed."""
-    out = [DimPair(*p)]
-    ops, _ = _descend(DimPair(*p))
-    cur = DimPair(*p)
-    for op in ops:
-        cur = sigma_plus(cur) if op == "plus" else sigma_minus(cur)
-        out.append(cur)
-    return out
-
-
 def classify_pair(p: DimPair) -> PairClass:
     """Decide whether p lies on |q| = 1 and name the matching index pair.
 

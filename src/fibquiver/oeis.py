@@ -58,35 +58,19 @@ def load_bfile(path: str | Path) -> BFile:
     return parse_bfile(Path(path).read_text())
 
 
-def _flat_radial_rows() -> Callable[[int], int]:
-    """Position k of the radial profile table read row by row, inner class
-    first: 1; 1,1; 2,1,1; 2,3,1,1; ..."""
+def _flat_rows(row, step) -> Callable[[int], int]:
+    """Position k of a profile table read row by row over each row's stored
+    classes, ascending: the radial table gives 1; 1,1; 2,1,1; 2,3,1,1; ...
+    and the signed-class table 1,1; 1,1,1; 1,1,4,2,3,1,1; ..."""
     flat: list[int] = []
-    state = [radial_start()]
 
     def gen(k: int) -> int:
+        nonlocal row
         if k < 0:
             raise ValueError(f"triangle position must be non-negative, got {k}")
         while len(flat) <= k:
-            flat.extend(state[0].values)
-            state[0] = radial_step(state[0])
-        return flat[k]
-
-    return gen
-
-
-def _flat_u_rows() -> Callable[[int], int]:
-    """Position k of the signed-class table read row by row over each row's
-    support interval: 1,1; 1,1,1; 1,1,4,2,3,1,1; ..."""
-    flat: list[int] = []
-    state = [u_start()]
-
-    def gen(k: int) -> int:
-        if k < 0:
-            raise ValueError(f"triangle position must be non-negative, got {k}")
-        while len(flat) <= k:
-            flat.extend(state[0].values)
-            state[0] = u_step(state[0])
+            flat.extend(row.values)
+            row = step(row)
         return flat[k]
 
     return gen
@@ -94,8 +78,8 @@ def _flat_u_rows() -> Callable[[int], int]:
 
 GENERATORS: dict[str, Callable[[], Callable[[int], int]]] = {
     "fibonacci": lambda: fib,
-    "radial-triangle-rows": _flat_radial_rows,
-    "u-triangle-rows": _flat_u_rows,
+    "radial-triangle-rows": lambda: _flat_rows(radial_start(), radial_step),
+    "u-triangle-rows": lambda: _flat_rows(u_start(), u_step),
 }
 
 

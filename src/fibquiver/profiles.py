@@ -7,10 +7,12 @@ marked neighbor. Signed classes encode the split: class s >= 0 holds the
 2**s vertices at distance s away from the marked side, class -s (s >= 1)
 the 2**(s-1) vertices at distance s behind it.
 
-The step rules are plain integer stencils. The radial step was derived from
-the tree structure (one parent, two children per vertex), not taken on
-faith: the expand/compress functions below tie every profile back to the
-literal reflection oracle, and the test suite checks them entry by entry.
+Both class systems are equitable partitions of the tree: every vertex of
+class s has the same number w(s, s-1), w(s, s+1) of neighbors in each
+adjacent class. One reflection wave on the class line (`wave`) therefore
+serves both profiles, read with the RADIAL or the SIGNED weight table. The
+expand/compress functions below tie every profile back to the literal
+reflection oracle, and the test suite checks them entry by entry.
 """
 
 from __future__ import annotations
@@ -66,39 +68,53 @@ def radial_start() -> RadialProfile:
     return RadialProfile(0, (1,))
 
 
+# Quotient weights (w(s, s-1), w(s, s+1)) for classes s < 0, s == 0, s > 0.
+# RADIAL: the base sees its 3 neighbors at distance 1; any other vertex has
+# one parent inward and two children outward.
+RADIAL = ((0, 0), (0, 3), (1, 2))
+# SIGNED: in front of the marked edge the children sit one class higher,
+# behind it one class lower; classes -1 and 0 share a single simple bond.
+SIGNED = ((2, 1), (1, 2), (1, 2))
+
+
+def wave(row: list[int], lo: int, weights: tuple, parity: int) -> None:
+    """One reflection wave on a dense row of class values, in place.
+
+    row[i] holds class lo + i; classes outside the row are zero. Every class
+    s with s % 2 == parity becomes w(s, s-1) row[s-1] - row[s] + w(s, s+1)
+    row[s+1]. Same-parity classes are never adjacent, so the order of the
+    updates does not matter.
+    """
+    behind, center, ahead = weights
+    last = len(row) - 1
+    for i in range((parity - lo) % 2, last + 1, 2):
+        s = lo + i
+        left, right = ahead if s > 0 else center if s == 0 else behind
+        row[i] = (left * row[i - 1] if i else 0) - row[i] + (right * row[i + 1] if i < last else 0)
+
+
 def radial_step(p: RadialProfile) -> RadialProfile:
     """One reflection wave t -> t+1 on distance classes.
 
-    The wave reflects exactly the classes with d incongruent to t mod 2:
-    a reflected vertex at distance d >= 1 sees one neighbor at d-1 and two
-    at d+1, the one at d = 0 sees three at d = 1. The untouched classes
-    carry over; two consecutive steps make the second wave read the first
-    wave's fresh values.
+    The wave reflects exactly the classes with d incongruent to t mod 2,
+    the new rim class t+1 among them; the untouched classes carry over.
     """
-    t = p.t
-    out = []
-    for d in range(t + 2):
-        if d % 2 == t % 2:
-            out.append(p.value(d))
-        elif d == 0:
-            out.append(-p.value(0) + 3 * p.value(1))
-        else:
-            out.append(-p.value(d) + p.value(d - 1) + 2 * p.value(d + 1))
-    return RadialProfile(t + 1, tuple(out))
+    row = [*p.values, 0]
+    wave(row, 0, RADIAL, (p.t + 1) % 2)
+    return RadialProfile(p.t + 1, tuple(row))
+
+
+def _require_index(t: int) -> None:
+    if t < 0:
+        raise ValueError(f"t must be non-negative, got {t}")
 
 
 def radial_profile(t: int) -> RadialProfile:
+    _require_index(t)
     p = radial_start()
     for _ in range(t):
         p = radial_step(p)
     return p
-
-
-def radial_table(t_max: int) -> list[RadialProfile]:
-    rows = [radial_start()]
-    for _ in range(t_max):
-        rows.append(radial_step(rows[-1]))
-    return rows
 
 
 def radial_sums(p: RadialProfile) -> tuple[int, int]:
@@ -155,64 +171,25 @@ class BiRadialProfile:
         return range(self.lo, self.hi + 1)
 
 
-def _trimmed(t: int, vals: dict[int, int]) -> BiRadialProfile:
-    nonzero = [s for s, v in vals.items() if v != 0]
-    lo, hi = min(nonzero), max(nonzero)
-    return BiRadialProfile(t, lo, tuple(vals.get(s, 0) for s in range(lo, hi + 1)))
-
-
 def u_start() -> BiRadialProfile:
     """Index 0: value 1 on the edge's two endpoints (classes 0 and -1)."""
     return BiRadialProfile(0, -1, (1, 1))
 
 
-def stencil_coeffs(s: int) -> tuple[int, int, int]:
-    """Reflection stencil (left, self, right) coefficients at class s.
-
-    Behind the marked edge (s < 0) the two children sit one class lower,
-    in front (s >= 0) one class higher; the lone remaining neighbor sits on
-    the other side. These are exactly the off-diagonal magnitudes of the
-    doubly-infinite generalized Cartan matrix on the class line, whose one
-    simply-laced bond joins classes -1 and 0.
-    """
-    return (2, -1, 1) if s < 0 else (1, -1, 2)
-
-
-def _reflect_class(s: int, left: int, mid: int, right: int) -> int:
-    cl, cm, cr = stencil_coeffs(s)
-    return cl * left + cm * mid + cr * right
-
-
-def u_odd_phase(u: BiRadialProfile) -> dict[int, int]:
-    """State after reflecting the odd classes only: fresh odd values mixed
-    with the incoming even values. This is the half-way point of u_step."""
-    mixed: dict[int, int] = {}
-    for s in range(u.lo - 2, u.hi + 3):
-        if s % 2 == 0:
-            mixed[s] = u.value(s)
-        else:
-            mixed[s] = _reflect_class(s, u.value(s - 1), u.value(s), u.value(s + 1))
-    return {s: v for s, v in mixed.items() if v != 0}
-
-
 def u_step(u: BiRadialProfile) -> BiRadialProfile:
-    """Index step t -> t+1: reflect the odd classes from the old values,
-    then the even classes from the fresh odd ones."""
-    mixed = u_odd_phase(u)
-
-    def mval(s: int) -> int:
-        return mixed.get(s, 0)
-
-    out: dict[int, int] = {}
-    for s in range(u.lo - 2, u.hi + 3):
-        if s % 2 == 0:
-            out[s] = _reflect_class(s, mval(s - 1), u.value(s), mval(s + 1))
-        else:
-            out[s] = mval(s)
-    return _trimmed(u.t + 1, out)
+    """Index step t -> t+1: an odd wave, then an even wave that reads the
+    fresh odd values. The support grows by at most two classes each way."""
+    lo = u.lo - 2
+    row = [0, 0, *u.values, 0, 0]
+    wave(row, lo, SIGNED, 1)
+    wave(row, lo, SIGNED, 0)
+    nonzero = [i for i, v in enumerate(row) if v]
+    first, last = nonzero[0], nonzero[-1]
+    return BiRadialProfile(u.t + 1, lo + first, tuple(row[first:last + 1]))
 
 
 def u_profile(t: int) -> BiRadialProfile:
+    _require_index(t)
     u = u_start()
     for _ in range(t):
         u = u_step(u)
@@ -221,6 +198,7 @@ def u_profile(t: int) -> BiRadialProfile:
 
 def u_table(t_max: int) -> list[BiRadialProfile]:
     """Rows of indices 0..t_max."""
+    _require_index(t_max)
     rows = [u_start()]
     for _ in range(t_max):
         rows.append(u_step(rows[-1]))
@@ -337,8 +315,6 @@ def compress_radial(a: TreeVector, *, cap: int = ORACLE_CAP) -> RadialProfile:
     t = a.support_radius()
     if t > cap:
         raise OracleCapExceeded(t, cap)
-    # Entry addresses are relative to the vector's root, so the distance
-    # classes are enumerated from the empty word regardless of a.base.
     values = tuple(
         _class_value(layer, a, d) for d, layer in enumerate(tree.layers(BASE, t, cap=cap))
     )
@@ -366,4 +342,5 @@ def compress_biradial(a: TreeVector, *, cap: int = ORACLE_CAP) -> BiRadialProfil
     hi = max(classes)
     if hi < 0 or hi % 2 != 0:
         raise ValueError(f"outer class {hi} is not an even-index profile rim")
-    return _trimmed(hi // 2, classes)
+    lo = min(classes)
+    return BiRadialProfile(hi // 2, lo, tuple(classes.get(s, 0) for s in range(lo, hi + 1)))

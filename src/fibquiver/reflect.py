@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from . import tree
-from .errors import BaseMismatch, NotNeighbors, OracleCapExceeded
+from .errors import NotNeighbors, OracleCapExceeded
 from .tree import BASE, Vertex, distance, neighbors
 
 # Past this many reflection waves the support (3 * 2**t vertices) stops being
@@ -30,16 +30,12 @@ MARKED_NEIGHBOR: Vertex = "0"
 class TreeVector:
     """Finite-support integer-valued function on the tree's vertices.
 
-    ``base`` names the vertex (in the ambient encoding) that the entry
-    addresses are relative to; vectors built by the oracle use the ambient
-    root itself. Zero entries are never stored.
+    Entries are addressed from the base vertex; zero entries are never stored.
     """
 
-    __slots__ = ("base", "_entries")
+    __slots__ = ("_entries",)
 
-    def __init__(self, entries: Optional[dict[Vertex, int]] = None, base: Vertex = BASE):
-        tree.require_vertex(base)
-        self.base = base
+    def __init__(self, entries: Optional[dict[Vertex, int]] = None):
         self._entries: dict[Vertex, int] = {}
         if entries:
             for v, c in entries.items():
@@ -59,20 +55,10 @@ class TreeVector:
         return not self._entries
 
     def support_radius(self) -> int:
-        """Largest distance from the encoding root to a supported vertex."""
+        """Largest distance from the base to a supported vertex."""
         return max((len(v) for v in self._entries), default=0)
 
-    def copy(self) -> "TreeVector":
-        return TreeVector(dict(self._entries), self.base)
-
-    def _require_same_base(self, other: "TreeVector") -> None:
-        if self.base != other.base:
-            raise BaseMismatch(
-                f"vector bases differ ({self.base!r} vs {other.base!r}); rebase first"
-            )
-
     def add(self, other: "TreeVector") -> "TreeVector":
-        self._require_same_base(other)
         out = dict(self._entries)
         for v, c in other._entries.items():
             s = out.get(v, 0) + c
@@ -80,16 +66,15 @@ class TreeVector:
                 out[v] = s
             else:
                 out.pop(v, None)
-        return TreeVector(out, self.base)
+        return TreeVector(out)
 
     def subtract(self, other: "TreeVector") -> "TreeVector":
         return self.add(other.negate())
 
     def negate(self) -> "TreeVector":
-        return TreeVector({v: -c for v, c in self._entries.items()}, self.base)
+        return TreeVector({v: -c for v, c in self._entries.items()})
 
     def equals(self, other: "TreeVector") -> bool:
-        self._require_same_base(other)
         return self._entries == other._entries
 
     __add__ = add
@@ -98,30 +83,30 @@ class TreeVector:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreeVector):
             return NotImplemented
-        return self.base == other.base and self._entries == other._entries
+        return self._entries == other._entries
 
     def __hash__(self):
-        return hash((self.base, frozenset(self._entries.items())))
+        return hash(frozenset(self._entries.items()))
 
     def __repr__(self):
         entries = {v: c for v, c in sorted(self._entries.items(), key=lambda kv: (len(kv[0]), kv[0]))}
-        return f"TreeVector({entries!r}, base={self.base!r})"
+        return f"TreeVector({entries!r})"
 
 
-def zero(base: Vertex = BASE) -> TreeVector:
-    return TreeVector({}, base)
+def zero() -> TreeVector:
+    return TreeVector({})
 
 
-def unit(x: Vertex, base: Vertex = BASE) -> TreeVector:
+def unit(x: Vertex) -> TreeVector:
     """The vector with entry 1 at x and 0 elsewhere."""
-    return TreeVector({x: 1}, base)
+    return TreeVector({x: 1})
 
 
-def edge_unit(x: Vertex, y: Vertex, base: Vertex = BASE) -> TreeVector:
+def edge_unit(x: Vertex, y: Vertex) -> TreeVector:
     """Entry 1 at both endpoints of an edge."""
     if distance(x, y) != 1:
         raise NotNeighbors(f"{x!r} and {y!r} are at distance {distance(x, y)}, not 1")
-    return TreeVector({x: 1, y: 1}, base)
+    return TreeVector({x: 1, y: 1})
 
 
 def sigma(a: TreeVector, y: Vertex) -> TreeVector:
@@ -133,7 +118,7 @@ def sigma(a: TreeVector, y: Vertex) -> TreeVector:
         new[y] = val
     else:
         new.pop(y, None)
-    return TreeVector(new, a.base)
+    return TreeVector(new)
 
 
 def big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:
@@ -159,7 +144,7 @@ def big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:
             new[y] = val
         else:
             new.pop(y, None)
-    return TreeVector(new, a.base)
+    return TreeVector(new)
 
 
 def _wave_parity(step: int) -> str:
@@ -203,7 +188,7 @@ def r_vec(t: int, *, cap: int = ORACLE_CAP) -> TreeVector:
 
 def parity_sums(a: TreeVector, t: int) -> tuple[int, int]:
     """(minus, plus): entry sums over the vertices whose distance from the
-    vector's root is incongruent / congruent to t mod 2."""
+    base is incongruent / congruent to t mod 2."""
     minus = plus = 0
     for v, c in a.items():
         if len(v) % 2 == t % 2:
@@ -211,20 +196,3 @@ def parity_sums(a: TreeVector, t: int) -> tuple[int, int]:
         else:
             minus += c
     return minus, plus
-
-
-def rebase(a: TreeVector, new_base: Vertex) -> TreeVector:
-    """The same function on the tree, re-encoded relative to new_base.
-
-    new_base is given in the ambient encoding, like a.base. Entry values are
-    untouched; only their addresses are rewritten, so rebasing there and
-    back returns the original vector exactly.
-    """
-    tree.require_vertex(new_base)
-    if new_base == a.base:
-        return a.copy()
-    out: dict[Vertex, int] = {}
-    for rel, c in a.items():
-        ambient = tree.from_relative(rel, a.base)
-        out[tree.to_relative(ambient, new_base)] = c
-    return TreeVector(out, new_base)

@@ -2,7 +2,8 @@
 
 Each suite runs a family of exact checks and returns a SuiteResult with the
 first counterexamples formatted for display. All checks are pure; a suite
-that returns ok=True has verified every instance it names, no sampling.
+that returns ok=True has verified every instance it names, no sampling, and
+a suite whose range names no instance raises ValueError instead.
 """
 
 from __future__ import annotations
@@ -34,44 +35,48 @@ class SuiteResult:
 
 
 def _collect(suite: str, failures: list[str], checked: int) -> SuiteResult:
+    if checked == 0:
+        raise ValueError(f"suite {suite} has no checks in the requested range")
     return SuiteResult(suite, not failures, checked, failures[:MAX_REPORTED_FAILURES])
 
 
-def run_prop41(t_max: int = 6, *, cap: int = ORACLE_CAP, **_) -> SuiteResult:
+def _run_reports(suite: str, cases) -> SuiteResult:
+    """Collect (label, IdentityReport) cases; a failing report contributes
+    its first failed check."""
     failures, checked = [], 0
-    for t in range(1, t_max + 1):
-        for letter in "012":
-            rep = catident.check_prop41(t, y_letter=letter, cap=cap)
-            checked += 1
-            if not rep.ok:
-                bad = rep.first_failure()
-                failures.append(f"t={t} y={letter!r}: {bad.label} {bad.detail}")
-    return _collect("prop41", failures, checked)
+    for label, rep in cases:
+        checked += 1
+        if not rep.ok:
+            bad = rep.first_failure()
+            failures.append(f"{label}: {bad.label} {bad.detail}")
+    return _collect(suite, failures, checked)
+
+
+def run_prop41(t_max: int = 6, *, cap: int = ORACLE_CAP, **_) -> SuiteResult:
+    return _run_reports("prop41", (
+        (f"t={t} y={letter!r}", catident.check_prop41(t, y_letter=letter, cap=cap))
+        for t in range(1, t_max + 1)
+        for letter in "012"
+    ))
 
 
 def run_cor42(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACLE_CAP, **_) -> SuiteResult:
-    failures, checked = [], 0
-    for t in range(1, t_max + 1):
-        for walk in path_variants(t + 1, paths, seed):
-            rep = catident.check_cor42(t, PathSpec(tuple(walk)), cap=cap)
-            checked += 1
-            if not rep.ok:
-                bad = rep.first_failure()
-                failures.append(f"t={t} path={walk}: {bad.label} {bad.detail}")
-    return _collect("cor42", failures, checked)
+    return _run_reports("cor42", (
+        (f"t={t} path={walk}", catident.check_cor42(t, PathSpec(tuple(walk)), cap=cap))
+        for t in range(1, t_max + 1)
+        for walk in path_variants(t + 1, paths, seed)
+    ))
 
 
 def run_cor43(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACLE_CAP, **_) -> SuiteResult:
-    failures, checked = [], 0
-    for t in range(0, t_max + 1):
-        for walk in path_variants(t + 3, paths, seed):
-            spec = PathSpec(tuple(walk[1:-1]), before=walk[0], after=walk[-1])
-            rep = catident.check_cor43(t, spec, cap=cap)
-            checked += 1
-            if not rep.ok:
-                bad = rep.first_failure()
-                failures.append(f"t={t} path={walk}: {bad.label} {bad.detail}")
-    return _collect("cor43", failures, checked)
+    return _run_reports("cor43", (
+        (
+            f"t={t} path={walk}",
+            catident.check_cor43(t, PathSpec(tuple(walk[1:-1]), before=walk[0], after=walk[-1]), cap=cap),
+        )
+        for t in range(0, t_max + 1)
+        for walk in path_variants(t + 3, paths, seed)
+    ))
 
 
 def run_oracle(t_max: int = 8, *, cap: int = ORACLE_CAP, **_) -> SuiteResult:

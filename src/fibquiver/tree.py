@@ -11,10 +11,9 @@ Everything here is a pure function on immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import NotNeighbors, RadiusTooLarge
+from .errors import RadiusTooLarge
 
 Vertex = str
 
@@ -115,98 +114,3 @@ def sphere(center: Vertex, radius: int, *, cap: int = BALL_RADIUS_CAP) -> list[V
     """All vertices at distance exactly radius from center."""
     *_, last = layers(center, radius, cap=cap)
     return last
-
-
-def passes_through(x: Vertex, y: Vertex, z: Vertex) -> bool:
-    """True iff the path from x to z runs through y."""
-    return distance(x, z) == distance(x, y) + distance(y, z)
-
-
-def side_counts(x: Vertex, y: Vertex, s: int) -> tuple[int, int]:
-    """Sizes of the two sides of the sphere of radius s around x.
-
-    Returns (away, through): the number of vertices at distance s from x
-    whose path avoids the marked neighbor y, and the number whose path runs
-    through y. These are 2**s and 2**(s-1); ``side_counts_by_enumeration``
-    recounts them explicitly and is the test oracle for this formula.
-    """
-    if distance(x, y) != 1:
-        raise NotNeighbors(f"{x!r} and {y!r} are at distance {distance(x, y)}, not 1")
-    if s < 1:
-        raise ValueError(f"s must be positive, got {s}")
-    return 2 ** s, 2 ** (s - 1)
-
-
-def side_counts_by_enumeration(
-    x: Vertex, y: Vertex, s: int, *, cap: int = BALL_RADIUS_CAP
-) -> tuple[int, int]:
-    """Brute-force partition of the radius-s sphere by the through-y predicate."""
-    if distance(x, y) != 1:
-        raise NotNeighbors(f"{x!r} and {y!r} are at distance {distance(x, y)}, not 1")
-    if s < 1:
-        raise ValueError(f"s must be positive, got {s}")
-    away = through = 0
-    for z in sphere(x, s, cap=cap):
-        if passes_through(x, y, z):
-            through += 1
-        else:
-            away += 1
-    return away, through
-
-
-@dataclass(frozen=True)
-class Orientation:
-    """One of the two bipartite orientations of the tree, as metadata.
-
-    With t_parity "even" the base vertex is a sink, with "odd" a source;
-    the roles alternate with distance from the base. Arrow bookkeeping
-    never enters the vector arithmetic, it is only asserted consistent.
-    """
-
-    base: Vertex
-    t_parity: str
-
-    def __post_init__(self):
-        require_vertex(self.base)
-        if self.t_parity not in ("even", "odd"):
-            raise ValueError(f"t_parity must be 'even' or 'odd', got {self.t_parity!r}")
-
-    @classmethod
-    def for_step(cls, base: Vertex, t: int) -> "Orientation":
-        return cls(base, "even" if t % 2 == 0 else "odd")
-
-    def is_sink(self, v: Vertex) -> bool:
-        base_is_sink = self.t_parity == "even"
-        return base_is_sink == (distance(self.base, v) % 2 == 0)
-
-    def is_source(self, v: Vertex) -> bool:
-        return not self.is_sink(v)
-
-
-def to_relative(vertex: Vertex, root: Vertex) -> Vertex:
-    """Address of vertex in the encoding rooted at root.
-
-    The convention is fixed by the ambient encoding: at each step of the
-    path from root to vertex, the continuations are numbered in canonical
-    neighbor order (parent first, then children). ``from_relative`` is the
-    exact inverse, and ``to_relative(v, BASE) == v``.
-    """
-    path = tree_path(root, vertex)
-    letters = []
-    prev: Vertex | None = None
-    for cur, nxt in zip(path, path[1:]):
-        options = neighbors(cur) if prev is None else [n for n in neighbors(cur) if n != prev]
-        letters.append(str(options.index(nxt)))
-        prev = cur
-    return "".join(letters)
-
-
-def from_relative(word: Vertex, root: Vertex) -> Vertex:
-    """Inverse of to_relative: resolve a root-relative address to ambient form."""
-    require_vertex(word)
-    cur = root
-    prev: Vertex | None = None
-    for ch in word:
-        options = neighbors(cur) if prev is None else [n for n in neighbors(cur) if n != prev]
-        prev, cur = cur, options[int(ch)]
-    return cur

@@ -9,7 +9,6 @@ from fibquiver.catident import (
     check_cor43,
     check_prop41,
     path_variants,
-    preprojective_triple_ok,
     pushdown,
     random_path,
     straight_path,
@@ -126,10 +125,9 @@ def test_random_path_is_valid():
         PathSpec(tuple(walk))  # validates adjacency and no backtracking
 
 
-def test_reports_carry_orientation_checks():
+def test_reports_carry_their_checks():
     rep = check_cor42(3)
-    labels = [c.label for c in rep.checks]
-    assert "orientation" in labels
+    assert [c.label for c in rep.checks] == ["filtration-sum", "scalar-shadow"]
     assert all(c.ok for c in rep.checks)
     assert rep.first_failure() is None
 
@@ -153,8 +151,3 @@ def test_pushdown_lands_on_classified_pairs():
     for t in range(9):
         assert classify_pair(pushdown(s_vec(t), t)).kind == "EvenPair"
         assert classify_pair(pushdown(r_vec(t), t)).kind == "OddPair"
-
-
-def test_preprojective_triples():
-    for n in range(-100, 101):
-        assert preprojective_triple_ok(n)

@@ -1,7 +1,13 @@
 """The command-line surface: formats, exit codes, and stream separation."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibquiver import cli, suites
 from fibquiver.cli import (
@@ -108,6 +114,13 @@ def test_svec_and_rvec_ascii(capsys):
     assert "sums: [1, 2]" in out
 
 
+def test_negative_indices_are_usage_errors(capsys):
+    for argv in (["partition", "-1"], ["utable", "-1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and "non-negative" in err
+
+
 def test_oracle_cap_flag_and_env(capsys, monkeypatch):
     code, _, err = run(capsys, "svec", "13")
     assert code == 2
@@ -138,6 +151,23 @@ def test_verify_suites_exit_zero(capsys):
         code, out, err = run(capsys, "verify", suite, *extra)
         assert code == 0, (suite, err)
         assert "ok" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "sums", "--t", "-1"],
+        ["verify", "pairs", "--max", "-1"],
+        ["verify", "three-term", "--from", "5", "--to", "3"],
+        ["verify", "prop41", "--t", "0"],
+        ["verify", "cor42", "--t", "0"],
+        ["verify", "oracle", "--t", "-1"],
+    ],
+)
+def test_verify_with_nothing_to_check_fails(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and f"suite {argv[1]} " in err
 
 
 def test_verify_failure_prints_counterexample(capsys, monkeypatch):
@@ -234,3 +264,47 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "13\n"
+
+
+# Random command lines over every subcommand. Indices stay within 40, and
+# within 6 for the brute-force commands, so each run is fast.
+NUMBER = st.integers(-40, 40).map(str)
+ORACLE_STEP = st.integers(-40, 6).map(str)
+ORACLE_SUITES = ("prop41", "cor42", "cor43", "oracle")
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(["fib", "pairs", "classify", "utable", "partition", "svec", "rvec", "verify", "oeis-check"]))
+    if command == "fib":
+        argv = draw(st.one_of(
+            st.tuples(NUMBER).map(list),
+            st.tuples(NUMBER, NUMBER).map(lambda r: [f"--from={r[0]}", f"--to={r[1]}"]),
+        ))
+    elif command == "classify":
+        argv = [draw(NUMBER), draw(NUMBER)]
+    elif command in ("svec", "rvec"):
+        argv = [draw(ORACLE_STEP)]
+    elif command == "verify":
+        # Each suite reads the options it needs and ignores the rest.
+        suite = draw(st.sampled_from(sorted(suites.SUITES)))
+        limit = f"--t={draw(ORACLE_STEP)}" if suite in ORACLE_SUITES else f"--t-max={draw(NUMBER)}"
+        argv = [suite, limit, *(f"{opt}={draw(NUMBER)}" for opt in ("--from", "--to", "--max", "--seed"))]
+    elif command == "oeis-check":
+        argv = [draw(st.one_of(st.sampled_from(["A000045", "A132262", "A147316"]), NUMBER.map("A{}".format)))]
+    else:
+        argv = [draw(NUMBER)]
+    if draw(st.booleans()):
+        argv.append(f"--oracle-cap={draw(NUMBER)}")
+    return [command, *argv, f"--format={draw(st.sampled_from(cli.FORMATS))}"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(command_lines())
+def test_fuzzed_command_lines_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # an escaping exception fails the test
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    if code == 0 and argv[-1] == "--format=json":
+        assert json.loads(out.getvalue())["schema_version"] == 1

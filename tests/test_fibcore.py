@@ -12,9 +12,9 @@ from fibquiver.fibcore import (
     ODD_PAIR,
     UP,
     Witness,
+    _descend,
     check_three_term,
     classify_pair,
-    descent_path,
     enumerate_pairs,
     euler_form,
     fib,
@@ -166,7 +166,11 @@ def test_exhaustive_acceptance_matches_form():
 
 def test_descent_strictly_shrinks_the_norm():
     for pt in [(2, 5), (5, 2), (34, 89), (-2584, -987), (233, 89), (-1, -2)]:
-        path = descent_path(DimPair(*pt))
+        ops, seed = _descend(DimPair(*pt))
+        path = [DimPair(*pt)]
+        for op in ops:
+            path.append(sigma_plus(path[-1]) if op == "plus" else sigma_minus(path[-1]))
+        assert path[-1] == seed
         norms = [abs(p.x) + abs(p.y) for p in path]
         assert all(a > b for a, b in zip(norms, norms[1:]))
         last = path[-1]

@@ -5,6 +5,8 @@ import pytest
 from fibquiver.errors import NotSymmetric, OracleCapExceeded
 from fibquiver.fibcore import fib
 from fibquiver.profiles import (
+    RADIAL,
+    SIGNED,
     BiRadialProfile,
     RadialProfile,
     class_size,
@@ -19,15 +21,13 @@ from fibquiver.profiles import (
     radial_sums,
     radial_start,
     radial_step,
-    radial_table,
     shell_size,
-    stencil_coeffs,
-    u_odd_phase,
     u_profile,
     u_sums,
     u_start,
     u_step,
     u_table,
+    wave,
 )
 from fibquiver.reflect import TreeVector, edge_unit, r_vec, s_vec, unit
 from fibquiver.tree import BASE
@@ -81,8 +81,8 @@ def test_radial_sums_examples():
 
 
 def test_radial_table_matches_oracle():
-    rows = radial_table(8)
-    for t, row in enumerate(rows):
+    for t in range(9):
+        row = radial_profile(t)
         assert expand_radial(row).equals(s_vec(t))
         assert compress_radial(s_vec(t)) == row
 
@@ -125,16 +125,33 @@ def test_support_grows_by_at_most_two():
         u = nxt
 
 
+def _stencil(weights, s):
+    # (left, self, right) coefficients of one wave at class s, read off by
+    # reflecting the three unit rows around it.
+    coeffs = []
+    for j in range(3):
+        row = [0, 0, 0]
+        row[j] = 1
+        wave(row, s - 1, weights, s % 2)
+        coeffs.append(row[1])
+    return tuple(coeffs)
+
+
 def test_stencil_matches_cartan_rows():
     # Doubly-laced line with one simple bond between classes -1 and 0.
-    assert stencil_coeffs(-3) == (2, -1, 1)
-    assert stencil_coeffs(5) == (1, -1, 2)
-    assert stencil_coeffs(0) == (1, -1, 2)
-    assert stencil_coeffs(-1) == (2, -1, 1)
+    assert _stencil(SIGNED, -3) == (2, -1, 1)
+    assert _stencil(SIGNED, 5) == (1, -1, 2)
+    assert _stencil(SIGNED, 0) == (1, -1, 2)
+    assert _stencil(SIGNED, -1) == (2, -1, 1)
     # Simple lacing both ways across the marked edge: coefficient 1 on the
     # neighbor across it.
-    assert stencil_coeffs(0)[0] == 1  # class 0 reads class -1 once
-    assert stencil_coeffs(-1)[2] == 1  # class -1 reads class 0 once
+    assert _stencil(SIGNED, 0)[0] == 1  # class 0 reads class -1 once
+    assert _stencil(SIGNED, -1)[2] == 1  # class -1 reads class 0 once
+    # The radial half-line: the base reads its three neighbors, every other
+    # class one parent and two children.
+    assert _stencil(RADIAL, 0) == (0, -1, 3)
+    assert _stencil(RADIAL, 1) == (1, -1, 2)
+    assert _stencil(RADIAL, 6) == (1, -1, 2)
 
 
 def _cartan_abs(i, j):
@@ -171,7 +188,10 @@ def test_odd_phase_state_is_the_next_odd_wave_vector():
     # (fresh odd classes over stale even ones) compresses r after 2t+1
     # waves, with no re-indexing.
     for t in range(4):
-        mixed = u_odd_phase(u_profile(t))
+        u = u_profile(t)
+        row = [0, 0, *u.values, 0, 0]
+        wave(row, u.lo - 2, SIGNED, 1)
+        mixed = {u.lo - 2 + i: v for i, v in enumerate(row) if v}
         assert mixed == compress_signed_classes(r_vec(2 * t + 1))
 
 
@@ -239,3 +259,9 @@ def test_biradial_validation():
     prof = u_profile(3)
     assert prof.value(prof.lo - 1) == 0 and prof.value(prof.hi + 1) == 0
     assert list(prof.support()) == list(range(prof.lo, prof.hi + 1))
+
+
+def test_negative_indices_are_rejected():
+    for build in (u_profile, u_table, radial_profile, partition_report):
+        with pytest.raises(ValueError, match="non-negative"):
+            build(-1)

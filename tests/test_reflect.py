@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fibquiver.errors import BaseMismatch, NotNeighbors, OracleCapExceeded
+from fibquiver.errors import NotNeighbors, OracleCapExceeded
 from fibquiver.fibcore import fib
 from fibquiver.reflect import (
     TreeVector,
@@ -15,7 +15,6 @@ from fibquiver.reflect import (
     parity_sums,
     r_vec,
     r_vec_at,
-    rebase,
     s_vec,
     s_vec_at,
     sigma,
@@ -157,14 +156,24 @@ def test_vectors_stay_non_negative():
         assert all(c >= 0 for _, c in r_vec(t).items())
 
 
+def _sums_around(a, center, t):
+    # parity_sums with distances taken from center instead of the base.
+    minus = plus = 0
+    for v, c in a.items():
+        if distance(center, v) % 2 == t % 2:
+            plus += c
+        else:
+            minus += c
+    return minus, plus
+
+
 def test_off_center_oracle():
     # Growing from another vertex is the translated picture: sums agree.
     v = s_vec_at(3, "01")
-    assert rebase(v, "01").value(BASE) == 2
-    minus, plus = parity_sums(rebase(v, "01"), 3)
-    assert (minus, plus) == (fib(6), fib(8))
+    assert v.value("01") == 2
+    assert _sums_around(v, "01", 3) == (fib(6), fib(8))
     w = r_vec_at(2, "01", "0")
-    assert parity_sums(rebase(w, "01"), 2) == (fib(3), fib(5))
+    assert _sums_around(w, "01", 2) == (fib(3), fib(5))
 
 
 def test_oracle_cap():
@@ -183,35 +192,9 @@ def test_group_operations():
     assert a.subtract(a).is_zero()
     assert (a + b - b).equals(a)
     assert unit(BASE).add(unit("0")).equals(edge_unit(BASE, "0"))
-    with pytest.raises(BaseMismatch):
-        a.add(TreeVector({BASE: 1}, base="0"))
-    with pytest.raises(BaseMismatch):
-        a.equals(TreeVector({BASE: 1}, base="0"))
 
 
 @given(small_vectors, small_vectors)
 def test_addition_is_commutative_and_cancels(a, b):
     assert a.add(b).equals(b.add(a))
     assert a.add(b).subtract(b).equals(a)
-
-
-def test_rebase_examples():
-    a = unit(BASE)
-    assert rebase(a, BASE).equals(a)
-    moved = rebase(a, "0")
-    assert moved.base == "0"
-    assert dict(moved.items()) == {"0": 1}  # the old root is the new word "0"
-
-
-@given(small_vectors, vertices)
-def test_rebase_round_trip_preserves_everything(a, root):
-    moved = rebase(a, root)
-    assert sorted(c for _, c in moved.items()) == sorted(c for _, c in a.items())
-    assert rebase(moved, BASE).equals(a)
-
-
-@given(small_vectors, vertices, vertices)
-@settings(max_examples=40)
-def test_rebase_composes(a, r1, r2):
-    # Hopping through an intermediate root changes nothing.
-    assert rebase(rebase(a, r1), r2).equals(rebase(a, r2))

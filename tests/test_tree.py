@@ -4,21 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibquiver.errors import NotNeighbors, RadiusTooLarge
+from fibquiver.errors import RadiusTooLarge
+from fibquiver.profiles import class_size, shell_size
 from fibquiver.tree import (
     BASE,
-    Orientation,
     ball,
     children,
     distance,
-    from_relative,
     is_valid_vertex,
+    layers,
     neighbors,
     parent,
-    side_counts,
-    side_counts_by_enumeration,
     sphere,
-    to_relative,
     tree_path,
 )
 
@@ -121,46 +118,16 @@ def test_sphere_sizes():
 
 
 def test_side_counts_examples():
-    assert side_counts(BASE, "0", 1) == (2, 1)
-    assert side_counts(BASE, "0", 3) == (8, 4)
-    assert side_counts(BASE, "0", 5) == (32, 16)
-
-
-def test_side_counts_requires_neighbors():
-    with pytest.raises(NotNeighbors):
-        side_counts(BASE, "00", 2)
-    with pytest.raises(ValueError):
-        side_counts(BASE, "0", 0)
+    # (away from, through) the marked neighbor at distance s: signed classes s, -s.
+    assert (class_size(1), class_size(-1)) == (2, 1)
+    assert (class_size(3), class_size(-3)) == (8, 4)
+    assert (class_size(5), class_size(-5)) == (32, 16)
 
 
 def test_side_counts_against_enumeration():
     for x, y in [(BASE, "0"), (BASE, "2"), ("0", BASE), ("01", "0")]:
-        for s in range(1, 9):
-            assert side_counts(x, y, s) == side_counts_by_enumeration(x, y, s)
-
-
-def test_orientation_roles():
-    even = Orientation.for_step(BASE, 4)
-    assert even.t_parity == "even"
-    assert even.is_sink(BASE) and not even.is_source(BASE)
-    assert even.is_source("0") and even.is_sink("01")
-
-    odd = Orientation.for_step(BASE, 3)
-    assert odd.is_source(BASE) and odd.is_sink("2")
-
-    with pytest.raises(ValueError):
-        Orientation(BASE, "sideways")
-
-
-@given(vertices, vertices)
-def test_relative_addressing_round_trip(v, root):
-    rel = to_relative(v, root)
-    assert is_valid_vertex(rel)
-    assert len(rel) == distance(root, v)
-    assert from_relative(rel, root) == v
-
-
-@given(vertices)
-def test_relative_to_the_base_is_the_identity(v):
-    assert to_relative(v, BASE) == v
-    assert from_relative(v, BASE) == v
+        for s, layer in enumerate(layers(x, 8)):
+            assert len(layer) == shell_size(s)
+            through = sum(1 for z in layer if distance(y, z) == s - 1)
+            if s >= 1:
+                assert (len(layer) - through, through) == (class_size(s), class_size(-s))
