@@ -105,10 +105,13 @@ def random_path(n: int, rng: random.Random, start: Vertex = BASE) -> list[Vertex
 
 
 def path_variants(n: int, count: int = 3, seed: int = 0) -> list[list[Vertex]]:
-    """Distinct n-vertex paths with different turn shapes: the all-left ray,
-    an alternating zigzag, a walk through the base, then seeded random
-    walks up to `count`. Short paths admit fewer shapes than asked for, so
-    the draw attempts are bounded."""
+    """At most `count` distinct n-vertex paths with different turn shapes:
+    the all-left ray, an alternating zigzag, a walk through the base, then
+    seeded random walks from the base. Short paths admit fewer shapes than
+    asked for, so drawing stops once none is left, and the draw attempts
+    are bounded."""
+    if count < 1:
+        raise ValueError(f"path count must be positive, got {count}")
     variants: list[list[Vertex]] = [straight_path(n)]
 
     zig = [BASE]
@@ -135,12 +138,14 @@ def path_variants(n: int, count: int = 3, seed: int = 0) -> list[list[Vertex]]:
 
     for v in variants:
         push(v)
+    # The n-vertex walks from the base, plus the walk through it from "1".
+    shapes = 1 if n < 2 else 3 * 2 ** (n - 2) + (n >= 3)
     rng = random.Random(seed)
     for _ in range(50 * count):
-        if len(unique) >= count:
+        if len(unique) >= min(count, shapes):
             break
         push(random_path(n, rng))
-    return unique
+    return unique[:count]
 
 
 def _vector_eq_check(label: str, lhs: TreeVector, rhs: TreeVector) -> Check:

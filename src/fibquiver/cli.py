@@ -6,6 +6,12 @@ csv are schema-stable (schema_version 1), ascii is for reading. Data goes
 to stdout, diagnostics to stderr; the exit status is 0 exactly when all
 requested checks pass.
 
+Each output kind is declared once. A `payload_*` builder returns a plain
+dict whose "kind" keys an entry of RENDERERS; that entry gives the kind's
+csv header, its csv rows and its ascii lines (json is the dict itself).
+Each subparser sets `payload`, a function of the parsed arguments, and
+`main` alone builds, renders and prints it and picks the exit status.
+
 The brute-force commands respect an oracle cap, overridable per call with
 --oracle-cap or globally with the FIBQUIVER_ORACLE_CAP environment variable.
 """
@@ -173,7 +179,7 @@ def payload_oeis(result: oeis.CheckResult, fixture: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# rendering
+# rendering: one entry per payload kind
 # ----------------------------------------------------------------------
 
 def emit_json(payload: dict) -> str:
@@ -184,42 +190,6 @@ def _csv(header: str, rows: list[list]) -> str:
     lines = [header]
     lines.extend(",".join("" if v is None else str(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def emit_csv(payload: dict) -> str:
-    kind = payload["kind"]
-    if kind == "fib_range":
-        return _csv("t,value", payload["values"])
-    if kind == "pair_class":
-        p = payload
-        return _csv(
-            "x,y,kind,t,direction,negated",
-            [[p["x"], p["y"], p["pair_kind"], p["t"], p["direction"], p["negated"]]],
-        )
-    if kind == "pairs":
-        rows = [
-            [r["x"], r["y"], r["pair_kind"], r["t"], r["direction"], r["negated"]]
-            for r in payload["pairs"]
-        ]
-        return _csv("x,y,kind,t,direction,negated", rows)
-    if kind == "u_table":
-        rows = [[row["t"], s, v] for row in payload["rows"] for s, v in row["values"]]
-        return _csv("t,s,value", rows)
-    if kind == "partition_report":
-        rows = [["minus", *term] for term in payload["minus"]["terms"]]
-        rows += [["plus", *term] for term in payload["plus"]["terms"]]
-        return _csv("side,s,weight,value,product", rows)
-    if kind == "s_vector":
-        return _csv("d,size,value", payload["classes"])
-    if kind == "r_vector":
-        return _csv("s,size,value", payload["classes"])
-    if kind == "verify":
-        p = payload
-        return _csv("suite,checked,ok", [[p["suite"], p["checked"], p["ok"]]])
-    if kind == "oeis_check":
-        p = payload
-        return _csv("sequence,checked,ok", [[p["sequence"], p["checked"], p["ok"]]])
-    raise ValueError(f"no csv renderer for {kind!r}")
 
 
 def _ascii_witness(p: dict) -> str:
@@ -236,89 +206,133 @@ def _count(n: int, noun: str) -> str:
     return f"{n} {noun}" if n == 1 else f"{n} {_PLURALS[noun]}"
 
 
-def emit_ascii(payload: dict) -> str:
-    kind = payload["kind"]
-    if kind == "fib_range":
-        return ",".join(str(v) for _, v in payload["values"]) + "\n"
-    if kind == "pair_class":
-        return f"{payload['pair_kind']}{_ascii_witness(payload)}\n"
-    if kind == "pairs":
-        lines = [
-            f"({r['x']}, {r['y']})  {r['pair_kind']}{_ascii_witness(r)}"
-            for r in payload["pairs"]
-        ]
-        lines.append(f"{len(payload['pairs'])} pairs with |x|,|y| <= {payload['bound']}")
-        return "\n".join(lines) + "\n"
-    if kind == "u_table":
-        rows = payload["rows"]
-        lo = min(r["values"][0][0] for r in rows)
-        hi = max(r["values"][-1][0] for r in rows)
-        cells = {(r["t"], s): str(v) for r in rows for s, v in r["values"]}
-        widths = {
-            s: max(len(str(s)), max((len(cells.get((r["t"], s), "")) for r in rows), default=1))
-            for s in range(lo, hi + 1)
-        }
-        head = "t\\s | " + " ".join(str(s).rjust(widths[s]) for s in range(lo, hi + 1))
-        out = [head, "-" * len(head)]
-        for r in rows:
-            line = f"{r['t']:>3} | " + " ".join(
-                cells.get((r["t"], s), "").rjust(widths[s]) for s in range(lo, hi + 1)
-            )
-            out.append(line + f"   [{r['minus']}, {r['plus']}]")
-        return "\n".join(out) + "\n"
-    if kind == "partition_report":
-        out = [f"step {payload['t']}"]
-        for side in ("minus", "plus"):
-            block = payload[side]
-            out.append(f"{side} target {block['target']}:")
-            for s, w, v, prod in block["terms"]:
-                out.append(f"  class {s:>3}: {w} * {v} = {prod}")
-            out.append(f"  total = {block['target']}")
-        return "\n".join(out) + "\n"
-    if kind == "s_vector":
-        out = [f"vertex vector after {_count(payload['t'], 'wave')}"]
-        for d, size, v in payload["classes"]:
-            out.append(f"ring {d} ({_count(size, 'vertex')}): {v}")
-        out.append(f"sums: [{payload['minus']}, {payload['plus']}]")
-        return "\n".join(out) + "\n"
-    if kind == "r_vector":
-        out = [f"edge vector after {_count(payload['t'], 'wave')}"]
-        by_s = {s: (size, v) for s, size, v in payload["classes"]}
-        radius = max(s for s in by_s)
-        for d in range(radius + 1):
-            size, v = by_s[d]
-            line = f"ring {d}: s=+{d}: {v} ({_count(size, 'vertex')})"
-            if d > 0 and -d in by_s:
-                tsize, tv = by_s[-d]
-                line += f" | s=-{d}: {tv} ({_count(tsize, 'vertex')})"
-            out.append(line)
-        out.append(f"sums: [{payload['minus']}, {payload['plus']}]")
-        return "\n".join(out) + "\n"
-    if kind == "verify":
-        status = "ok" if payload["ok"] else "FAILED"
-        out = [f"{payload['suite']}: {status} ({payload['checked']} checks)"]
-        out.extend(f"  counterexample: {f}" for f in payload["failures"])
-        return "\n".join(out) + "\n"
-    if kind == "oeis_check":
-        msg = f"{payload['sequence']}: {payload['checked']} values match {payload['fixture']}"
-        if payload["warning"]:
-            msg += f" [warning: {payload['warning']}]"
-        return msg + "\n"
-    raise ValueError(f"no ascii renderer for {kind!r}")
+def _pair_row(p: dict) -> list:
+    return [p["x"], p["y"], p["pair_kind"], p["t"], p["direction"], p["negated"]]
+
+
+def _ascii_pairs(payload: dict) -> list[str]:
+    lines = [
+        f"({r['x']}, {r['y']})  {r['pair_kind']}{_ascii_witness(r)}"
+        for r in payload["pairs"]
+    ]
+    lines.append(f"{len(payload['pairs'])} pairs with |x|,|y| <= {payload['bound']}")
+    return lines
+
+
+def _ascii_utable(payload: dict) -> list[str]:
+    rows = payload["rows"]
+    lo = min(r["values"][0][0] for r in rows)
+    hi = max(r["values"][-1][0] for r in rows)
+    cells = {(r["t"], s): str(v) for r in rows for s, v in r["values"]}
+    widths = {
+        s: max(len(str(s)), max((len(cells.get((r["t"], s), "")) for r in rows), default=1))
+        for s in range(lo, hi + 1)
+    }
+    head = "t\\s | " + " ".join(str(s).rjust(widths[s]) for s in range(lo, hi + 1))
+    out = [head, "-" * len(head)]
+    for r in rows:
+        line = f"{r['t']:>3} | " + " ".join(
+            cells.get((r["t"], s), "").rjust(widths[s]) for s in range(lo, hi + 1)
+        )
+        out.append(line + f"   [{r['minus']}, {r['plus']}]")
+    return out
+
+
+def _ascii_partition(payload: dict) -> list[str]:
+    out = [f"step {payload['t']}"]
+    for side in ("minus", "plus"):
+        block = payload[side]
+        out.append(f"{side} target {block['target']}:")
+        for s, w, v, prod in block["terms"]:
+            out.append(f"  class {s:>3}: {w} * {v} = {prod}")
+        out.append(f"  total = {block['target']}")
+    return out
+
+
+def _ascii_svec(payload: dict) -> list[str]:
+    out = [f"vertex vector after {_count(payload['t'], 'wave')}"]
+    for d, size, v in payload["classes"]:
+        out.append(f"ring {d} ({_count(size, 'vertex')}): {v}")
+    out.append(f"sums: [{payload['minus']}, {payload['plus']}]")
+    return out
+
+
+def _ascii_rvec(payload: dict) -> list[str]:
+    out = [f"edge vector after {_count(payload['t'], 'wave')}"]
+    by_s = {s: (size, v) for s, size, v in payload["classes"]}
+    radius = max(s for s in by_s)
+    for d in range(radius + 1):
+        size, v = by_s[d]
+        line = f"ring {d}: s=+{d}: {v} ({_count(size, 'vertex')})"
+        if d > 0 and -d in by_s:
+            tsize, tv = by_s[-d]
+            line += f" | s=-{d}: {tv} ({_count(tsize, 'vertex')})"
+        out.append(line)
+    out.append(f"sums: [{payload['minus']}, {payload['plus']}]")
+    return out
+
+
+def _ascii_verify(payload: dict) -> list[str]:
+    status = "ok" if payload["ok"] else "FAILED"
+    out = [f"{payload['suite']}: {status} ({payload['checked']} checks)"]
+    out.extend(f"  counterexample: {f}" for f in payload["failures"])
+    return out
+
+
+def _ascii_oeis(payload: dict) -> list[str]:
+    msg = f"{payload['sequence']}: {payload['checked']} values match {payload['fixture']}"
+    if payload["warning"]:
+        msg += f" [warning: {payload['warning']}]"
+    return [msg]
+
+
+# payload kind -> (csv header, csv rows, ascii lines)
+RENDERERS = {
+    "fib_range": (
+        "t,value", lambda p: p["values"], lambda p: [",".join(str(v) for _, v in p["values"])]
+    ),
+    "pair_class": (
+        "x,y,kind,t,direction,negated",
+        lambda p: [_pair_row(p)],
+        lambda p: [p["pair_kind"] + _ascii_witness(p)],
+    ),
+    "pairs": (
+        "x,y,kind,t,direction,negated", lambda p: [_pair_row(r) for r in p["pairs"]], _ascii_pairs
+    ),
+    "u_table": (
+        "t,s,value",
+        lambda p: [[row["t"], s, v] for row in p["rows"] for s, v in row["values"]],
+        _ascii_utable,
+    ),
+    "partition_report": (
+        "side,s,weight,value,product",
+        lambda p: [[side, *term] for side in ("minus", "plus") for term in p[side]["terms"]],
+        _ascii_partition,
+    ),
+    "s_vector": ("d,size,value", lambda p: p["classes"], _ascii_svec),
+    "r_vector": ("s,size,value", lambda p: p["classes"], _ascii_rvec),
+    "verify": (
+        "suite,checked,ok", lambda p: [[p["suite"], p["checked"], p["ok"]]], _ascii_verify
+    ),
+    "oeis_check": (
+        "sequence,checked,ok", lambda p: [[p["sequence"], p["checked"], p["ok"]]], _ascii_oeis
+    ),
+}
 
 
 def emit(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return emit_json(payload)
+    header, csv_rows, ascii_lines = RENDERERS[payload["kind"]]
     if fmt == "csv":
-        return emit_csv(payload)
+        return _csv(header, csv_rows(payload))
     if fmt == "ascii":
-        return emit_ascii(payload)
+        return "\n".join(ascii_lines(payload)) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 
 
 # ----------------------------------------------------------------------
-# command implementations
+# argument parsing: each subcommand sets `payload`, a function of its args
 # ----------------------------------------------------------------------
 
 def _resolve_cap(args) -> int:
@@ -333,84 +347,24 @@ def _resolve_cap(args) -> int:
     return ORACLE_CAP
 
 
-def cmd_fib(args) -> int:
+def _fib_bounds(args) -> tuple[int, int]:
     if args.t is not None:
-        lo = hi = args.t
-    elif args.start is not None and args.end is not None:
-        lo, hi = args.start, args.end
-    else:
+        return args.t, args.t
+    if args.start is None or args.end is None:
         raise ValueError("give a single index or both --from and --to")
-    if hi < lo:
-        raise ValueError(f"empty range: {lo}..{hi}")
-    print(emit(payload_fib(lo, hi), args.format), end="")
-    return 0
+    return args.start, args.end
 
 
-def cmd_pairs(args) -> int:
-    print(emit(payload_pairs(args.max), args.format), end="")
-    return 0
+def _run_suite(args) -> suites.SuiteResult:
+    given = {"t_max": args.t_max, "lo": args.start, "hi": args.end, "bound": args.max}
+    options = {k: v for k, v in given.items() if v is not None}
+    return suites.SUITES[args.suite](**options, paths=args.paths, seed=args.seed, cap=_resolve_cap(args))
 
 
-def cmd_classify(args) -> int:
-    print(emit(payload_classify(args.x, args.y), args.format), end="")
-    return 0
-
-
-def cmd_utable(args) -> int:
-    print(emit(payload_utable(args.t_max), args.format), end="")
-    return 0
-
-
-def cmd_partition(args) -> int:
-    print(emit(payload_partition(args.t), args.format), end="")
-    return 0
-
-
-def cmd_svec(args) -> int:
-    print(emit(payload_svec(args.t, _resolve_cap(args)), args.format), end="")
-    return 0
-
-
-def cmd_rvec(args) -> int:
-    print(emit(payload_rvec(args.t, _resolve_cap(args)), args.format), end="")
-    return 0
-
-
-def cmd_verify(args) -> int:
-    kwargs = {"cap": _resolve_cap(args)}
-    if args.t is not None:
-        kwargs["t_max"] = args.t
-    if args.t_max is not None:
-        kwargs["t_max"] = args.t_max
-    if args.start is not None:
-        kwargs["lo"] = args.start
-    if args.end is not None:
-        kwargs["hi"] = args.end
-    if args.max is not None:
-        kwargs["bound"] = args.max
-    kwargs["paths"] = args.paths
-    kwargs["seed"] = args.seed
-    result = suites.SUITES[args.suite](**kwargs)
-    print(emit(payload_verify(result), args.format), end="")
-    if not result.ok:
-        for f in result.failures:
-            print(f"verify {result.suite}: {f}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_oeis_check(args) -> int:
+def _oeis_check(args) -> dict:
     fixture = args.fixture or str(oeis.default_fixture_path(args.sequence))
-    result = oeis.run_check(args.sequence, fixture, args.map)
-    if result.warning:
-        print(f"warning: {result.warning}", file=sys.stderr)
-    print(emit(payload_oeis(result, fixture), args.format), end="")
-    return 0
+    return payload_oeis(oeis.run_check(args.sequence, fixture, args.map), fixture)
 
-
-# ----------------------------------------------------------------------
-# argument parsing
-# ----------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
@@ -433,58 +387,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("t", nargs="?", type=int, default=None, help="single index")
     p.add_argument("--from", dest="start", type=int, default=None, help="first index")
     p.add_argument("--to", dest="end", type=int, default=None, help="last index")
-    p.set_defaults(func=cmd_fib)
+    p.set_defaults(payload=lambda a: payload_fib(*_fib_bounds(a)))
 
     p = sub.add_parser("pairs", parents=[common], help="all Fibonacci pairs in a coordinate box")
     p.add_argument("max", type=int, help="list pairs with |x|, |y| <= max")
-    p.set_defaults(func=cmd_pairs)
+    p.set_defaults(payload=lambda a: payload_pairs(a.max))
 
     p = sub.add_parser("classify", parents=[common], help="classify one lattice point")
     p.add_argument("x", type=int)
     p.add_argument("y", type=int)
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(payload=lambda a: payload_classify(a.x, a.y))
 
     p = sub.add_parser("utable", parents=[common], help="signed-class table rows 0..t_max")
     p.add_argument("t_max", type=int)
-    p.set_defaults(func=cmd_utable)
+    p.set_defaults(payload=lambda a: payload_utable(a.t_max))
 
     p = sub.add_parser("partition", parents=[common], help="itemized odd-index partition at one step")
     p.add_argument("t", type=int)
-    p.set_defaults(func=cmd_partition)
+    p.set_defaults(payload=lambda a: payload_partition(a.t))
 
     p = sub.add_parser("svec", parents=[common], help="vertex-grown tree vector, by distance rings")
     p.add_argument("t", type=int)
-    p.set_defaults(func=cmd_svec)
+    p.set_defaults(payload=lambda a: payload_svec(a.t, _resolve_cap(a)))
 
     p = sub.add_parser("rvec", parents=[common], help="edge-grown tree vector, by signed rings")
     p.add_argument("t", type=int)
-    p.set_defaults(func=cmd_rvec)
+    p.set_defaults(payload=lambda a: payload_rvec(a.t, _resolve_cap(a)))
 
     p = sub.add_parser("verify", parents=[common], help="run a named identity suite")
     p.add_argument("suite", choices=sorted(suites.SUITES))
-    p.add_argument("--t", type=int, default=None, help="largest step to check")
-    p.add_argument("--t-max", dest="t_max", type=int, default=None, help="largest table row to check")
+    p.add_argument("--t", "--t-max", dest="t_max", type=int, default=None, metavar="T",
+                   help="largest step or table row to check")
     p.add_argument("--from", dest="start", type=int, default=None, help="first index (three-term)")
     p.add_argument("--to", dest="end", type=int, default=None, help="last index (three-term)")
     p.add_argument("--max", type=int, default=None, help="box bound (pairs)")
-    p.add_argument("--paths", type=int, default=3, help="path shapes per step (cor42/cor43)")
+    p.add_argument("--paths", type=int, default=3, help="at most this many path shapes per step (cor42/cor43)")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized path shapes")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(payload=lambda a: payload_verify(_run_suite(a)))
 
     p = sub.add_parser("oeis-check", parents=[common], help="check a generator against a b-file fixture")
     p.add_argument("sequence", help="sequence id, e.g. A000045")
     p.add_argument("--fixture", default=None, help="b-file path (default: bundled)")
     p.add_argument("--map", default=None, help="generator mapping json (default: bundled)")
-    p.set_defaults(func=cmd_oeis_check)
+    p.set_defaults(payload=_oeis_check)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Build the payload, render it and print it; the exit status is 0
+    exactly when the payload is ok (payloads without a verdict always are)."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload = args.payload(args)
+        text = emit(payload, args.format)
     except (OracleCapExceeded, RadiusTooLarge) as exc:
         print(
             f"error: {exc}; raise it with --oracle-cap or {ENV_CAP}",
@@ -498,6 +454,12 @@ def main(argv=None) -> int:
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return 2
+    if payload.get("warning"):
+        print(f"warning: {payload['warning']}", file=sys.stderr)
+    print(text, end="")
+    for failure in payload.get("failures", ()):
+        print(f"verify {payload['suite']}: {failure}", file=sys.stderr)
+    return 0 if payload.get("ok", True) else 1
 
 
 if __name__ == "__main__":

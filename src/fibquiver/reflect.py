@@ -93,10 +93,6 @@ class TreeVector:
         return f"TreeVector({entries!r})"
 
 
-def zero() -> TreeVector:
-    return TreeVector({})
-
-
 def unit(x: Vertex) -> TreeVector:
     """The vector with entry 1 at x and 0 elsewhere."""
     return TreeVector({x: 1})

@@ -18,7 +18,6 @@ from .errors import RadiusTooLarge
 Vertex = str
 
 BASE: Vertex = ""
-DEGREE = 3
 
 # Enumerating a ball of radius r touches 3 * 2**r vertices; fail loudly past
 # this rather than hang.
@@ -41,17 +40,6 @@ def require_vertex(v: object) -> Vertex:
     return v  # type: ignore[return-value]
 
 
-def parent(v: Vertex) -> Vertex | None:
-    """Word minus its last letter; None for the base vertex."""
-    return v[:-1] if v else None
-
-
-def children(v: Vertex) -> list[Vertex]:
-    if v == BASE:
-        return ["0", "1", "2"]
-    return [v + "0", v + "1"]
-
-
 def neighbors(v: Vertex) -> list[Vertex]:
     """The 3 neighbors, parent first (the base has 3 children instead)."""
     if v == BASE:
@@ -59,27 +47,14 @@ def neighbors(v: Vertex) -> list[Vertex]:
     return [v[:-1], v + "0", v + "1"]
 
 
-def _lcp(v: Vertex, w: Vertex) -> int:
-    n = 0
+def distance(v: Vertex, w: Vertex) -> int:
+    """Tree metric: |v| + |w| - 2 * (longest common prefix)."""
+    k = 0
     for a, b in zip(v, w):
         if a != b:
             break
-        n += 1
-    return n
-
-
-def distance(v: Vertex, w: Vertex) -> int:
-    """Tree metric: |v| + |w| - 2 * (longest common prefix)."""
-    k = _lcp(v, w)
+        k += 1
     return len(v) + len(w) - 2 * k
-
-
-def tree_path(v: Vertex, w: Vertex) -> list[Vertex]:
-    """Vertices of the unique non-backtracking path from v to w, inclusive."""
-    k = _lcp(v, w)
-    up = [v[:i] for i in range(len(v), k, -1)]
-    down = [w[:i] for i in range(k, len(w) + 1)]
-    return up + down
 
 
 def layers(center: Vertex, radius: int, *, cap: int = BALL_RADIUS_CAP) -> Iterator[list[Vertex]]:
@@ -108,9 +83,3 @@ def ball(center: Vertex, radius: int, *, cap: int = BALL_RADIUS_CAP) -> list[Ver
     for layer in layers(center, radius, cap=cap):
         out.extend(layer)
     return out
-
-
-def sphere(center: Vertex, radius: int, *, cap: int = BALL_RADIUS_CAP) -> list[Vertex]:
-    """All vertices at distance exactly radius from center."""
-    *_, last = layers(center, radius, cap=cap)
-    return last

@@ -109,6 +109,15 @@ def test_identities_hold_on_every_path_shape():
             assert check_cor43(t, spec).ok, (t, shape)
 
 
+def test_path_variants_returns_at_most_count_shapes():
+    assert path_variants(5, 1) == [straight_path(5)]
+    # 3 * 2**2 four-vertex walks from the base, plus the one through it.
+    shapes = path_variants(4, 100)
+    assert len({tuple(s) for s in shapes}) == len(shapes) == 13
+    with pytest.raises(ValueError):
+        path_variants(4, 0)
+
+
 def test_paths_can_turn_through_the_base():
     walk = ["1", BASE, "2", "20", "200"]
     assert check_cor42(4, PathSpec(tuple(walk))).ok

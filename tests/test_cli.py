@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,24 @@ def test_verify_failure_prints_counterexample(capsys, monkeypatch):
     assert "acceptance mismatch at (1, 1)" in err
 
 
+@pytest.mark.parametrize("suite", ["cor42", "cor43"])
+def test_paths_is_a_bounded_count(capsys, suite):
+    counts = {}
+    for paths in ("1", "3"):
+        code, out, _ = run(capsys, "verify", suite, "--t", "2", "--paths", paths, "--format", "json")
+        assert code == 0
+        counts[paths] = json.loads(out)["checked"]
+    assert 0 < counts["1"] < counts["3"]
+
+    code, out, err = run(capsys, "verify", suite, "--t", "2", "--paths", "0")
+    assert code == 2 and out == "" and err.startswith("error:")
+
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", suite, "--t", "1", "--paths", "100000")
+    assert code == 0 and "ok" in out
+    assert time.perf_counter() - start < 1.0
+
+
 def test_verify_json_payload(capsys):
     code, out, _ = run(capsys, "verify", "three-term", "--from", "-5", "--to", "5", "--format", "json")
     assert code == 0
@@ -251,6 +270,30 @@ def test_csv_ends_with_single_newline(capsys):
     for argv in (["fib", "1"], ["utable", "1", "--format", "csv"], ["svec", "1", "--format", "csv"]):
         _, out, _ = run(capsys, *argv)
         assert out.endswith("\n") and not out.endswith("\n\n")
+
+
+# Every payload kind in every format, pinned byte for byte. oeis-check pins
+# csv only: its json and ascii forms print the absolute fixture path. To
+# regenerate a file, run its argv with --format <suffix> and save stdout.
+GOLDEN = {
+    "fib": ["fib", "--from", "-3", "--to", "3"],
+    "classify": ["classify", "-1", "-2"],
+    "pairs": ["pairs", "10"],
+    "utable": ["utable", "4"],
+    "partition": ["partition", "2"],
+    "svec": ["svec", "3"],
+    "rvec": ["rvec", "4"],
+    "verify": ["verify", "cor42", "--t", "2"],
+    "oeis-check": ["oeis-check", "A147316"],
+}
+GOLDEN_CASES = [(name, fmt) for name in GOLDEN for fmt in cli.FORMATS if name != "oeis-check" or fmt == "csv"]
+
+
+@pytest.mark.parametrize("name,fmt", GOLDEN_CASES)
+def test_cli_output_matches_golden(capsys, name, fmt):
+    code, out, err = run(capsys, *GOLDEN[name], "--format", fmt)
+    assert code == 0 and err == ""
+    assert out.encode() == (FIXTURES / "cli_golden" / f"{name}.{fmt}").read_bytes()
 
 
 def test_console_entry_point():

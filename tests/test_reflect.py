@@ -19,7 +19,6 @@ from fibquiver.reflect import (
     s_vec_at,
     sigma,
     unit,
-    zero,
 )
 from fibquiver.tree import BASE, ball, distance, neighbors
 
@@ -51,7 +50,7 @@ def test_unit_and_edge_unit():
 def test_zero_entries_are_dropped():
     v = TreeVector({"0": 0, "1": 2})
     assert entries(v) == {"1": 2}
-    assert zero().is_zero()
+    assert TreeVector({}).is_zero()
 
 
 def test_sigma_examples():
@@ -76,13 +75,13 @@ def test_big_sigma_first_wave():
 
 
 def test_big_sigma_on_zero():
-    assert big_sigma(zero(), BASE, "even").is_zero()
-    assert big_sigma(zero(), BASE, "odd").is_zero()
+    assert big_sigma(TreeVector({}), BASE, "even").is_zero()
+    assert big_sigma(TreeVector({}), BASE, "odd").is_zero()
 
 
 def test_big_sigma_rejects_bad_parity():
     with pytest.raises(ValueError):
-        big_sigma(zero(), BASE, "both")
+        big_sigma(TreeVector({}), BASE, "both")
 
 
 @given(small_vectors, st.sampled_from(["even", "odd"]), st.integers(0, 2**32))
@@ -141,7 +140,7 @@ def test_r_vec_matches_published_pictures():
 
 
 def test_parity_sums_zero_vector():
-    assert parity_sums(zero(), 0) == (0, 0)
+    assert parity_sums(TreeVector({}), 0) == (0, 0)
 
 
 def test_fibonacci_sums_up_to_eight_waves():
@@ -188,7 +187,7 @@ def test_oracle_cap():
 
 def test_group_operations():
     a, b = s_vec(2), r_vec(2)
-    assert a.add(zero()).equals(a)
+    assert a.add(TreeVector({})).equals(a)
     assert a.subtract(a).is_zero()
     assert (a + b - b).equals(a)
     assert unit(BASE).add(unit("0")).equals(edge_unit(BASE, "0"))

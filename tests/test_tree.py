@@ -9,14 +9,10 @@ from fibquiver.profiles import class_size, shell_size
 from fibquiver.tree import (
     BASE,
     ball,
-    children,
     distance,
     is_valid_vertex,
     layers,
     neighbors,
-    parent,
-    sphere,
-    tree_path,
 )
 
 vertices = st.one_of(
@@ -42,13 +38,6 @@ def test_neighbors_examples():
     assert neighbors("01") == ["0", "010", "011"]
 
 
-def test_parent_and_children():
-    assert parent(BASE) is None
-    assert parent("20") == "2"
-    assert children(BASE) == ["0", "1", "2"]
-    assert children("1") == ["10", "11"]
-
-
 def test_distance_examples():
     assert distance(BASE, "01") == 2
     assert distance("0", "0") == 0
@@ -61,8 +50,8 @@ def test_every_vertex_has_three_neighbors_at_distance_one(v):
     assert len(ns) == len(set(ns)) == 3
     assert all(distance(v, w) == 1 for w in ns)
     if v != BASE:
-        assert ns[0] == parent(v)
-        assert v in neighbors(parent(v))
+        assert ns[0] == v[:-1]
+        assert v in neighbors(v[:-1])
 
 
 @given(vertices, vertices)
@@ -74,14 +63,6 @@ def test_metric_symmetry_and_separation(v, w):
 @given(vertices, vertices, vertices)
 def test_metric_triangle_inequality(u, v, w):
     assert distance(u, w) <= distance(u, v) + distance(v, w)
-
-
-@given(vertices, vertices)
-def test_tree_path_realizes_the_distance(v, w):
-    path = tree_path(v, w)
-    assert path[0] == v and path[-1] == w
-    assert len(path) == distance(v, w) + 1
-    assert all(distance(a, b) == 1 for a, b in zip(path, path[1:]))
 
 
 def test_ball_examples():
@@ -112,9 +93,9 @@ def test_ball_cap():
 
 
 def test_sphere_sizes():
-    assert sphere(BASE, 0) == [BASE]
+    assert list(layers(BASE, 0))[-1] == [BASE]
     for r in range(1, 9):
-        assert len(sphere(BASE, r)) == 3 * 2 ** (r - 1)
+        assert len(list(layers(BASE, r))[-1]) == 3 * 2 ** (r - 1)
 
 
 def test_side_counts_examples():
