@@ -13,7 +13,6 @@ from .errors import (
     NotNeighbors,
     NotSymmetric,
     OracleCapExceeded,
-    RadiusTooLarge,
     SequenceMismatch,
 )
 from .fibcore import (
@@ -30,9 +29,8 @@ from .fibcore import (
     sigma_plus,
 )
 from .profiles import (
-    BiRadialProfile,
     PartitionReport,
-    RadialProfile,
+    Profile,
     compress_biradial,
     compress_radial,
     expand_biradial,
@@ -55,6 +53,6 @@ from .reflect import (
     sigma,
     unit,
 )
-from .tree import BALL_RADIUS_CAP, BASE, ball, distance, neighbors
+from .tree import BASE, distance, neighbors
 
 __version__ = "0.1.0"

@@ -2,8 +2,7 @@
 
 Every check here verifies that one oracle-built vector equals a sum of
 smaller oracle-built vectors, entry by entry in exact integers, plus the
-scalar Fibonacci identity that the vector identity shadows. The pushdown
-collapses a tree vector to a dimension pair through its two parity sums.
+scalar Fibonacci identity that the vector identity shadows.
 
 Reports are plain values listing each sub-check with a pass flag so a
 caller (or the CLI) can print the first counterexample.
@@ -17,8 +16,8 @@ from typing import NamedTuple, Optional
 
 from . import reflect
 from .errors import NotNeighbors, OracleCapExceeded
-from .fibcore import DimPair, fib
-from .reflect import ORACLE_CAP, TreeVector, parity_sums
+from .fibcore import fib
+from .reflect import ORACLE_CAP, TreeVector
 from .tree import BASE, Vertex, distance, neighbors
 
 
@@ -241,9 +240,3 @@ def check_cor43(t: int, path: Optional[PathSpec] = None, *, cap: int = ORACLE_CA
         Check("scalar-shadow", fib(2 * t + 1) == 1 + sum(fib(2 * i) for i in range(1, t + 1))),
     )
     return IdentityReport("cor43", t, path, checks)
-
-
-def pushdown(a: TreeVector, t: int) -> DimPair:
-    """Collapse a tree vector to its two parity sums as a dimension pair."""
-    minus, plus = parity_sums(a, t)
-    return DimPair(minus, plus)

@@ -28,7 +28,6 @@ from .errors import (
     BFileParseError,
     NotSymmetric,
     OracleCapExceeded,
-    RadiusTooLarge,
     SequenceMismatch,
 )
 from .fibcore import DimPair, classify_pair, enumerate_pairs, fib_range
@@ -363,7 +362,7 @@ def _run_suite(args) -> suites.SuiteResult:
 
 def _oeis_check(args) -> dict:
     fixture = args.fixture or str(oeis.default_fixture_path(args.sequence))
-    return payload_oeis(oeis.run_check(args.sequence, fixture, args.map), fixture)
+    return payload_oeis(oeis.run_check(args.sequence, fixture), fixture)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -422,13 +421,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="end", type=int, default=None, help="last index (three-term)")
     p.add_argument("--max", type=int, default=None, help="box bound (pairs)")
     p.add_argument("--paths", type=int, default=3, help="at most this many path shapes per step (cor42/cor43)")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized path shapes")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for the random walks drawn after the three fixed path shapes; "
+                        "matters only with --paths above 3 (cor42/cor43)")
     p.set_defaults(payload=lambda a: payload_verify(_run_suite(a)))
 
     p = sub.add_parser("oeis-check", parents=[common], help="check a generator against a b-file fixture")
     p.add_argument("sequence", help="sequence id, e.g. A000045")
     p.add_argument("--fixture", default=None, help="b-file path (default: bundled)")
-    p.add_argument("--map", default=None, help="generator mapping json (default: bundled)")
     p.set_defaults(payload=_oeis_check)
 
     return parser
@@ -441,7 +441,7 @@ def main(argv=None) -> int:
     try:
         payload = args.payload(args)
         text = emit(payload, args.format)
-    except (OracleCapExceeded, RadiusTooLarge) as exc:
+    except OracleCapExceeded as exc:
         print(
             f"error: {exc}; raise it with --oracle-cap or {ENV_CAP}",
             file=sys.stderr,

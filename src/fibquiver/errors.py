@@ -1,15 +1,6 @@
 """Shared exception types."""
 
 
-class RadiusTooLarge(ValueError):
-    """Ball enumeration was requested beyond the configured radius cap."""
-
-    def __init__(self, radius, cap):
-        super().__init__(f"radius {radius} exceeds the ball cap {cap}")
-        self.radius = radius
-        self.cap = cap
-
-
 class NotNeighbors(ValueError):
     """The operation requires two adjacent tree vertices."""
 

@@ -2,17 +2,17 @@
 
 A b-file is the plain-text sequence format: one "index value" pair per
 line, indices strictly increasing, lines starting with '#' ignored. The
-checker replays a named generator over the fixture's index range and
-reports the first disagreement.
+checker replays the sequence's generator (GENERATORS) over the fixture's
+index range and reports the first disagreement.
 
-Which generator a sequence id maps to is configuration, not code: the
-bundled data/oeis_map.json can be edited or swapped out per invocation.
-No network access anywhere; fixtures are read-only local files.
+The bundled A000045 fixture is definitional. The two triangle fixtures
+were generated locally by the generators they check, so they pin
+self-consistency only; to cross-check, pass the published b-files with
+--fixture. No network access anywhere; fixtures are read-only files.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -76,20 +76,12 @@ def _flat_rows(row, step) -> Callable[[int], int]:
     return gen
 
 
+# Sequence id -> a fresh generator of the value at index n.
 GENERATORS: dict[str, Callable[[], Callable[[int], int]]] = {
-    "fibonacci": lambda: fib,
-    "radial-triangle-rows": lambda: _flat_rows(radial_start(), radial_step),
-    "u-triangle-rows": lambda: _flat_rows(u_start(), u_step),
+    "A000045": lambda: fib,
+    "A132262": lambda: _flat_rows(radial_start(), radial_step),
+    "A147316": lambda: _flat_rows(u_start(), u_step),
 }
-
-
-def make_generator(name: str, offset: int = 0) -> Callable[[int], int]:
-    if name not in GENERATORS:
-        raise KeyError(f"unknown generator {name!r} (have {sorted(GENERATORS)})")
-    f = GENERATORS[name]()
-    if offset == 0:
-        return f
-    return lambda n: f(n - offset)
 
 
 @dataclass(frozen=True)
@@ -119,18 +111,6 @@ def data_path(name: str) -> Path:
     return Path(str(resources.files("fibquiver").joinpath("data", name)))
 
 
-def default_mapping_path() -> Path:
-    return data_path("oeis_map.json")
-
-
-def load_mapping(path: str | Path | None = None) -> dict:
-    p = Path(path) if path is not None else default_mapping_path()
-    mapping = json.loads(p.read_text())
-    if "sequences" not in mapping:
-        raise ValueError(f"mapping file {p} lacks a 'sequences' table")
-    return mapping
-
-
 def default_fixture_path(sequence: str) -> Path:
     """Bundled fixture for a sequence id like 'A000045': data/b000045.txt."""
     seq = sequence.upper()
@@ -139,17 +119,12 @@ def default_fixture_path(sequence: str) -> Path:
     return data_path(f"b{seq[1:].zfill(6)}.txt")
 
 
-def run_check(
-    sequence: str,
-    fixture: str | Path | None = None,
-    mapping_path: str | Path | None = None,
-) -> CheckResult:
-    """Resolve the configured generator for a sequence id and check it
-    against the fixture (bundled by default)."""
-    mapping = load_mapping(mapping_path)
-    entry = mapping["sequences"].get(sequence.upper())
-    if entry is None:
+def run_check(sequence: str, fixture: str | Path | None = None) -> CheckResult:
+    """Check the sequence's generator against the fixture (bundled by
+    default)."""
+    make = GENERATORS.get(sequence.upper())
+    if make is None:
         raise KeyError(f"no generator configured for {sequence!r}")
-    gen = make_generator(entry["generator"], entry.get("offset", 0))
+    gen = make()
     path = Path(fixture) if fixture is not None else default_fixture_path(sequence)
     return check_bfile(sequence.upper(), load_bfile(path), gen)

@@ -4,15 +4,16 @@ A vector grown from a single vertex is radially symmetric, so one integer
 per distance class suffices; a vector grown from an edge takes two values
 per distance, split by whether the path from the center runs through the
 marked neighbor. Signed classes encode the split: class s >= 0 holds the
-2**s vertices at distance s away from the marked side, class -s (s >= 1)
-the 2**(s-1) vertices at distance s behind it.
+vertices at distance s away from the marked side, class -s (s >= 1) the
+vertices at distance s behind it.
 
 Both class systems are equitable partitions of the tree: every vertex of
 class s has the same number w(s, s-1), w(s, s+1) of neighbors in each
-adjacent class. One reflection wave on the class line (`wave`) therefore
-serves both profiles, read with the RADIAL or the SIGNED weight table. The
-expand/compress functions below tie every profile back to the literal
-reflection oracle, and the test suite checks them entry by entry.
+adjacent class. One `Profile` type, one reflection wave (`wave`), one class
+size derivation and one expand/compress pair therefore serve both lines,
+read with the RADIAL or the SIGNED weight table. Expand/compress tie every
+profile back to the literal reflection oracle, and the test suite checks
+them entry by entry.
 """
 
 from __future__ import annotations
@@ -26,48 +27,6 @@ from .fibcore import fib
 from .reflect import MARKED_NEIGHBOR, ORACLE_CAP, TreeVector
 from .tree import BASE, Vertex
 
-
-def shell_size(d: int) -> int:
-    """Number of vertices at distance d from a fixed vertex: 1, 3, 6, 12, ..."""
-    if d < 0:
-        raise ValueError(f"distance must be non-negative, got {d}")
-    return 1 if d == 0 else 3 * 2 ** (d - 1)
-
-
-def class_size(s: int) -> int:
-    """Number of vertices in signed class s: 2**s away-side, 2**(-s-1) behind."""
-    return 2 ** s if s >= 0 else 2 ** (-s - 1)
-
-
-@dataclass(frozen=True)
-class RadialProfile:
-    """One value per distance class of a radially symmetric vector.
-
-    values[d] is the entry at every vertex at distance d, for d = 0..t.
-    The outermost class of a step-t profile always holds 1.
-    """
-
-    t: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"t must be non-negative, got {self.t}")
-        if len(self.values) != self.t + 1:
-            raise ValueError(f"expected {self.t + 1} classes, got {len(self.values)}")
-        if any(v < 0 for v in self.values):
-            raise ValueError(f"negative class value in {self.values}")
-        if self.values[self.t] != 1:
-            raise ValueError(f"outermost class must be 1, got {self.values[self.t]}")
-
-    def value(self, d: int) -> int:
-        return self.values[d] if 0 <= d <= self.t else 0
-
-
-def radial_start() -> RadialProfile:
-    return RadialProfile(0, (1,))
-
-
 # Quotient weights (w(s, s-1), w(s, s+1)) for classes s < 0, s == 0, s > 0.
 # RADIAL: the base sees its 3 neighbors at distance 1; any other vertex has
 # one parent inward and two children outward.
@@ -75,6 +34,81 @@ RADIAL = ((0, 0), (0, 3), (1, 2))
 # SIGNED: in front of the marked edge the children sit one class higher,
 # behind it one class lower; classes -1 and 0 share a single simple bond.
 SIGNED = ((2, 1), (1, 2), (1, 2))
+
+
+def _waves(weights: tuple, t: int) -> int:
+    """Reflection waves behind a step-t profile: a radial step is one wave, a
+    signed step two, so that signed row t sums to f(4t - 1), f(4t + 1)."""
+    return t if weights == RADIAL else 2 * t
+
+
+def class_sizes(weights: tuple, lo: int, hi: int) -> list[int]:
+    """The sizes |C_s| for s = lo..hi.
+
+    Counting the edges between two adjacent classes from either side gives
+    |C_s| w(s, s+1) = |C_{s+1}| w(s+1, s); with |C_0| = 1 (the base) this
+    fixes every size. A class past a zero outward weight is empty.
+    """
+    behind, center, ahead = weights
+    sizes = {0: 1}
+    for s in range(1, hi + 1):
+        sizes[s] = sizes[s - 1] * (center if s == 1 else ahead)[1] // ahead[0]
+    for s in range(-1, lo - 1, -1):
+        out = (center if s == -1 else behind)[0]
+        sizes[s] = sizes[s + 1] * out // behind[1] if out else 0
+    return [sizes[s] for s in range(lo, hi + 1)]
+
+
+def shell_size(d: int) -> int:
+    """Number of vertices at distance d from a fixed vertex: 1, 3, 6, 12, ..."""
+    if d < 0:
+        raise ValueError(f"distance must be non-negative, got {d}")
+    return class_sizes(RADIAL, d, d)[0]
+
+
+def class_size(s: int) -> int:
+    """Number of vertices in signed class s: 2**s away-side, 2**(-s-1) behind."""
+    return class_sizes(SIGNED, s, s)[0]
+
+
+@dataclass(frozen=True)
+class Profile:
+    """Class values of a vector grown by reflection waves, on one class line.
+
+    weights is RADIAL (grown from the base vertex) or SIGNED (grown from the
+    edge to the marked neighbor); t counts steps. values[i] is the entry at
+    every vertex of class lo + i; classes outside [lo, hi] are zero. After w
+    waves the rim class w holds 1, the left end is nonzero, and
+    lo >= -(w + 1), with lo = 0 on the radial line, which ends at class 0.
+    """
+
+    weights: tuple
+    t: int
+    lo: int
+    values: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.t < 0:
+            raise ValueError(f"t must be non-negative, got {self.t}")
+        if not self.values or self.values[0] == 0:
+            raise ValueError("the leftmost stored class must be nonzero")
+        if any(v < 0 for v in self.values):
+            raise ValueError(f"negative class value in {self.values}")
+        waves = _waves(self.weights, self.t)
+        if self.hi != waves or self.values[-1] != 1:
+            raise ValueError(f"the last class must be the rim class {waves}, holding 1")
+        if self.lo < -(waves + 1) or (self.weights[1][0] == 0 and self.lo != 0):
+            raise ValueError(f"support [{self.lo}, {self.hi}] leaves the line after {waves} waves")
+
+    @property
+    def hi(self) -> int:
+        return self.lo + len(self.values) - 1
+
+    def value(self, s: int) -> int:
+        return self.values[s - self.lo] if self.lo <= s <= self.hi else 0
+
+    def support(self) -> range:
+        return range(self.lo, self.hi + 1)
 
 
 def wave(row: list[int], lo: int, weights: tuple, parity: int) -> None:
@@ -93,15 +127,43 @@ def wave(row: list[int], lo: int, weights: tuple, parity: int) -> None:
         row[i] = (left * row[i - 1] if i else 0) - row[i] + (right * row[i + 1] if i < last else 0)
 
 
-def radial_step(p: RadialProfile) -> RadialProfile:
-    """One reflection wave t -> t+1 on distance classes.
+def step(p: Profile) -> Profile:
+    """Step t -> t+1: the next one (radial) or two (signed) waves, wave n
+    reflecting the classes of parity n mod 2. Each wave widens the support
+    by at most one class each way; the new row is trimmed to nonzero ends."""
+    k, waves = _waves(p.weights, 1), _waves(p.weights, p.t)
+    lo = p.lo - k
+    row = [0] * k + list(p.values) + [0] * k
+    for n in range(waves + 1, waves + k + 1):
+        wave(row, lo, p.weights, n % 2)
+    first, end = 0, len(row)
+    while not row[first]:
+        first += 1
+    while not row[end - 1]:
+        end -= 1
+    return Profile(p.weights, p.t + 1, lo + first, tuple(row[first:end]))
 
-    The wave reflects exactly the classes with d incongruent to t mod 2,
-    the new rim class t+1 among them; the untouched classes carry over.
-    """
-    row = [*p.values, 0]
-    wave(row, 0, RADIAL, (p.t + 1) % 2)
-    return RadialProfile(p.t + 1, tuple(row))
+
+# bench/spans.py times the two lines as separate layers, so each keeps a
+# function of its own.
+def radial_step(p: Profile) -> Profile:
+    """One reflection wave on distance classes."""
+    return step(p)
+
+
+def u_step(u: Profile) -> Profile:
+    """An odd wave, then an even wave that reads the fresh odd values."""
+    return step(u)
+
+
+def radial_start() -> Profile:
+    """Step 0: value 1 at the base."""
+    return Profile(RADIAL, 0, 0, (1,))
+
+
+def u_start() -> Profile:
+    """Index 0: value 1 on the edge's two endpoints (classes 0 and -1)."""
+    return Profile(SIGNED, 0, -1, (1, 1))
 
 
 def _require_index(t: int) -> None:
@@ -109,7 +171,7 @@ def _require_index(t: int) -> None:
         raise ValueError(f"t must be non-negative, got {t}")
 
 
-def radial_profile(t: int) -> RadialProfile:
+def radial_profile(t: int) -> Profile:
     _require_index(t)
     p = radial_start()
     for _ in range(t):
@@ -117,78 +179,7 @@ def radial_profile(t: int) -> RadialProfile:
     return p
 
 
-def radial_sums(p: RadialProfile) -> tuple[int, int]:
-    """(minus, plus) coordinate sums weighted by shell sizes.
-
-    minus collects the classes incongruent to t mod 2, plus the congruent
-    ones; for the step-t profile these are f(2t) and f(2t+2).
-    """
-    minus = plus = 0
-    for d, v in enumerate(p.values):
-        if d % 2 == p.t % 2:
-            plus += shell_size(d) * v
-        else:
-            minus += shell_size(d) * v
-    return minus, plus
-
-
-@dataclass(frozen=True)
-class BiRadialProfile:
-    """One value per signed distance class of an edge-grown vector.
-
-    A profile of index t describes the vector after 2t reflection waves.
-    Values are stored densely over the support interval [lo, lo+len-1];
-    classes outside it are zero.
-    """
-
-    t: int
-    lo: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"t must be non-negative, got {self.t}")
-        if not self.values:
-            raise ValueError("empty profile")
-        if any(v < 0 for v in self.values):
-            raise ValueError(f"negative class value in {self.values}")
-        if self.values[0] == 0 or self.values[-1] == 0:
-            raise ValueError("support interval must be trimmed")
-        if self.lo < -2 * self.t - 1 or self.hi > 2 * self.t:
-            raise ValueError(f"support [{self.lo}, {self.hi}] outside [-{2 * self.t + 1}, {2 * self.t}]")
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.values) - 1
-
-    def value(self, s: int) -> int:
-        return self.values[s - self.lo] if self.lo <= s <= self.hi else 0
-
-    def as_dict(self) -> dict[int, int]:
-        return {self.lo + i: v for i, v in enumerate(self.values) if v != 0}
-
-    def support(self) -> range:
-        return range(self.lo, self.hi + 1)
-
-
-def u_start() -> BiRadialProfile:
-    """Index 0: value 1 on the edge's two endpoints (classes 0 and -1)."""
-    return BiRadialProfile(0, -1, (1, 1))
-
-
-def u_step(u: BiRadialProfile) -> BiRadialProfile:
-    """Index step t -> t+1: an odd wave, then an even wave that reads the
-    fresh odd values. The support grows by at most two classes each way."""
-    lo = u.lo - 2
-    row = [0, 0, *u.values, 0, 0]
-    wave(row, lo, SIGNED, 1)
-    wave(row, lo, SIGNED, 0)
-    nonzero = [i for i, v in enumerate(row) if v]
-    first, last = nonzero[0], nonzero[-1]
-    return BiRadialProfile(u.t + 1, lo + first, tuple(row[first:last + 1]))
-
-
-def u_profile(t: int) -> BiRadialProfile:
+def u_profile(t: int) -> Profile:
     _require_index(t)
     u = u_start()
     for _ in range(t):
@@ -196,7 +187,7 @@ def u_profile(t: int) -> BiRadialProfile:
     return u
 
 
-def u_table(t_max: int) -> list[BiRadialProfile]:
+def u_table(t_max: int) -> list[Profile]:
     """Rows of indices 0..t_max."""
     _require_index(t_max)
     rows = [u_start()]
@@ -205,20 +196,22 @@ def u_table(t_max: int) -> list[BiRadialProfile]:
     return rows
 
 
-def u_sums(u: BiRadialProfile) -> tuple[int, int]:
-    """(minus, plus) sums weighted by class sizes.
+def sums(p: Profile) -> tuple[int, int]:
+    """(minus, plus) class values weighted by class sizes.
 
-    Classes at odd distance (|s| odd) feed minus, even distance plus; for
-    the index-t profile these are f(4t-1) and f(4t+1).
+    Classes congruent to the wave count mod 2 feed plus, the others minus:
+    f(2t), f(2t+2) for the radial step-t profile, f(4t-1), f(4t+1) for the
+    signed index-t profile.
     """
-    minus = plus = 0
-    for s in u.support():
-        term = class_size(s) * u.value(s)
-        if abs(s) % 2 == 1:
-            minus += term
-        else:
-            plus += term
-    return minus, plus
+    by_parity = [0, 0]
+    for s, size, v in zip(p.support(), class_sizes(p.weights, p.lo, p.hi), p.values):
+        by_parity[s % 2] += size * v
+    plus = _waves(p.weights, p.t) % 2
+    return by_parity[1 - plus], by_parity[plus]
+
+
+# Both names time as one layer in bench/spans.py.
+radial_sums = u_sums = sums
 
 
 class PartitionTerm(NamedTuple):
@@ -245,102 +238,87 @@ def partition_report(t: int) -> PartitionReport:
     u = u_profile(t)
     target_minus, target_plus = fib(4 * t - 1), fib(4 * t + 1)
     minus, plus = [], []
-    for s in u.support():
-        v = u.value(s)
-        if v == 0:
-            continue
-        w = class_size(s)
-        term = PartitionTerm(s, w, v, w * v)
-        (minus if abs(s) % 2 == 1 else plus).append(term)
+    for s, w, v in zip(u.support(), class_sizes(SIGNED, u.lo, u.hi), u.values):
+        if v:
+            (minus if s % 2 else plus).append(PartitionTerm(s, w, v, w * v))
     report = PartitionReport(t, target_minus, target_plus, tuple(minus), tuple(plus))
     if sum(x.product for x in minus) != target_minus or sum(x.product for x in plus) != target_plus:
         raise ArithmeticError(f"partition terms do not reach their targets at t={t}")
     return report
 
 
-def class_vertices(s: int) -> list[Vertex]:
-    """The vertices of signed class s, in lexicographic address order."""
-    if s == 0:
-        return [BASE]
-    d = abs(s)
-    firsts = [MARKED_NEIGHBOR] if s < 0 else [c for c in "012" if c != MARKED_NEIGHBOR]
-    out = [first for first in firsts]
-    for _ in range(d - 1):
-        out = [v + c for v in out for c in "01"]
+def class_vertices(weights: tuple, radius: int) -> dict[int, list[Vertex]]:
+    """The vertices of every class within radius of the base, in address
+    order. Radial class d is the sphere of radius d; the signed line splits
+    it into class d, away from the marked neighbor, and class -d behind it."""
+    out: dict[int, list[Vertex]] = {}
+    for d, sphere in enumerate(tree.layers(BASE, radius)):
+        if weights[1][0] and d:  # w(0, -1) > 0: the line runs on behind the base
+            out[-d] = [z for z in sphere if z.startswith(MARKED_NEIGHBOR)]
+            sphere = [z for z in sphere if not z.startswith(MARKED_NEIGHBOR)]
+        out[d] = sphere
     return out
 
 
-def expand_radial(p: RadialProfile, *, cap: int = ORACLE_CAP) -> TreeVector:
-    """Write each class value at every vertex of its distance class."""
-    if p.t > cap:
-        raise OracleCapExceeded(p.t, cap)
-    entries: dict[Vertex, int] = {}
-    for d, layer in enumerate(tree.layers(BASE, p.t, cap=cap)):
-        v = p.values[d]
-        if v:
-            for z in layer:
-                entries[z] = v
-    return TreeVector(entries)
-
-
-def expand_biradial(u: BiRadialProfile, *, cap: int = ORACLE_CAP) -> TreeVector:
-    """Write each class value at every vertex of its signed class."""
-    radius = max(abs(u.lo), u.hi)
+def expand(p: Profile, *, cap: int = ORACLE_CAP) -> TreeVector:
+    """Write each class value at every vertex of its class."""
+    radius = max(-p.lo, p.hi)
     if radius > cap:
         raise OracleCapExceeded(radius, cap)
+    members = class_vertices(p.weights, radius)
     entries: dict[Vertex, int] = {}
-    for s in u.support():
-        v = u.value(s)
+    for s, v in zip(p.support(), p.values):
         if v:
-            for z in class_vertices(s):
+            for z in members[s]:
                 entries[z] = v
     return TreeVector(entries)
 
 
-def _class_value(vertices: list[Vertex], a: TreeVector, cls) -> int:
-    first = vertices[0]
-    val = a.value(first)
-    for z in vertices[1:]:
-        other = a.value(z)
-        if other != val:
-            raise NotSymmetric(cls, first, val, z, other)
-    return val
+# Both names time as one layer in bench/spans.py.
+expand_radial = expand_biradial = expand
 
 
-def compress_radial(a: TreeVector, *, cap: int = ORACLE_CAP) -> RadialProfile:
-    """Exact inverse of expand_radial; rejects non-symmetric input with a
-    witness pair of same-class vertices holding unequal entries."""
-    if a.is_zero():
-        raise ValueError("the zero vector has no radial profile")
-    t = a.support_radius()
-    if t > cap:
-        raise OracleCapExceeded(t, cap)
-    values = tuple(
-        _class_value(layer, a, d) for d, layer in enumerate(tree.layers(BASE, t, cap=cap))
-    )
-    return RadialProfile(t, values)
-
-
-def compress_signed_classes(a: TreeVector, *, cap: int = ORACLE_CAP) -> dict[int, int]:
-    """Per signed class values of an edge-symmetric vector, as a map."""
+def _class_values(a: TreeVector, weights: tuple, cap: int) -> dict[int, int]:
+    """The nonzero class values of a vector constant on every class; rejects
+    any other vector with a witness pair of same-class vertices holding
+    unequal entries."""
     radius = a.support_radius()
     if radius > cap:
         raise OracleCapExceeded(radius, cap)
     out: dict[int, int] = {}
-    for s in range(-radius, radius + 1):
-        val = _class_value(class_vertices(s), a, s)
+    for s, vertices in class_vertices(weights, radius).items():
+        first = vertices[0]
+        val = a.value(first)
+        for z in vertices[1:]:
+            other = a.value(z)
+            if other != val:
+                raise NotSymmetric(s, first, val, z, other)
         if val:
             out[s] = val
     return out
 
 
-def compress_biradial(a: TreeVector, *, cap: int = ORACLE_CAP) -> BiRadialProfile:
-    """Exact inverse of expand_biradial for even-index (2t-wave) vectors."""
-    classes = compress_signed_classes(a, cap=cap)
+def _compress(a: TreeVector, weights: tuple, cap: int) -> Profile:
+    """Exact inverse of expand on the given line."""
+    classes = _class_values(a, weights, cap)
     if not classes:
         raise ValueError("the zero vector has no profile")
-    hi = max(classes)
-    if hi < 0 or hi % 2 != 0:
-        raise ValueError(f"outer class {hi} is not an even-index profile rim")
-    lo = min(classes)
-    return BiRadialProfile(hi // 2, lo, tuple(classes.get(s, 0) for s in range(lo, hi + 1)))
+    lo, hi = min(classes), max(classes)
+    per_step = _waves(weights, 1)
+    if hi % per_step:
+        raise ValueError(f"outer class {hi} is not a profile rim")
+    return Profile(weights, hi // per_step, lo, tuple(classes.get(s, 0) for s in range(lo, hi + 1)))
+
+
+def compress_radial(a: TreeVector, *, cap: int = ORACLE_CAP) -> Profile:
+    return _compress(a, RADIAL, cap)
+
+
+def compress_biradial(a: TreeVector, *, cap: int = ORACLE_CAP) -> Profile:
+    """Even-index (2t-wave) edge vectors only."""
+    return _compress(a, SIGNED, cap)
+
+
+def compress_signed_classes(a: TreeVector, *, cap: int = ORACLE_CAP) -> dict[int, int]:
+    """Per signed class values of an edge-symmetric vector, as a map."""
+    return _class_values(a, SIGNED, cap)

@@ -51,9 +51,6 @@ class TreeVector:
     def items(self) -> Iterable[tuple[Vertex, int]]:
         return self._entries.items()
 
-    def is_zero(self) -> bool:
-        return not self._entries
-
     def support_radius(self) -> int:
         """Largest distance from the base to a supported vertex."""
         return max((len(v) for v in self._entries), default=0)
@@ -77,16 +74,10 @@ class TreeVector:
     def equals(self, other: "TreeVector") -> bool:
         return self._entries == other._entries
 
-    __add__ = add
-    __sub__ = subtract
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreeVector):
             return NotImplemented
         return self._entries == other._entries
-
-    def __hash__(self):
-        return hash(frozenset(self._entries.items()))
 
     def __repr__(self):
         entries = {v: c for v, c in sorted(self._entries.items(), key=lambda kv: (len(kv[0]), kv[0]))}

