@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -30,20 +31,41 @@ from .errors import (
     OracleCapExceeded,
     SequenceMismatch,
 )
-from .fibcore import DimPair, classify_pair, enumerate_pairs, fib_range
+from .fibcore import DimPair, classify_pair, enumerate_pairs, fib, fib_range
 from .profiles import class_size, shell_size
 from .reflect import ORACLE_CAP
 
 SCHEMA_VERSION = 1
 ENV_CAP = "FIBQUIVER_ORACLE_CAP"
 FORMATS = ("json", "csv", "ascii")
+_LOG10_PHI = math.log10((1 + math.sqrt(5)) / 2)
 
 
 # ----------------------------------------------------------------------
 # payload builders: plain dicts of json-safe values (ints, strings, lists)
 # ----------------------------------------------------------------------
 
+def _check_digit_limit(t: int) -> None:
+    """Refuse f(t) whose decimal form is past Python's int -> str limit, at
+    the exact boundary (f(20577) prints, f(20578) does not, at 4300 digits).
+
+    f(t) has about |t| log10(phi) digits, so an index clearly past the
+    limit is refused without computing f(t); near the limit f(t) is cheap
+    and compared exactly.
+    """
+    limit = sys.get_int_max_str_digits()
+    if limit == 0 or abs(t) < (limit - 8) / _LOG10_PHI:
+        return
+    if abs(t) > (limit + 8) / _LOG10_PHI or abs(fib(t)) >= 10**limit:
+        raise ValueError(
+            f"f({t}) has more than {limit} digits, Python's int -> str limit; "
+            f"raise it with PYTHONINTMAXSTRDIGITS (0 lifts it)"
+        )
+
+
 def payload_fib(lo: int, hi: int) -> dict:
+    if lo <= hi:
+        _check_digit_limit(max(lo, hi, key=abs))
     values = fib_range(lo, hi)
     return {
         "schema_version": SCHEMA_VERSION,

@@ -9,6 +9,7 @@ arbitrary lattice point is such a pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -28,23 +29,32 @@ ODD_PAIR = "OddPair"
 NOT_A_PAIR = "NotAPair"
 
 
+def _fib2(n: int) -> tuple[int, int]:
+    """(f(n), f(n+1)) for any integer n, by fast doubling (Knuth, TAOCP
+    vol. 1, 1.2.8): f(2k) = f(k)(2f(k+1) - f(k)), f(2k+1) = f(k)^2 + f(k+1)^2."""
+    if n < 0:
+        # f(-m) = (-1)**(m+1) f(m), applied to f(n) = f(-(m+1)), f(n+1) = f(-m).
+        a, b = _fib2(-n - 1)
+        return (b, -a) if n % 2 else (-b, a)
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    return a, b
+
+
 def fib(t: int) -> int:
     """f(t) for any integer t: f(0) = 0, f(1) = 1, f(i+1) = f(i) + f(i-1),
     extended downwards by f(-t) = (-1)**(t+1) * f(t)."""
-    n = abs(t)
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    if t < 0 and n % 2 == 0:
-        return -a
-    return a
+    return _fib2(t)[0]
 
 
 def fib_range(lo: int, hi: int) -> list[int]:
     """[f(lo), ..., f(hi)] by streaming the recursion once."""
     if hi < lo:
         raise ValueError(f"empty range: {lo}..{hi}")
-    a, b = fib(lo), fib(lo + 1)
+    a, b = _fib2(lo)
     out = []
     for _ in range(lo, hi + 1):
         out.append(a)
@@ -60,11 +70,11 @@ def euler_form(p: DimPair) -> int:
 
 def fib_pair(t: int, direction: str = UP) -> DimPair:
     """[f(t), f(t+2)] for "up", [f(t), f(t-2)] for "down"."""
-    if direction == UP:
-        return DimPair(fib(t), fib(t + 2))
-    if direction == DOWN:
-        return DimPair(fib(t), fib(t - 2))
-    raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
+    if direction not in (UP, DOWN):
+        raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
+    a, b = _fib2(t)
+    # f(t+2) = f(t) + f(t+1) and f(t-2) = f(t) - f(t-1) = 2f(t) - f(t+1).
+    return DimPair(a, a + b if direction == UP else 2 * a - b)
 
 
 def sigma_plus(p: DimPair) -> DimPair:
@@ -114,73 +124,56 @@ class PairClass:
                 raise ValueError("witness parity disagrees with kind")
 
 
-# Seed pairs: the |q| = 1 points with max(|x|, |y|) <= 1, with a literal
-# index witness where one exists. (-1, -1) is the one seed with none.
-_SEED_WITNESS = {
-    DimPair(0, 1): (0, UP),
-    DimPair(0, -1): (0, DOWN),
-    DimPair(1, 0): (2, DOWN),
-    DimPair(-1, 0): (-2, UP),
-    DimPair(1, 1): (-1, UP),
-}
+NON_PAIR = PairClass(NOT_A_PAIR)
+
+_LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
+_LOG2_SQRT5 = math.log2(5) / 2
 
 
-def _descend(p: DimPair) -> tuple[list[str], DimPair]:
-    """Norm-decreasing reflections from p down to a seed pair.
+def _witness(p: DimPair, q: int) -> Witness:
+    """The index witness of a |q| = 1 point.
 
-    At every |q| = 1 point outside the seed set exactly one of the two
-    reflections strictly decreases |x| + |y|.
+    Even-index pairs have exactly one witness, never negated. Odd-index
+    pairs have two, [f(t), f(t+2)] = [f(-t), f(-t-2)]; the one chosen, as
+    the norm descent to a seed pair chooses it (the tests replay that
+    descent), is "up", negated in the third quadrant, where the odd values
+    (all positive) give no literal representative.
     """
     x, y = p
-    ops: list[str] = []
-    while max(abs(x), abs(y)) > 1:
-        plus = (3 * x - y, x)
-        minus = (y, 3 * y - x)
-        norm = abs(x) + abs(y)
-        if abs(plus[0]) + abs(plus[1]) < norm:
-            ops.append("plus")
-            x, y = plus
-        elif abs(minus[0]) + abs(minus[1]) < norm:
-            ops.append("minus")
-            x, y = minus
-        else:
-            raise ArithmeticError(f"no descending reflection at ({x}, {y})")
-    return ops, DimPair(x, y)
+    parity = 0 if q == 1 else 1
+    # f(n) = round(phi**n / sqrt(5)) for n >= 0, so the larger coordinate
+    # is f(n) for the n below, and |x| is f(n) or f(n - 2) (near the seeds,
+    # f(i) for some i <= 3), at an index of the pair's parity.
+    n = round((math.log2(max(abs(x), abs(y))) + _LOG2_SQRT5) / _LOG2_PHI)
+    i = max(n - 3, 0)
+    a, b = _fib2(i)
+    while i <= n and (a != abs(x) or i % 2 != parity):
+        i, a, b = i + 1, b, a + b
+    # A missed window leaves a wrong i, which classify_pair's
+    # reconstruction check rejects.
+    if q == 1:
+        # f is strictly increasing on even indices.
+        return Witness(i if x >= 0 else -i, UP if y > x else DOWN, False)
+    return Witness(i if abs(y) > abs(x) else -i, UP, x < 0)
 
 
 def classify_pair(p: DimPair) -> PairClass:
     """Decide whether p lies on |q| = 1 and name the matching index pair.
 
-    Total: points off the two hyperbolas come back as NotAPair. On the
-    hyperbolas, descend to a seed, canonicalize (-1, -1) to (1, 1) with
-    the negated flag, then replay the descent backwards to recover the
-    index t and direction.
+    Total: points off the two hyperbolas come back as the shared NON_PAIR.
+    On the hyperbolas, the index is read off the size of the larger
+    coordinate and checked by rebuilding p from it.
     """
-    p = DimPair(*p)
     q = euler_form(p)
     if q not in (1, -1):
-        return PairClass(NOT_A_PAIR)
-
-    ops, seed = _descend(p)
-    negated = seed == DimPair(-1, -1)
-    if negated:
-        seed = DimPair(1, 1)
-    t, direction = _SEED_WITNESS[seed]
-    for op in reversed(ops):
-        # Undoing a "plus" step applies sigma_minus, which moves up-pairs
-        # two indices up and down-pairs two indices down; "minus" mirrors.
-        if op == "plus":
-            t += 2 if direction == UP else -2
-        else:
-            t += -2 if direction == UP else 2
-
-    expected = fib_pair(t, direction)
-    if negated:
+        return NON_PAIR
+    w = _witness(p, q)
+    expected = fib_pair(w.t, w.direction)
+    if w.negated:
         expected = DimPair(-expected.x, -expected.y)
     if expected != p:
         raise ArithmeticError(f"witness reconstruction failed for {p}")
-    kind = EVEN_PAIR if q == 1 else ODD_PAIR
-    return PairClass(kind, Witness(t, direction, negated))
+    return PairClass(EVEN_PAIR if q == 1 else ODD_PAIR, w)
 
 
 def enumerate_pairs(bound: int) -> list[tuple[DimPair, PairClass]]:
@@ -191,14 +184,16 @@ def enumerate_pairs(bound: int) -> list[tuple[DimPair, PairClass]]:
     """
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    k = 2
-    while abs(fib(k)) <= bound:
-        k += 1
+    k, a, b = 2, 1, 2
+    while a <= bound:
+        k, a, b = k + 1, b, a + b
+    off = k + 4
+    f = fib_range(-off, off)  # f(i) is f[i + off]
     points: set[DimPair] = set()
     for t in range(-k - 2, k + 3):
-        for direction in (UP, DOWN):
-            pair = fib_pair(t, direction)
-            for cand in (pair, DimPair(-pair.x, -pair.y)):
+        x = f[t + off]
+        for y in (f[t + off + 2], f[t + off - 2]):
+            for cand in (DimPair(x, y), DimPair(-x, -y)):
                 if abs(cand.x) <= bound and abs(cand.y) <= bound:
                     points.add(cand)
     return [(pt, classify_pair(pt)) for pt in sorted(points)]

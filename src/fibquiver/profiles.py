@@ -24,7 +24,7 @@ from typing import NamedTuple
 from . import tree
 from .errors import NotSymmetric, OracleCapExceeded
 from .fibcore import fib
-from .reflect import MARKED_NEIGHBOR, ORACLE_CAP, TreeVector
+from .reflect import ORACLE_CAP, TreeVector
 from .tree import BASE, Vertex
 
 # Quotient weights (w(s, s-1), w(s, s+1)) for classes s < 0, s == 0, s > 0.
@@ -254,8 +254,10 @@ def class_vertices(weights: tuple, radius: int) -> dict[int, list[Vertex]]:
     out: dict[int, list[Vertex]] = {}
     for d, sphere in enumerate(tree.layers(BASE, radius)):
         if weights[1][0] and d:  # w(0, -1) > 0: the line runs on behind the base
-            out[-d] = [z for z in sphere if z.startswith(MARKED_NEIGHBOR)]
-            sphere = [z for z in sphere if not z.startswith(MARKED_NEIGHBOR)]
+            # In address order the 2**(d-1) vertices under MARKED_NEIGHBOR
+            # ("0") come first.
+            behind = 2 ** (d - 1)
+            out[-d], sphere = sphere[:behind], sphere[behind:]
         out[d] = sphere
     return out
 

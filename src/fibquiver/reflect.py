@@ -74,11 +74,6 @@ class TreeVector:
     def equals(self, other: "TreeVector") -> bool:
         return self._entries == other._entries
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TreeVector):
-            return NotImplemented
-        return self._entries == other._entries
-
     def __repr__(self):
         entries = {v: c for v, c in sorted(self._entries.items(), key=lambda kv: (len(kv[0]), kv[0]))}
         return f"TreeVector({entries!r})"

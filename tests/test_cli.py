@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -55,6 +56,53 @@ def test_fib_csv(capsys):
     code, out, _ = run(capsys, "fib", "--from", "0", "--to", "3", "--format", "csv")
     assert code == 0
     assert out == "t,value\n0,0\n1,1\n2,1\n3,2\n"
+
+
+@contextlib.contextmanager
+def int_digit_limit(n):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(n)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("limit", [640, 1000, 4300, 5000])
+def test_fib_digit_limit_boundary_is_exact(capsys, limit):
+    with int_digit_limit(limit):
+        n, a, b, past = 0, 0, 1, 10**limit
+        while a < past:
+            n, a, b = n + 1, b, a + b
+        # f(n) is the first value Python itself refuses to print.
+        with pytest.raises(ValueError):
+            str(a)
+        assert run(capsys, "fib", str(n - 1)) == (0, f"{b - a}\n", "")
+        assert run(capsys, "fib", "--", str(1 - n))[0] == 0
+        for argv in ([str(n)], ["--", str(-n)], ["--from", "0", "--to", str(n)]):
+            code, out, err = run(capsys, "fib", "--format", "json", *argv)
+            assert code == 2 and out == ""
+            assert f"{limit} digits" in err and "PYTHONINTMAXSTRDIGITS" in err
+    if limit == 4300:
+        assert n == 20578
+
+
+def test_fib_far_past_the_limit_is_refused_at_once(capsys):
+    with int_digit_limit(4300):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "fib", "1000000000")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == "" and err.startswith("error: f(1000000000) has more than 4300 digits")
+        assert run(capsys, "fib", "--", str(-(10**400)))[0] == 2
+
+
+def test_fib_prints_past_the_default_limit_once_lifted(capsys):
+    a, b = 0, 1
+    for _ in range(30000):
+        a, b = b, a + b
+    with int_digit_limit(0):
+        code, out, err = run(capsys, "fib", "30000")
+        assert code == 0 and err == "" and int(out) == a
 
 
 def test_classify_ascii_verdicts(capsys):

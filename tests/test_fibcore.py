@@ -8,11 +8,11 @@ from fibquiver.fibcore import (
     DOWN,
     DimPair,
     EVEN_PAIR,
+    NON_PAIR,
     NOT_A_PAIR,
     ODD_PAIR,
     UP,
     Witness,
-    _descend,
     check_three_term,
     classify_pair,
     enumerate_pairs,
@@ -30,6 +30,94 @@ SEQUENCE = [-55, 34, -21, 13, -8, 5, -3, 2, -1, 1, 0, 1, 1, 2, 3, 5, 8, 13, 21, 
 pairs_st = st.tuples(st.integers(-10**18, 10**18), st.integers(-10**18, 10**18)).map(
     lambda t: DimPair(*t)
 )
+
+
+# ----------------------------------------------------------------------
+# reference routes: streaming addition for f, the norm descent for witnesses
+# ----------------------------------------------------------------------
+
+def fib_by_addition(lo, hi):
+    """[f(lo), ..., f(hi)] from the recurrence alone, in O(|lo| + hi - lo)
+    additions: up from f(0) = 0, f(1) = 1, down by f(t-1) = f(t+1) - f(t)."""
+    t, a, b = 0, 0, 1  # f(t), f(t+1)
+    while t > lo:
+        t, a, b = t - 1, b - a, a
+    while t < lo:
+        t, a, b = t + 1, b, a + b
+    out = []
+    for _ in range(lo, hi + 1):
+        out.append(a)
+        a, b = b, a + b
+    return out
+
+
+# The |q| = 1 points with max(|x|, |y|) <= 1, with a literal index witness
+# where one exists. (-1, -1) is the one seed with none.
+SEED_WITNESS = {
+    DimPair(0, 1): (0, UP),
+    DimPair(0, -1): (0, DOWN),
+    DimPair(1, 0): (2, DOWN),
+    DimPair(-1, 0): (-2, UP),
+    DimPair(1, 1): (-1, UP),
+}
+
+
+def descend_step(p):
+    """The reflection that strictly decreases |x| + |y| at a |q| = 1 point
+    outside the seeds: exactly one of the two does."""
+    norm = abs(p.x) + abs(p.y)
+    for op, image in (("plus", sigma_plus(p)), ("minus", sigma_minus(p))):
+        if abs(image.x) + abs(image.y) < norm:
+            return op, image
+    raise ArithmeticError(f"no descending reflection at {p}")
+
+
+def descend(p):
+    """Norm-decreasing reflections from p down to a seed pair."""
+    ops = []
+    while max(abs(p.x), abs(p.y)) > 1:
+        op, p = descend_step(p)
+        ops.append(op)
+    return ops, p
+
+
+def witness_by_descent(p, memo):
+    """The witness found by descending to a seed, canonicalizing (-1, -1) to
+    (1, 1) with the negated flag, and replaying the descent backwards.
+    `memo` maps points already replayed to their witnesses."""
+    start, path = p, []
+    while p not in memo and max(abs(p.x), abs(p.y)) > 1:
+        op, image = descend_step(p)
+        path.append((p, op))
+        p = image
+    if p not in memo:
+        negated = p == DimPair(-1, -1)
+        memo[p] = Witness(*SEED_WITNESS[DimPair(1, 1) if negated else p], negated)
+    t, direction, negated = memo[p]
+    for pt, op in reversed(path):
+        # Undoing a "plus" step applies sigma_minus, which moves up-pairs
+        # two indices up and down-pairs two indices down; "minus" mirrors.
+        step = 2 if direction == UP else -2
+        t += step if op == "plus" else -step
+        memo[pt] = Witness(t, direction, negated)
+    return memo[start]
+
+
+def test_fib_matches_streaming_addition():
+    n = 3000
+    F = fib_by_addition(-n - 2, n + 2)  # f(t) is F[t + n + 2]
+    assert fib_range(-n - 2, n + 2) == F
+    for t in range(-n, n + 1):
+        i = t + n + 2
+        assert fib(t) == F[i], t
+        assert fib_pair(t, UP) == (F[i], F[i + 2]), t
+        assert fib_pair(t, DOWN) == (F[i], F[i - 2]), t
+        assert fib_range(t - 2, t + 2) == F[i - 2 : i + 3], t
+    for t in (10**4, -(10**4), 10**5, -(10**5)):
+        want = fib_by_addition(t - 2, t + 2)
+        assert [fib(s) for s in range(t - 2, t + 3)] == want, t
+        assert fib_pair(t, UP) == (want[2], want[4]) and fib_pair(t, DOWN) == (want[2], want[0]), t
+        assert fib_range(t - 2, t + 2) == want, t
 
 
 def test_fib_examples():
@@ -109,6 +197,35 @@ def test_three_term_examples():
         assert check_three_term(t)
 
 
+def test_witness_is_the_descents_choice():
+    memo = {}
+    for t in range(-2500, 2501):
+        for direction in (UP, DOWN):
+            pair = fib_pair(t, direction)
+            for p in (pair, DimPair(-pair.x, -pair.y)):
+                assert classify_pair(p).witness == witness_by_descent(p, memo), p
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2500, 12000), st.booleans(), st.sampled_from((UP, DOWN)), st.booleans())
+def test_witness_is_the_descents_choice_at_large_index(n, negative, direction, negated):
+    p = fib_pair(-n if negative else n, direction)
+    if negated:
+        p = DimPair(-p.x, -p.y)
+    assert classify_pair(p).witness == witness_by_descent(p, {})
+
+
+def test_non_pairs_share_one_verdict():
+    for x in range(-30, 31):
+        for y in range(-30, 31):
+            if abs(euler_form(DimPair(x, y))) != 1:
+                assert classify_pair(DimPair(x, y)) is NON_PAIR
+    for t in (40, -41, 1000, -2999):
+        x, y = fib_pair(t, UP)
+        for dx, dy in ((1, 0), (0, -1), (2, 2), (-x, 0)):
+            assert classify_pair(DimPair(x + dx, y + dy)) is NON_PAIR
+
+
 def test_classify_examples():
     got = classify_pair(DimPair(2, 5))
     assert got.kind == ODD_PAIR and got.witness == Witness(3, UP, False)
@@ -166,7 +283,7 @@ def test_exhaustive_acceptance_matches_form():
 
 def test_descent_strictly_shrinks_the_norm():
     for pt in [(2, 5), (5, 2), (34, 89), (-2584, -987), (233, 89), (-1, -2)]:
-        ops, seed = _descend(DimPair(*pt))
+        ops, seed = descend(DimPair(*pt))
         path = [DimPair(*pt)]
         for op in ops:
             path.append(sigma_plus(path[-1]) if op == "plus" else sigma_minus(path[-1]))
