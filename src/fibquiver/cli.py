@@ -12,13 +12,15 @@ csv header, its csv rows and its ascii lines (json is the dict itself).
 Each subparser sets `payload`, a function of the parsed arguments, and
 `main` alone builds, renders and prints it and picks the exit status.
 
-The brute-force commands respect an oracle cap, overridable per call with
---oracle-cap or globally with the FIBQUIVER_ORACLE_CAP environment variable.
+A command takes only the options it reads, for verify those in the suite's
+signature; any other exits 2. svec, rvec and verify respect an oracle cap,
+raised per call with --oracle-cap or globally with FIBQUIVER_ORACLE_CAP.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -32,7 +34,7 @@ from .errors import (
     SequenceMismatch,
 )
 from .fibcore import DimPair, classify_pair, enumerate_pairs, fib, fib_range
-from .profiles import class_size, shell_size
+from .profiles import RADIAL, SIGNED, class_sizes
 from .reflect import ORACLE_CAP
 
 SCHEMA_VERSION = 1
@@ -153,7 +155,7 @@ def payload_svec(t: int, cap: int) -> dict:
         "schema_version": SCHEMA_VERSION,
         "kind": "s_vector",
         "t": t,
-        "classes": [[d, shell_size(d), prof.values[d]] for d in range(t + 1)],
+        "classes": [[d, size, prof.values[d]] for d, size in enumerate(class_sizes(RADIAL, 0, t))],
         "minus": minus,
         "plus": plus,
     }
@@ -163,14 +165,13 @@ def payload_rvec(t: int, cap: int) -> dict:
     vec = reflect.r_vec(t, cap=cap)
     classes = profiles.compress_signed_classes(vec, cap=cap)
     radius = vec.support_radius()
+    sizes = class_sizes(SIGNED, -radius, radius)
     minus, plus = reflect.parity_sums(vec, t)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "r_vector",
         "t": t,
-        "classes": [
-            [s, class_size(s), classes.get(s, 0)] for s in range(-radius, radius + 1)
-        ],
+        "classes": [[s, size, classes.get(s, 0)] for s, size in enumerate(sizes, -radius)],
         "minus": minus,
         "plus": plus,
     }
@@ -357,8 +358,8 @@ def emit(payload: dict, fmt: str) -> str:
 # ----------------------------------------------------------------------
 
 def _resolve_cap(args) -> int:
-    if args.oracle_cap is not None:
-        return args.oracle_cap
+    if args.cap is not None:
+        return args.cap
     env = os.environ.get(ENV_CAP)
     if env is not None:
         try:
@@ -376,10 +377,24 @@ def _fib_bounds(args) -> tuple[int, int]:
     return args.start, args.end
 
 
+# verify's options, keyed by their dest: the name of the suite parameter each sets
+_SUITE_OPTIONS = {"t_max": "--t", "lo": "--from", "hi": "--to", "bound": "--max", "paths": "--paths",
+                  "seed": "--seed", "cap": "--oracle-cap"}
+
+
 def _run_suite(args) -> suites.SuiteResult:
-    given = {"t_max": args.t_max, "lo": args.start, "hi": args.end, "bound": args.max}
-    options = {k: v for k, v in given.items() if v is not None}
-    return suites.SUITES[args.suite](**options, paths=args.paths, seed=args.seed, cap=_resolve_cap(args))
+    """Run the suite on the options given, refusing one it does not read."""
+    run = suites.SUITES[args.suite]
+    reads = inspect.signature(run).parameters
+    options = {}
+    for name, flag in _SUITE_OPTIONS.items():
+        if getattr(args, name) is not None:
+            if name not in reads:
+                raise ValueError(f"verify {args.suite} does not read {flag}")
+            options[name] = getattr(args, name)
+    if "cap" in reads:
+        options["cap"] = _resolve_cap(args)
+    return run(**options)
 
 
 def _oeis_check(args) -> dict:
@@ -390,8 +405,10 @@ def _oeis_check(args) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="ascii", help="output format")
-    common.add_argument(
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument(
         "--oracle-cap",
+        dest="cap",
         type=int,
         default=None,
         metavar="N",
@@ -427,23 +444,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("t", type=int)
     p.set_defaults(payload=lambda a: payload_partition(a.t))
 
-    p = sub.add_parser("svec", parents=[common], help="vertex-grown tree vector, by distance rings")
+    p = sub.add_parser("svec", parents=[common, capped], help="vertex-grown tree vector, by distance rings")
     p.add_argument("t", type=int)
     p.set_defaults(payload=lambda a: payload_svec(a.t, _resolve_cap(a)))
 
-    p = sub.add_parser("rvec", parents=[common], help="edge-grown tree vector, by signed rings")
+    p = sub.add_parser("rvec", parents=[common, capped], help="edge-grown tree vector, by signed rings")
     p.add_argument("t", type=int)
     p.set_defaults(payload=lambda a: payload_rvec(a.t, _resolve_cap(a)))
 
-    p = sub.add_parser("verify", parents=[common], help="run a named identity suite")
+    p = sub.add_parser("verify", parents=[common, capped], help="run a named identity suite")
     p.add_argument("suite", choices=sorted(suites.SUITES))
     p.add_argument("--t", "--t-max", dest="t_max", type=int, default=None, metavar="T",
                    help="largest step or table row to check")
-    p.add_argument("--from", dest="start", type=int, default=None, help="first index (three-term)")
-    p.add_argument("--to", dest="end", type=int, default=None, help="last index (three-term)")
-    p.add_argument("--max", type=int, default=None, help="box bound (pairs)")
-    p.add_argument("--paths", type=int, default=3, help="at most this many path shapes per step (cor42/cor43)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--from", dest="lo", type=int, default=None, metavar="START", help="first index (three-term)")
+    p.add_argument("--to", dest="hi", type=int, default=None, metavar="END", help="last index (three-term)")
+    p.add_argument("--max", dest="bound", type=int, default=None, metavar="MAX", help="box bound (pairs)")
+    p.add_argument("--paths", type=int, default=None, help="at most this many path shapes per step (cor42/cor43)")
+    p.add_argument("--seed", type=int, default=None,
                    help="seed for the random walks drawn after the three fixed path shapes; "
                         "matters only with --paths above 3 (cor42/cor43)")
     p.set_defaults(payload=lambda a: payload_verify(_run_suite(a)))

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from .errors import BFileParseError, SequenceMismatch
 from .fibcore import fib
-from .profiles import radial_step, radial_start, u_step, u_start
+from .profiles import Profile, radial_start, rows, u_start
 
 
 @dataclass(frozen=True)
@@ -58,19 +58,18 @@ def load_bfile(path: str | Path) -> BFile:
     return parse_bfile(Path(path).read_text())
 
 
-def _flat_rows(row, step) -> Callable[[int], int]:
+def _flat_rows(start: Profile) -> Callable[[int], int]:
     """Position k of a profile table read row by row over each row's stored
     classes, ascending: the radial table gives 1; 1,1; 2,1,1; 2,3,1,1; ...
     and the signed-class table 1,1; 1,1,1; 1,1,4,2,3,1,1; ..."""
     flat: list[int] = []
+    table = rows(start)
 
     def gen(k: int) -> int:
-        nonlocal row
         if k < 0:
             raise ValueError(f"triangle position must be non-negative, got {k}")
         while len(flat) <= k:
-            flat.extend(row.values)
-            row = step(row)
+            flat.extend(next(table).values)
         return flat[k]
 
     return gen
@@ -79,8 +78,8 @@ def _flat_rows(row, step) -> Callable[[int], int]:
 # Sequence id -> a fresh generator of the value at index n.
 GENERATORS: dict[str, Callable[[], Callable[[int], int]]] = {
     "A000045": lambda: fib,
-    "A132262": lambda: _flat_rows(radial_start(), radial_step),
-    "A147316": lambda: _flat_rows(u_start(), u_step),
+    "A132262": lambda: _flat_rows(radial_start()),
+    "A147316": lambda: _flat_rows(u_start()),
 }
 
 

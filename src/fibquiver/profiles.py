@@ -19,7 +19,8 @@ them entry by entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterator, NamedTuple
 
 from . import tree
 from .errors import NotSymmetric, OracleCapExceeded
@@ -57,18 +58,6 @@ def class_sizes(weights: tuple, lo: int, hi: int) -> list[int]:
         out = (center if s == -1 else behind)[0]
         sizes[s] = sizes[s + 1] * out // behind[1] if out else 0
     return [sizes[s] for s in range(lo, hi + 1)]
-
-
-def shell_size(d: int) -> int:
-    """Number of vertices at distance d from a fixed vertex: 1, 3, 6, 12, ..."""
-    if d < 0:
-        raise ValueError(f"distance must be non-negative, got {d}")
-    return class_sizes(RADIAL, d, d)[0]
-
-
-def class_size(s: int) -> int:
-    """Number of vertices in signed class s: 2**s away-side, 2**(-s-1) behind."""
-    return class_sizes(SIGNED, s, s)[0]
 
 
 @dataclass(frozen=True)
@@ -166,6 +155,16 @@ def u_start() -> Profile:
     return Profile(SIGNED, 0, -1, (1, 1))
 
 
+def rows(start: Profile) -> Iterator[Profile]:
+    """start, then every later step, without end."""
+    # By line, since bench/spans.py times each under its name; `step` once it binds that.
+    advance = radial_step if start.weights == RADIAL else u_step
+    p = start
+    while True:
+        yield p
+        p = advance(p)
+
+
 def _require_index(t: int) -> None:
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
@@ -173,27 +172,18 @@ def _require_index(t: int) -> None:
 
 def radial_profile(t: int) -> Profile:
     _require_index(t)
-    p = radial_start()
-    for _ in range(t):
-        p = radial_step(p)
-    return p
+    return next(islice(rows(radial_start()), t, None))
 
 
 def u_profile(t: int) -> Profile:
     _require_index(t)
-    u = u_start()
-    for _ in range(t):
-        u = u_step(u)
-    return u
+    return next(islice(rows(u_start()), t, None))
 
 
 def u_table(t_max: int) -> list[Profile]:
     """Rows of indices 0..t_max."""
     _require_index(t_max)
-    rows = [u_start()]
-    for _ in range(t_max):
-        rows.append(u_step(rows[-1]))
-    return rows
+    return list(islice(rows(u_start()), t_max + 1))
 
 
 def sums(p: Profile) -> tuple[int, int]:

@@ -129,21 +129,22 @@ def big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:
     return TreeVector(new)
 
 
-def _wave_parity(step: int) -> str:
-    # Step 0 reflects the odd-distance shell first; parities then alternate.
-    return "odd" if step % 2 == 0 else "even"
-
-
-def s_vec_at(t: int, center: Vertex, *, cap: int = ORACLE_CAP) -> TreeVector:
-    """The vector grown from unit(center) by t alternating reflection waves."""
+def _grow(start: TreeVector, center: Vertex, t: int, cap: int) -> TreeVector:
+    """start after t alternating reflection waves around center, the first
+    reflecting the odd-distance shell."""
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     if t > cap:
         raise OracleCapExceeded(t, cap)
-    a = unit(center)
+    a = start
     for i in range(t):
-        a = big_sigma(a, center, _wave_parity(i))
+        a = big_sigma(a, center, "even" if i % 2 else "odd")
     return a
+
+
+def s_vec_at(t: int, center: Vertex, *, cap: int = ORACLE_CAP) -> TreeVector:
+    """The vector grown from unit(center) by t alternating reflection waves."""
+    return _grow(unit(center), center, t, cap)
 
 
 def s_vec(t: int, *, cap: int = ORACLE_CAP) -> TreeVector:
@@ -153,14 +154,7 @@ def s_vec(t: int, *, cap: int = ORACLE_CAP) -> TreeVector:
 
 def r_vec_at(t: int, x: Vertex, y: Vertex, *, cap: int = ORACLE_CAP) -> TreeVector:
     """The vector grown from edge_unit(x, y) by t reflection waves centered at x."""
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    if t > cap:
-        raise OracleCapExceeded(t, cap)
-    a = edge_unit(x, y)
-    for i in range(t):
-        a = big_sigma(a, x, _wave_parity(i))
-    return a
+    return _grow(edge_unit(x, y), x, t, cap)
 
 
 def r_vec(t: int, *, cap: int = ORACLE_CAP) -> TreeVector:

@@ -52,7 +52,7 @@ def _run_reports(suite: str, cases) -> SuiteResult:
     return _collect(suite, failures, checked)
 
 
-def run_prop41(t_max: int = 6, *, cap: int = ORACLE_CAP, **_) -> SuiteResult:
+def run_prop41(t_max: int = 6, *, cap: int = ORACLE_CAP) -> SuiteResult:
     return _run_reports("prop41", (
         (f"t={t} y={letter!r}", catident.check_prop41(t, y_letter=letter, cap=cap))
         for t in range(1, t_max + 1)
@@ -60,7 +60,7 @@ def run_prop41(t_max: int = 6, *, cap: int = ORACLE_CAP, **_) -> SuiteResult:
     ))
 
 
-def run_cor42(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACLE_CAP, **_) -> SuiteResult:
+def run_cor42(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACLE_CAP) -> SuiteResult:
     return _run_reports("cor42", (
         (f"t={t} path={walk}", catident.check_cor42(t, PathSpec(tuple(walk)), cap=cap))
         for t in range(1, t_max + 1)
@@ -68,7 +68,7 @@ def run_cor42(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACL
     ))
 
 
-def run_cor43(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACLE_CAP, **_) -> SuiteResult:
+def run_cor43(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACLE_CAP) -> SuiteResult:
     return _run_reports("cor43", (
         (
             f"t={t} path={walk}",
@@ -79,19 +79,17 @@ def run_cor43(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACL
     ))
 
 
-def run_oracle(t_max: int = 8, *, cap: int = ORACLE_CAP, **_) -> SuiteResult:
+def run_oracle(t_max: int = 8, *, cap: int = ORACLE_CAP) -> SuiteResult:
     """Compressed profiles against the literal reflection oracle, both ways."""
     failures, checked = [], 0
-    for t in range(t_max + 1):
-        prof = profiles.radial_profile(t)
+    for t, prof in zip(range(t_max + 1), profiles.rows(profiles.radial_start())):
         vec = reflect.s_vec(t, cap=cap)
         checked += 2
         if not profiles.expand_radial(prof, cap=cap).equals(vec):
             failures.append(f"t={t}: expanded radial profile differs from the vertex vector")
         if profiles.compress_radial(vec, cap=cap) != prof:
             failures.append(f"t={t}: compressed vertex vector differs from the stepped profile")
-    for tt in range(t_max // 2 + 1):
-        prof = profiles.u_profile(tt)
+    for tt, prof in zip(range(t_max // 2 + 1), profiles.rows(profiles.u_start())):
         vec = reflect.r_vec(2 * tt, cap=cap)
         checked += 2
         if not profiles.expand_biradial(prof, cap=cap).equals(vec):
@@ -101,11 +99,11 @@ def run_oracle(t_max: int = 8, *, cap: int = ORACLE_CAP, **_) -> SuiteResult:
     return _collect("oracle", failures, checked)
 
 
-def run_sums(t_max: int = 300, **_) -> SuiteResult:
+def run_sums(t_max: int = 300) -> SuiteResult:
     """Weighted profile sums against the Fibonacci numbers, every step."""
     failures, checked = [], 0
-    u, p = profiles.u_start(), profiles.radial_start()
-    for t in range(t_max + 1):
+    signed, radial = profiles.rows(profiles.u_start()), profiles.rows(profiles.radial_start())
+    for t, u, p in zip(range(t_max + 1), signed, radial):
         checked += 2
         if profiles.u_sums(u) != (fib(4 * t - 1), fib(4 * t + 1)):
             failures.append(f"signed sums at index {t}: {profiles.u_sums(u)}")
@@ -113,12 +111,10 @@ def run_sums(t_max: int = 300, **_) -> SuiteResult:
             failures.append(f"radial sums at step {t}: {profiles.radial_sums(p)}")
         if any(v < 0 for v in u.values) or any(v < 0 for v in p.values):
             failures.append(f"negative profile entry at step {t}")
-        if t < t_max:
-            u, p = profiles.u_step(u), profiles.radial_step(p)
     return _collect("sums", failures, checked)
 
 
-def run_three_term(lo: int = -100, hi: int = 100, **_) -> SuiteResult:
+def run_three_term(lo: int = -100, hi: int = 100) -> SuiteResult:
     failures, checked = [], 0
     for t in range(lo, hi + 1):
         checked += 2
@@ -130,7 +126,7 @@ def run_three_term(lo: int = -100, hi: int = 100, **_) -> SuiteResult:
     return _collect("three-term", failures, checked)
 
 
-def run_pairs(bound: int = 200, **_) -> SuiteResult:
+def run_pairs(bound: int = 200) -> SuiteResult:
     """Exhaustive box scan: the classifier accepts exactly the |q| = 1
     points, with the kind matching the sign of q."""
     failures, checked = [], 0

@@ -1,6 +1,7 @@
 """The command-line surface: formats, exit codes, and stream separation."""
 
 import contextlib
+import inspect
 import io
 import json
 import sys
@@ -219,6 +220,48 @@ def test_verify_with_nothing_to_check_fails(capsys, argv):
     assert err.startswith("error:") and f"suite {argv[1]} " in err
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["verify", "pairs", "--t", "3"], "--t"),
+        (["verify", "pairs", "--t-max", "3"], "--t"),
+        (["verify", "prop41", "--paths", "9"], "--paths"),
+        (["verify", "oracle", "--t", "2", "--seed", "1"], "--seed"),
+        (["verify", "sums", "--max", "3"], "--max"),
+        (["verify", "three-term", "--t", "3"], "--t"),
+        (["verify", "cor43", "--from", "1"], "--from"),
+        (["verify", "pairs", "--to", "1"], "--to"),
+        (["verify", "sums", "--oracle-cap", "3"], "--oracle-cap"),
+        (["fib", "5", "--oracle-cap", "3"], "--oracle-cap"),
+        (["utable", "2", "--oracle-cap", "3"], "--oracle-cap"),
+        (["oeis-check", "A000045", "--oracle-cap", "3"], "--oracle-cap"),
+    ],
+)
+def test_unread_options_are_usage_errors(capsys, argv, flag):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own usage error
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    if argv[0] == "verify":
+        assert captured.err == f"error: verify {argv[1]} does not read {flag}\n"
+    else:
+        assert f"unrecognized arguments: {flag}" in captured.err
+
+
+def test_env_cap_reaches_only_suites_that_read_it(capsys, monkeypatch):
+    code, _, err = run(capsys, "verify", "oracle", "--t", "3", "--oracle-cap", "2")
+    assert code == 2 and "oracle cap 2" in err
+    monkeypatch.setenv("FIBQUIVER_ORACLE_CAP", "2")
+    code, _, err = run(capsys, "verify", "prop41", "--t", "3")
+    assert code == 2 and "oracle cap 2" in err
+    monkeypatch.setenv("FIBQUIVER_ORACLE_CAP", "not-a-number")
+    for argv in (["sums", "--t", "3"], ["three-term"], ["pairs", "--max", "3"]):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 0 and "ok" in out and err == "", argv
+
+
 def test_verify_failure_prints_counterexample(capsys, monkeypatch):
     def broken(**kwargs):
         return suites.SuiteResult("pairs", False, 1, ["acceptance mismatch at (1, 1)"])
@@ -361,12 +404,14 @@ def test_console_entry_point():
 # within 6 for the brute-force commands, so each run is fast.
 NUMBER = st.integers(-40, 40).map(str)
 ORACLE_STEP = st.integers(-40, 6).map(str)
-ORACLE_SUITES = ("prop41", "cor42", "cor43", "oracle")
+# verify's options other than --t, by the suite parameter they set
+SUITE_OPTIONS = {"lo": "--from", "hi": "--to", "bound": "--max", "paths": "--paths", "seed": "--seed"}
 
 
 @st.composite
 def command_lines(draw):
     command = draw(st.sampled_from(["fib", "pairs", "classify", "utable", "partition", "svec", "rvec", "verify", "oeis-check"]))
+    capped = command in ("svec", "rvec")
     if command == "fib":
         argv = draw(st.one_of(
             st.tuples(NUMBER).map(list),
@@ -377,15 +422,20 @@ def command_lines(draw):
     elif command in ("svec", "rvec"):
         argv = [draw(ORACLE_STEP)]
     elif command == "verify":
-        # Each suite reads the options it needs and ignores the rest.
+        # Each suite is given only options it reads; any other is a usage
+        # error, tested in test_unread_options_are_usage_errors.
         suite = draw(st.sampled_from(sorted(suites.SUITES)))
-        limit = f"--t={draw(ORACLE_STEP)}" if suite in ORACLE_SUITES else f"--t-max={draw(NUMBER)}"
-        argv = [suite, limit, *(f"{opt}={draw(NUMBER)}" for opt in ("--from", "--to", "--max", "--seed"))]
+        reads = inspect.signature(suites.SUITES[suite]).parameters
+        capped = "cap" in reads
+        argv = [suite]
+        if "t_max" in reads:
+            argv.append(f"--t={draw(ORACLE_STEP)}" if capped else f"--t-max={draw(NUMBER)}")
+        argv += [f"{opt}={draw(NUMBER)}" for name, opt in SUITE_OPTIONS.items() if name in reads and draw(st.booleans())]
     elif command == "oeis-check":
         argv = [draw(st.one_of(st.sampled_from(["A000045", "A132262", "A147316"]), NUMBER.map("A{}".format)))]
     else:
         argv = [draw(NUMBER)]
-    if draw(st.booleans()):
+    if capped and draw(st.booleans()):
         argv.append(f"--oracle-cap={draw(NUMBER)}")
     return [command, *argv, f"--format={draw(st.sampled_from(cli.FORMATS))}"]
 

@@ -1,14 +1,17 @@
 """Compressed profiles against the literal oracle, and the published tables."""
 
+from itertools import islice
+
 import pytest
 
+from fibquiver import oeis, profiles, suites
 from fibquiver.errors import NotSymmetric, OracleCapExceeded
 from fibquiver.fibcore import fib
 from fibquiver.profiles import (
     RADIAL,
     SIGNED,
     Profile,
-    class_size,
+    class_sizes,
     class_vertices,
     compress_biradial,
     compress_radial,
@@ -20,7 +23,8 @@ from fibquiver.profiles import (
     radial_sums,
     radial_start,
     radial_step,
-    shell_size,
+    rows,
+    step,
     u_profile,
     u_sums,
     u_start,
@@ -44,9 +48,12 @@ U_SUMS = [(1, 1), (2, 5), (13, 34), (89, 233), (610, 1597)]
 
 
 def test_shell_and_class_sizes():
-    assert [shell_size(d) for d in range(5)] == [1, 3, 6, 12, 24]
-    assert class_size(0) == 1 and class_size(3) == 8
-    assert class_size(-1) == 1 and class_size(-3) == 4
+    assert class_sizes(RADIAL, 0, 4) == [1, 3, 6, 12, 24]
+    assert class_sizes(SIGNED, -3, 3) == [4, 2, 1, 1, 2, 4, 8]
+    # Against the BFS spheres split into classes.
+    for weights, lo in ((RADIAL, 0), (SIGNED, -7)):
+        members = class_vertices(weights, 7)
+        assert class_sizes(weights, lo, 7) == [len(members[s]) for s in range(lo, 8)]
     assert len(class_vertices(SIGNED, 2)[2]) == 4
     assert class_vertices(SIGNED, 1)[-1] == ["0"]
     assert len(class_vertices(RADIAL, 2)[2]) == 6 and -1 not in class_vertices(RADIAL, 2)
@@ -209,8 +216,9 @@ def test_partition_report_examples():
 
 def test_partition_terms_use_class_sizes():
     rep = partition_report(4)
+    members = class_vertices(SIGNED, 9)  # index 4 reaches classes -9..8
     for term in rep.terms_minus + rep.terms_plus:
-        assert term.weight == class_size(term.cls)
+        assert term.weight == len(members[term.cls])
         assert term.product == term.weight * term.value
 
 
@@ -267,3 +275,42 @@ def test_negative_indices_are_rejected():
     for build in (u_profile, u_table, radial_profile, partition_report):
         with pytest.raises(ValueError, match="non-negative"):
             build(-1)
+
+
+def test_rows_stream_every_step():
+    for start in (radial_start(), u_start()):
+        want = [start]
+        for _ in range(60):
+            want.append(step(want[-1]))
+        assert list(islice(rows(start), 61)) == want
+        nth = radial_profile if start.weights == RADIAL else u_profile
+        assert all(nth(t) == row for t, row in enumerate(want))
+    assert u_table(60) == want  # the signed line's rows
+
+
+def test_walks_step_through_the_timed_names(monkeypatch):
+    # Both lines step through u_step and radial_step, the names the benchmark
+    # times, and each walk steps only as far as it reads.
+    calls = {"u_step": 0, "radial_step": 0}
+    for name in calls:
+        def counted(p, fn=getattr(profiles, name), name=name):
+            calls[name] += 1
+            return fn(p)
+
+        monkeypatch.setattr(profiles, name, counted)
+
+    def steps(run):
+        before = dict(calls)
+        run()
+        return calls["u_step"] - before["u_step"], calls["radial_step"] - before["radial_step"]
+
+    assert steps(lambda: u_table(5)) == (5, 0)
+    assert steps(lambda: u_profile(6)) == (6, 0)
+    assert steps(lambda: radial_profile(7)) == (0, 7)
+    assert steps(lambda: partition_report(3)) == (3, 0)
+    assert steps(lambda: suites.run_sums(9)) == (9, 9)
+    assert steps(lambda: suites.run_oracle(4)) == (2, 4)  # one walk per line, no restarts
+    # Flat positions 0..9 of the radial table span rows 0..3; 0..11 of the
+    # signed table, rows 0..2.
+    assert steps(lambda: oeis.GENERATORS["A132262"]()(9)) == (0, 3)
+    assert steps(lambda: oeis.GENERATORS["A147316"]()(11)) == (2, 0)

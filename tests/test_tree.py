@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibquiver.profiles import class_size, shell_size
+from fibquiver.profiles import RADIAL, SIGNED, class_sizes
 from fibquiver.tree import BASE, distance, is_valid_vertex, layers, neighbors
 
 vertices = st.one_of(
@@ -87,15 +87,18 @@ def test_sphere_sizes():
 
 def test_side_counts_examples():
     # (away from, through) the marked neighbor at distance s: signed classes s, -s.
-    assert (class_size(1), class_size(-1)) == (2, 1)
-    assert (class_size(3), class_size(-3)) == (8, 4)
-    assert (class_size(5), class_size(-5)) == (32, 16)
+    size = dict(zip(range(-5, 6), class_sizes(SIGNED, -5, 5)))
+    assert (size[1], size[-1]) == (2, 1)
+    assert (size[3], size[-3]) == (8, 4)
+    assert (size[5], size[-5]) == (32, 16)
 
 
 def test_side_counts_against_enumeration():
+    shell = class_sizes(RADIAL, 0, 8)
+    size = dict(zip(range(-8, 9), class_sizes(SIGNED, -8, 8)))
     for x, y in [(BASE, "0"), (BASE, "2"), ("0", BASE), ("01", "0")]:
         for s, layer in enumerate(layers(x, 8)):
-            assert len(layer) == shell_size(s)
+            assert len(layer) == shell[s]
             through = sum(1 for z in layer if distance(y, z) == s - 1)
             if s >= 1:
-                assert (len(layer) - through, through) == (class_size(s), class_size(-s))
+                assert (len(layer) - through, through) == (size[s], size[-s])
