@@ -4,15 +4,17 @@ Every check here verifies that one oracle-built vector equals a sum of
 smaller oracle-built vectors, entry by entry in exact integers, plus the
 scalar Fibonacci identity that the vector identity shadows.
 
-Reports are plain values listing each sub-check with a pass flag so a
+A path is a plain walk, a sequence of vertices each a neighbor of the last
+that never steps straight back: x_0 .. x_t for Cor. 4.2, and x_{-1} ..
+x_{t+1} for Cor. 4.3, whose anchors are the walk's two ends. Each check
+returns its sub-checks, a tuple of Check values with a pass flag, so a
 caller (or the CLI) can print the first counterexample.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 from . import reflect
 from .errors import NotNeighbors, OracleCapExceeded
@@ -21,57 +23,25 @@ from .reflect import ORACLE_CAP, TreeVector
 from .tree import BASE, Vertex, distance, neighbors
 
 
-@dataclass(frozen=True)
-class PathSpec:
-    """A non-backtracking path x_0 .. x_t, with optional anchor vertices
-    x_{-1} (before) and x_{t+1} (after)."""
-
-    vertices: tuple[Vertex, ...]
-    before: Optional[Vertex] = None
-    after: Optional[Vertex] = None
-
-    def __post_init__(self):
-        seq = self.full()
-        if not seq:
-            raise ValueError("empty path")
-        for a, b in zip(seq, seq[1:]):
-            if distance(a, b) != 1:
-                raise NotNeighbors(f"path vertices {a!r}, {b!r} are not neighbors")
-        for a, b, c in zip(seq, seq[1:], seq[2:]):
-            if a == c:
-                raise ValueError(f"path backtracks at {b!r}")
-
-    def full(self) -> list[Vertex]:
-        seq = list(self.vertices)
-        if self.before is not None:
-            seq.insert(0, self.before)
-        if self.after is not None:
-            seq.append(self.after)
-        return seq
+def require_walk(walk: Sequence[Vertex], n: int) -> tuple[Vertex, ...]:
+    """The walk as a tuple, once it is known to have n vertices, each a
+    neighbor of the last, and never to step straight back."""
+    walk = tuple(walk)
+    if len(walk) != n:
+        raise ValueError(f"need {n} walk vertices, got {len(walk)}")
+    for a, b in zip(walk, walk[1:]):
+        if distance(a, b) != 1:
+            raise NotNeighbors(f"path vertices {a!r}, {b!r} are not neighbors")
+    for a, b, c in zip(walk, walk[1:], walk[2:]):
+        if a == c:
+            raise ValueError(f"path backtracks at {b!r}")
+    return walk
 
 
 class Check(NamedTuple):
     label: str
     ok: bool
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    name: str
-    t: int
-    path: Optional[PathSpec]
-    checks: tuple[Check, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def first_failure(self) -> Optional[Check]:
-        for c in self.checks:
-            if not c.ok:
-                return c
-        return None
 
 
 def third_neighbor(v: Vertex, a: Vertex, b: Vertex) -> Vertex:
@@ -82,19 +52,20 @@ def third_neighbor(v: Vertex, a: Vertex, b: Vertex) -> Vertex:
     return rest[0]
 
 
-def straight_path(n: int, start: Vertex = BASE, letter: str = "0") -> list[Vertex]:
-    """n vertices walking away from start along one repeated child letter."""
-    out = [start]
+def straight_path(n: int, letter: str = "0") -> list[Vertex]:
+    """n vertices walking away from the base along one repeated child letter."""
+    out = [BASE]
     for _ in range(n - 1):
         out.append(out[-1] + letter if out[-1] else letter)
     return out
 
 
-def random_path(n: int, rng: random.Random, start: Vertex = BASE) -> list[Vertex]:
-    """n vertices of a non-backtracking walk; may pass through the base."""
-    out = [start]
+def random_path(n: int, rng: random.Random) -> list[Vertex]:
+    """n vertices of a non-backtracking walk from the base; may pass back
+    through it."""
+    out = [BASE]
     prev: Optional[Vertex] = None
-    cur = start
+    cur = BASE
     for _ in range(n - 1):
         options = neighbors(cur) if prev is None else [w for w in neighbors(cur) if w != prev]
         nxt = rng.choice(options)
@@ -111,40 +82,30 @@ def path_variants(n: int, count: int = 3, seed: int = 0) -> list[list[Vertex]]:
     are bounded."""
     if count < 1:
         raise ValueError(f"path count must be positive, got {count}")
-    variants: list[list[Vertex]] = [straight_path(n)]
-
     zig = [BASE]
     for i in range(n - 1):
         zig.append(zig[-1] + ("0" if i % 2 == 0 else "1") if zig[-1] else "0")
-    variants.append(zig)
 
     if n >= 3:
         through = ["1", BASE, "2"]
         while len(through) < n:
             through.append(through[-1] + "0")
-        variants.append(through[:n])
     else:
-        variants.append(straight_path(n, letter="2"))
+        through = straight_path(n, letter="2")
 
-    seen: set[tuple[Vertex, ...]] = set()
-    unique: list[list[Vertex]] = []
-
-    def push(walk: list[Vertex]) -> None:
-        key = tuple(walk)
-        if key not in seen:
-            seen.add(key)
-            unique.append(walk)
-
-    for v in variants:
-        push(v)
+    # Each distinct walk once, keyed by its vertices, in the order first met.
+    unique: dict[tuple[Vertex, ...], list[Vertex]] = {}
+    for walk in (straight_path(n), zig, through):
+        unique.setdefault(tuple(walk), walk)
     # The n-vertex walks from the base, plus the walk through it from "1".
     shapes = 1 if n < 2 else 3 * 2 ** (n - 2) + (n >= 3)
     rng = random.Random(seed)
     for _ in range(50 * count):
         if len(unique) >= min(count, shapes):
             break
-        push(random_path(n, rng))
-    return unique[:count]
+        walk = random_path(n, rng)
+        unique.setdefault(tuple(walk), walk)
+    return list(unique.values())[:count]
 
 
 def _vector_eq_check(label: str, lhs: TreeVector, rhs: TreeVector) -> Check:
@@ -155,7 +116,7 @@ def _vector_eq_check(label: str, lhs: TreeVector, rhs: TreeVector) -> Check:
     return Check(label, False, f"first differing vertex {v!r}: lhs {lhs.value(v)}, rhs {rhs.value(v)}")
 
 
-def check_prop41(t: int, *, y_letter: str = "0", cap: int = ORACLE_CAP) -> IdentityReport:
+def check_prop41(t: int, *, y_letter: str = "0", cap: int = ORACLE_CAP) -> tuple[Check, ...]:
     """Two peeling identities at the base vertex x with marked neighbor y:
     the step-t vertex vector is the step-(t-1) vector at y plus the step-t
     edge vector, and the edge vector peels into the step-(t-1) vector at a
@@ -169,7 +130,7 @@ def check_prop41(t: int, *, y_letter: str = "0", cap: int = ORACLE_CAP) -> Ident
 
     s_t = reflect.s_vec_at(t, x, cap=cap)
     r_t = reflect.r_vec_at(t, x, y, cap=cap)
-    checks = (
+    return (
         _vector_eq_check(
             "vertex-splits-into-neighbor-plus-edge",
             s_t,
@@ -186,57 +147,43 @@ def check_prop41(t: int, *, y_letter: str = "0", cap: int = ORACLE_CAP) -> Ident
             and fib(2 * t) == fib(2 * t - 2) + fib(2 * t - 1),
         ),
     )
-    return IdentityReport("prop41", t, PathSpec((x, y)), checks)
 
 
-def check_cor42(t: int, path: Optional[PathSpec] = None, *, cap: int = ORACLE_CAP) -> IdentityReport:
-    """Filtration identity along a path x_0 .. x_t: the step-t vector at the
+def check_cor42(t: int, walk: Sequence[Vertex], *, cap: int = ORACLE_CAP) -> tuple[Check, ...]:
+    """Filtration identity along a walk x_0 .. x_t: the step-t vector at the
     far end equals the unit at the start plus the edge vectors picked up one
     step at a time. Scalar shadow: f(2t) is the sum of the first t odd-index
     Fibonacci numbers."""
     if t < 1:
         raise ValueError(f"t must be positive, got {t}")
-    if path is None:
-        path = PathSpec(tuple(straight_path(t + 1)))
-    xs = path.vertices
-    if len(xs) != t + 1:
-        raise ValueError(f"need {t + 1} path vertices for t={t}, got {len(xs)}")
+    xs = require_walk(walk, t + 1)
 
     total = reflect.unit(xs[0])
     for i in range(1, t + 1):
         total = total.add(reflect.r_vec_at(i, xs[i], xs[i - 1], cap=cap))
-    checks = (
+    return (
         _vector_eq_check("filtration-sum", reflect.s_vec_at(t, xs[t], cap=cap), total),
         Check("scalar-shadow", fib(2 * t) == sum(fib(2 * i - 1) for i in range(1, t + 1))),
     )
-    return IdentityReport("cor42", t, path, checks)
 
 
-def check_cor43(t: int, path: Optional[PathSpec] = None, *, cap: int = ORACLE_CAP) -> IdentityReport:
-    """Side-branch identity along an anchored path x_{-1} .. x_{t+1}: the
-    step-(t+1) edge vector at the far end equals the starting edge vector
-    plus one vertex vector grown at each side branch z_i. Scalar shadow:
-    f(2t+1) = 1 + sum of the first t even-index Fibonacci numbers."""
+def check_cor43(t: int, walk: Sequence[Vertex], *, cap: int = ORACLE_CAP) -> tuple[Check, ...]:
+    """Side-branch identity along an anchored walk x_{-1} .. x_{t+1}, given
+    as its t+3 vertices: the step-(t+1) edge vector at the far end equals the
+    starting edge vector plus one vertex vector grown at each side branch
+    z_i. Scalar shadow: f(2t+1) = 1 + sum of the first t even-index
+    Fibonacci numbers."""
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     if t + 1 > cap:
         raise OracleCapExceeded(t + 1, cap)
-    if path is None:
-        walk = straight_path(t + 3)
-        path = PathSpec(tuple(walk[1:-1]), before=walk[0], after=walk[-1])
-    xs = path.vertices
-    if len(xs) != t + 1 or path.before is None or path.after is None:
-        raise ValueError(f"need anchors and {t + 1} interior vertices for t={t}")
-    full = path.full()
+    xs = require_walk(walk, t + 3)
 
-    total = reflect.edge_unit(path.before, xs[0])
+    total = reflect.edge_unit(xs[0], xs[1])
     for i in range(t + 1):
-        z = third_neighbor(full[i + 1], full[i], full[i + 2])
+        z = third_neighbor(xs[i + 1], xs[i], xs[i + 2])
         total = total.add(reflect.s_vec_at(i, z, cap=cap))
-    checks = (
-        _vector_eq_check(
-            "side-branch-sum", reflect.r_vec_at(t + 1, xs[t], path.after, cap=cap), total
-        ),
+    return (
+        _vector_eq_check("side-branch-sum", reflect.r_vec_at(t + 1, xs[t + 1], xs[t + 2], cap=cap), total),
         Check("scalar-shadow", fib(2 * t + 1) == 1 + sum(fib(2 * i) for i in range(1, t + 1))),
     )
-    return IdentityReport("cor43", t, path, checks)

@@ -27,12 +27,7 @@ import os
 import sys
 
 from . import oeis, profiles, reflect, suites
-from .errors import (
-    BFileParseError,
-    NotSymmetric,
-    OracleCapExceeded,
-    SequenceMismatch,
-)
+from .errors import OracleCapExceeded, SequenceMismatch
 from .fibcore import DimPair, classify_pair, enumerate_pairs, fib, fib_range
 from .profiles import RADIAL, SIGNED, class_sizes
 from .reflect import ORACLE_CAP
@@ -204,10 +199,6 @@ def payload_oeis(result: oeis.CheckResult, fixture: str) -> dict:
 # rendering: one entry per payload kind
 # ----------------------------------------------------------------------
 
-def emit_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def _csv(header: str, rows: list[list]) -> str:
     lines = [header]
     lines.extend(",".join("" if v is None else str(v) for v in row) for row in rows)
@@ -344,7 +335,7 @@ RENDERERS = {
 
 def emit(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        return emit_json(payload)
+        return json.dumps(payload, indent=2) + "\n"
     header, csv_rows, ascii_lines = RENDERERS[payload["kind"]]
     if fmt == "csv":
         return _csv(header, csv_rows(payload))
@@ -370,11 +361,12 @@ def _resolve_cap(args) -> int:
 
 
 def _fib_bounds(args) -> tuple[int, int]:
-    if args.t is not None:
+    bounds = (args.start, args.end)
+    if args.t is not None and bounds == (None, None):
         return args.t, args.t
-    if args.start is None or args.end is None:
-        raise ValueError("give a single index or both --from and --to")
-    return args.start, args.end
+    if args.t is None and None not in bounds:
+        return bounds
+    raise ValueError("give a single index or both --from and --to")
 
 
 # verify's options, keyed by their dest: the name of the suite parameter each sets
@@ -398,7 +390,7 @@ def _run_suite(args) -> suites.SuiteResult:
 
 
 def _oeis_check(args) -> dict:
-    fixture = args.fixture or str(oeis.default_fixture_path(args.sequence))
+    fixture = str(oeis.default_fixture_path(args.sequence)) if args.fixture is None else args.fixture
     return payload_oeis(oeis.run_check(args.sequence, fixture), fixture)
 
 
@@ -489,7 +481,7 @@ def main(argv=None) -> int:
     except SequenceMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BFileParseError, NotSymmetric, FileNotFoundError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return 2

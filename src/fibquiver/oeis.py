@@ -23,17 +23,8 @@ from .fibcore import fib
 from .profiles import Profile, radial_start, rows, u_start
 
 
-@dataclass(frozen=True)
-class BFile:
-    """Parsed b-file: (index, value) records with strictly increasing index."""
-
-    records: tuple[tuple[int, int], ...]
-
-    def __len__(self):
-        return len(self.records)
-
-
-def parse_bfile(text: str) -> BFile:
+def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:
+    """The (index, value) records of a b-file, index strictly increasing."""
     records: list[tuple[int, int]] = []
     last_n: Optional[int] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -51,10 +42,10 @@ def parse_bfile(text: str) -> BFile:
             raise BFileParseError(f"line {lineno}: index {n} not greater than previous {last_n}")
         records.append((n, value))
         last_n = n
-    return BFile(tuple(records))
+    return tuple(records)
 
 
-def load_bfile(path: str | Path) -> BFile:
+def load_bfile(path: str | Path) -> tuple[tuple[int, int], ...]:
     return parse_bfile(Path(path).read_text())
 
 
@@ -91,23 +82,19 @@ class CheckResult:
     warning: Optional[str] = None
 
 
-def check_bfile(sequence: str, bfile: BFile, gen: Callable[[int], int]) -> CheckResult:
+def check_bfile(sequence: str, records: tuple[tuple[int, int], ...], gen: Callable[[int], int]) -> CheckResult:
     """Compare generator output against every fixture record.
 
     Raises SequenceMismatch at the first differing index. An empty fixture
     (comments only) passes vacuously, with a warning attached.
     """
-    if not bfile.records:
+    if not records:
         return CheckResult(sequence, 0, True, warning="fixture holds no records; vacuous pass")
-    for n, expected in bfile.records:
+    for n, expected in records:
         actual = gen(n)
         if actual != expected:
             raise SequenceMismatch(n, expected, actual)
-    return CheckResult(sequence, len(bfile.records), True)
-
-
-def data_path(name: str) -> Path:
-    return Path(str(resources.files("fibquiver").joinpath("data", name)))
+    return CheckResult(sequence, len(records), True)
 
 
 def default_fixture_path(sequence: str) -> Path:
@@ -115,7 +102,7 @@ def default_fixture_path(sequence: str) -> Path:
     seq = sequence.upper()
     if not (seq.startswith("A") and seq[1:].isdigit()):
         raise ValueError(f"not a sequence id: {sequence!r}")
-    return data_path(f"b{seq[1:].zfill(6)}.txt")
+    return Path(str(resources.files("fibquiver").joinpath("data", f"b{seq[1:].zfill(6)}.txt")))
 
 
 def run_check(sequence: str, fixture: str | Path | None = None) -> CheckResult:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import catident, profiles, reflect
-from .catident import PathSpec, path_variants
+from .catident import path_variants
 from .fibcore import (
     DimPair,
     EVEN_PAIR,
@@ -41,13 +41,13 @@ def _collect(suite: str, failures: list[str], checked: int) -> SuiteResult:
 
 
 def _run_reports(suite: str, cases) -> SuiteResult:
-    """Collect (label, IdentityReport) cases; a failing report contributes
-    its first failed check."""
+    """Collect (label, checks) cases; a failing case contributes its first
+    failed check."""
     failures, checked = [], 0
-    for label, rep in cases:
+    for label, checks in cases:
         checked += 1
-        if not rep.ok:
-            bad = rep.first_failure()
+        bad = next((c for c in checks if not c.ok), None)
+        if bad is not None:
             failures.append(f"{label}: {bad.label} {bad.detail}")
     return _collect(suite, failures, checked)
 
@@ -62,7 +62,7 @@ def run_prop41(t_max: int = 6, *, cap: int = ORACLE_CAP) -> SuiteResult:
 
 def run_cor42(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACLE_CAP) -> SuiteResult:
     return _run_reports("cor42", (
-        (f"t={t} path={walk}", catident.check_cor42(t, PathSpec(tuple(walk)), cap=cap))
+        (f"t={t} path={walk}", catident.check_cor42(t, walk, cap=cap))
         for t in range(1, t_max + 1)
         for walk in path_variants(t + 1, paths, seed)
     ))
@@ -70,10 +70,7 @@ def run_cor42(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACL
 
 def run_cor43(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACLE_CAP) -> SuiteResult:
     return _run_reports("cor43", (
-        (
-            f"t={t} path={walk}",
-            catident.check_cor43(t, PathSpec(tuple(walk[1:-1]), before=walk[0], after=walk[-1]), cap=cap),
-        )
+        (f"t={t} path={walk}", catident.check_cor43(t, walk, cap=cap))
         for t in range(0, t_max + 1)
         for walk in path_variants(t + 3, paths, seed)
     ))

@@ -222,7 +222,7 @@ def test_c8_cli_contract():
         cli.payload_oeis(cli.oeis.run_check("A000045"), fixture),
     ]
     for payload in payloads:
-        assert json.loads(cli.emit_json(payload)) == payload
+        assert json.loads(cli.emit(payload, "json")) == payload
 
     proc = _run_cli("oeis-check", "A000045")
     assert proc.returncode == 0, proc.stderr

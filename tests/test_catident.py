@@ -3,13 +3,13 @@
 import pytest
 
 from fibquiver.catident import (
-    IdentityReport,
-    PathSpec,
+    Check,
     check_cor42,
     check_cor43,
     check_prop41,
     path_variants,
     random_path,
+    require_walk,
     straight_path,
     third_neighbor,
 )
@@ -19,15 +19,24 @@ from fibquiver.reflect import edge_unit, parity_sums, r_vec, r_vec_at, s_vec, s_
 from fibquiver.tree import BASE
 
 
-def test_pathspec_validation():
-    PathSpec(("0", BASE, "1"))
-    PathSpec((BASE, "0"), after="00")
+def test_walk_validation():
+    assert require_walk(["0", BASE, "1"], 3) == ("0", BASE, "1")
+    assert require_walk((BASE, "0", "00"), 3) == (BASE, "0", "00")
     with pytest.raises(NotNeighbors):
-        PathSpec((BASE, "00"))
-    with pytest.raises(ValueError):
-        PathSpec(("0", BASE, "0"))  # backtracking
-    with pytest.raises(ValueError):
-        PathSpec((BASE, "0"), before="0")  # anchor backtracks
+        require_walk((BASE, "00"), 2)
+    with pytest.raises(ValueError, match="backtracks at ''"):
+        require_walk(("00", "0", BASE, "0", "01"), 5)  # in the middle
+    with pytest.raises(ValueError, match="backtracks at '0'"):
+        require_walk(("00", "0", "00"), 3)  # at an anchor
+    with pytest.raises(ValueError, match="need 4 walk vertices, got 3"):
+        require_walk((BASE, "0", "00"), 4)
+    # The checks validate the walks they are given.
+    with pytest.raises(NotNeighbors):
+        check_cor42(1, (BASE, "00"))
+    with pytest.raises(ValueError, match="backtracks"):
+        check_cor43(0, ("0", BASE, "0"))
+    with pytest.raises(ValueError, match="need 3 walk vertices"):
+        check_cor43(0, (BASE, "0"))
 
 
 def test_third_neighbor():
@@ -38,8 +47,7 @@ def test_third_neighbor():
 
 
 def test_prop41_smallest_step_by_hand():
-    rep = check_prop41(1)
-    assert rep.ok
+    assert all(c.ok for c in check_prop41(1))
     # Both sides literally: entry 1 at the base and all three neighbors.
     lhs = s_vec(1)
     rhs = s_vec_at(0, "0").add(r_vec(1))
@@ -50,9 +58,9 @@ def test_prop41_smallest_step_by_hand():
 def test_prop41_all_steps_and_markings():
     for t in range(1, 7):
         for letter in "012":
-            rep = check_prop41(t, y_letter=letter)
-            assert isinstance(rep, IdentityReport)
-            assert rep.ok, (t, letter, rep.first_failure())
+            checks = check_prop41(t, y_letter=letter)
+            assert all(isinstance(c, Check) for c in checks)
+            assert all(c.ok for c in checks), (t, letter, checks)
 
 
 def test_prop41_scalar_shadow():
@@ -61,8 +69,7 @@ def test_prop41_scalar_shadow():
 
 
 def test_cor42_smallest_step():
-    rep = check_cor42(1)
-    assert rep.ok
+    assert all(c.ok for c in check_cor42(1, (BASE, "0")))
     assert s_vec_at(1, "0").equals(unit(BASE).add(r_vec_at(1, "0", BASE)))
 
 
@@ -77,9 +84,8 @@ def test_cor42_scalar_examples():
 
 
 def test_cor43_smallest_step():
-    rep = check_cor43(0)
-    assert rep.ok
     walk = straight_path(3)
+    assert all(c.ok for c in check_cor43(0, walk))
     lhs = r_vec_at(1, walk[1], walk[2])
     rhs = edge_unit(walk[0], walk[1]).add(s_vec_at(0, third_neighbor(walk[1], walk[0], walk[2])))
     assert lhs.equals(rhs)
@@ -101,11 +107,10 @@ def test_identities_hold_on_every_path_shape():
         assert len(shapes) >= 3
         assert len({tuple(s) for s in shapes}) == len(shapes)
         for shape in shapes:
-            assert check_cor42(t, PathSpec(tuple(shape))).ok, (t, shape)
+            assert all(c.ok for c in check_cor42(t, shape)), (t, shape)
     for t in range(0, 5):
         for shape in path_variants(t + 3, 4, seed=11):
-            spec = PathSpec(tuple(shape[1:-1]), before=shape[0], after=shape[-1])
-            assert check_cor43(t, spec).ok, (t, shape)
+            assert all(c.ok for c in check_cor43(t, shape)), (t, shape)
 
 
 def test_path_variants_returns_at_most_count_shapes():
@@ -127,9 +132,8 @@ def test_seed_draws_only_the_shapes_past_the_fixed_three():
 
 def test_paths_can_turn_through_the_base():
     walk = ["1", BASE, "2", "20", "200"]
-    assert check_cor42(4, PathSpec(tuple(walk))).ok
-    spec = PathSpec(tuple(walk[1:-1]), before=walk[0], after=walk[-1])
-    assert check_cor43(2, spec).ok
+    assert all(c.ok for c in check_cor42(4, walk))
+    assert all(c.ok for c in check_cor43(2, walk))
 
 
 def test_random_path_is_valid():
@@ -138,23 +142,28 @@ def test_random_path_is_valid():
     rng = random.Random(3)
     for _ in range(20):
         walk = random_path(6, rng)
-        PathSpec(tuple(walk))  # validates adjacency and no backtracking
+        assert walk[0] == BASE
+        require_walk(walk, 6)  # validates adjacency and no backtracking
 
 
 def test_reports_carry_their_checks():
-    rep = check_cor42(3)
-    assert [c.label for c in rep.checks] == ["filtration-sum", "scalar-shadow"]
-    assert all(c.ok for c in rep.checks)
-    assert rep.first_failure() is None
+    checks = check_cor42(3, ("1", BASE, "2", "20"))
+    assert [c.label for c in checks] == ["filtration-sum", "scalar-shadow"]
+    assert all(c.ok for c in checks)
+    checks = check_cor43(1, straight_path(4))
+    assert [c.label for c in checks] == ["side-branch-sum", "scalar-shadow"]
+    assert all(c.ok for c in checks)
 
 
 def test_caps_are_enforced():
     with pytest.raises(OracleCapExceeded):
         check_prop41(13)
     with pytest.raises(OracleCapExceeded):
-        check_cor43(12)
+        check_cor43(12, straight_path(15))
+    with pytest.raises(OracleCapExceeded):
+        check_cor42(3, straight_path(4), cap=2)
     with pytest.raises(ValueError):
-        check_cor42(0)
+        check_cor42(0, straight_path(1))
 
 
 def test_pushdown_examples():

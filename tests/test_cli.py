@@ -235,6 +235,8 @@ def test_verify_with_nothing_to_check_fails(capsys, argv):
         (["fib", "5", "--oracle-cap", "3"], "--oracle-cap"),
         (["utable", "2", "--oracle-cap", "3"], "--oracle-cap"),
         (["oeis-check", "A000045", "--oracle-cap", "3"], "--oracle-cap"),
+        (["fib", "5", "--to", "3"], "--to"),
+        (["fib", "5", "--from", "1", "--to", "3"], "--from"),
     ],
 )
 def test_unread_options_are_usage_errors(capsys, argv, flag):
@@ -246,6 +248,8 @@ def test_unread_options_are_usage_errors(capsys, argv, flag):
     assert code == 2 and captured.out == ""
     if argv[0] == "verify":
         assert captured.err == f"error: verify {argv[1]} does not read {flag}\n"
+    elif flag in ("--from", "--to"):  # fib reads them only without an index
+        assert captured.err == "error: give a single index or both --from and --to\n"
     else:
         assert f"unrecognized arguments: {flag}" in captured.err
 
@@ -327,6 +331,15 @@ def test_oeis_check_parse_error(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+def test_oeis_check_unreadable_fixture(capsys, tmp_path):
+    # A directory, and the empty path, which names the working directory
+    # rather than the bundled fixture.
+    for fixture in (str(tmp_path), ""):
+        code, out, err = run(capsys, "oeis-check", "A000045", "--fixture", fixture)
+        assert code == 2 and out == "", fixture
+        assert err.startswith("error:") and err.count("\n") == 1, (fixture, err)
+
+
 def test_oeis_check_unknown_sequence(capsys):
     code, _, err = run(capsys, "oeis-check", "A999999")
     assert code == 2 and "no generator configured" in err
@@ -347,7 +360,7 @@ def test_json_round_trip_all_payloads(capsys):
         payload_oeis(cli.oeis.run_check("A000045"), fixture),
     ]
     for payload in payloads:
-        assert json.loads(cli.emit_json(payload)) == payload
+        assert json.loads(cli.emit(payload, "json")) == payload
         assert payload["schema_version"] == 1
 
 

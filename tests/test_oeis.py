@@ -16,18 +16,18 @@ from fibquiver.oeis import (
 
 def test_parse_basic():
     bf = parse_bfile("0 0\n1 1\n2 1\n3 2\n")
-    assert bf.records == ((0, 0), (1, 1), (2, 1), (3, 2))
+    assert bf == ((0, 0), (1, 1), (2, 1), (3, 2))
     assert len(bf) == 4
 
 
 def test_parse_skips_comments_and_blanks():
     bf = parse_bfile("# a comment\n\n  5 5\n# another\n6 8\n")
-    assert bf.records == ((5, 5), (6, 8))
+    assert bf == ((5, 5), (6, 8))
 
 
 def test_parse_allows_negative_indices_and_values():
     bf = parse_bfile("-2 -1\n-1 1\n0 0\n")
-    assert bf.records == ((-2, -1), (-1, 1), (0, 0))
+    assert bf == ((-2, -1), (-1, 1), (0, 0))
 
 
 def test_parse_rejects_malformed_lines():
@@ -96,9 +96,9 @@ def test_bundled_fixtures_pass():
 
 def test_bundled_fibonacci_fixture_values():
     bf = load_bfile(default_fixture_path("A000045"))
-    assert bf.records[0] == (0, 0)
-    assert bf.records[10] == (10, 55)
-    assert bf.records[-1][0] == 500
+    assert bf[0] == (0, 0)
+    assert bf[10] == (10, 55)
+    assert bf[-1][0] == 500
 
 
 def test_run_check_unknown_sequence():
