@@ -20,6 +20,7 @@ raised per call with --oracle-cap or globally with FIBQUIVER_ORACLE_CAP.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -390,11 +391,20 @@ def _run_suite(args) -> suites.SuiteResult:
 
 
 def _oeis_check(args) -> dict:
+    if args.fixture == "":
+        raise ValueError("--fixture needs a file path, got ''")
     fixture = str(oeis.default_fixture_path(args.sequence)) if args.fixture is None else args.fixture
     return payload_oeis(oeis.run_check(args.sequence, fixture), fixture)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call.
+
+    Parsing makes a fresh Namespace each time, and each `payload` looks up
+    its builders by module global when it runs, so no call leaves state in
+    the parser for the next.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="ascii", help="output format")
     capped = argparse.ArgumentParser(add_help=False)

@@ -332,12 +332,13 @@ def test_oeis_check_parse_error(capsys, tmp_path):
 
 
 def test_oeis_check_unreadable_fixture(capsys, tmp_path):
-    # A directory, and the empty path, which names the working directory
-    # rather than the bundled fixture.
+    # A directory, and the empty path, which is refused as given rather
+    # than read as the working directory or the bundled fixture.
     for fixture in (str(tmp_path), ""):
         code, out, err = run(capsys, "oeis-check", "A000045", "--fixture", fixture)
         assert code == 2 and out == "", fixture
         assert err.startswith("error:") and err.count("\n") == 1, (fixture, err)
+    assert "''" in err and "'.'" not in err
 
 
 def test_oeis_check_unknown_sequence(capsys):
@@ -398,6 +399,53 @@ def test_cli_output_matches_golden(capsys, name, fmt):
     code, out, err = run(capsys, *GOLDEN[name], "--format", fmt)
     assert code == 0 and err == ""
     assert out.encode() == (FIXTURES / "cli_golden" / f"{name}.{fmt}").read_bytes()
+
+
+def call(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# (argv, FIBQUIVER_ORACLE_CAP) of an earlier and a later call in one process
+SEQUENCES = [
+    ((["verify", "cor42", "--t", "2", "--paths", "6", "--seed", "3", "--format", "json"], None),
+     (["verify", "cor42", "--t", "2"], None)),
+    ((["fib", "--from", "1", "--to", "3"], None), (["fib", "5"], None)),
+    ((["svec", "3", "--oracle-cap", "20"], None), (["svec", "3"], "2")),
+    ((["classify", "2"], None), (["classify", "2", "5"], None)),
+]
+
+
+@pytest.mark.parametrize("earlier,later", SEQUENCES, ids=["verify", "fib", "oracle-cap", "usage-error"])
+def test_calls_leave_no_state_for_the_next(capsys, monkeypatch, earlier, later):
+    def call_with_env(argv, env):
+        if env is None:
+            monkeypatch.delenv("FIBQUIVER_ORACLE_CAP", raising=False)
+        else:
+            monkeypatch.setenv("FIBQUIVER_ORACLE_CAP", env)
+        return call(capsys, argv)
+
+    cli.build_parser.cache_clear()
+    first = call_with_env(*later)
+    cli.build_parser.cache_clear()
+    call_with_env(*earlier)
+    assert call_with_env(*later) == first
+    assert call_with_env(*later) == first
+
+
+def test_builders_are_looked_up_at_call_time(capsys, monkeypatch):
+    assert run(capsys, "classify", "2", "5")[0] == 0
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "payload_classify", lambda x, y: seen.append((x, y)) or payload_classify(x, y))
+    monkeypatch.setattr(cli, "emit", lambda payload, fmt: seen.append(fmt) or "replaced\n")
+    assert run(capsys, "classify", "2", "5") == (0, "replaced\n", "")
+    assert seen == [(2, 5), "ascii"]
 
 
 def test_console_entry_point():
