@@ -30,7 +30,11 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of main(argv), usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's own usage error
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -240,18 +244,14 @@ def test_verify_with_nothing_to_check_fails(capsys, argv):
     ],
 )
 def test_unread_options_are_usage_errors(capsys, argv, flag):
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse's own usage error
-        code = exc.code
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
     if argv[0] == "verify":
-        assert captured.err == f"error: verify {argv[1]} does not read {flag}\n"
+        assert err == f"error: verify {argv[1]} does not read {flag}\n"
     elif flag in ("--from", "--to"):  # fib reads them only without an index
-        assert captured.err == "error: give a single index or both --from and --to\n"
+        assert err == "error: give a single index or both --from and --to\n"
     else:
-        assert f"unrecognized arguments: {flag}" in captured.err
+        assert f"unrecognized arguments: {flag}" in err
 
 
 def test_env_cap_reaches_only_suites_that_read_it(capsys, monkeypatch):
@@ -338,7 +338,7 @@ def test_oeis_check_unreadable_fixture(capsys, tmp_path):
         code, out, err = run(capsys, "oeis-check", "A000045", "--fixture", fixture)
         assert code == 2 and out == "", fixture
         assert err.startswith("error:") and err.count("\n") == 1, (fixture, err)
-    assert "''" in err and "'.'" not in err
+    assert "''" in err and "'.'" not in err  # the empty path is named as given
 
 
 def test_oeis_check_unknown_sequence(capsys):
@@ -401,16 +401,6 @@ def test_cli_output_matches_golden(capsys, name, fmt):
     assert out.encode() == (FIXTURES / "cli_golden" / f"{name}.{fmt}").read_bytes()
 
 
-def call(capsys, argv):
-    """(exit code, stdout, stderr) of main(argv), usage errors included."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 # (argv, FIBQUIVER_ORACLE_CAP) of an earlier and a later call in one process
 SEQUENCES = [
     ((["verify", "cor42", "--t", "2", "--paths", "6", "--seed", "3", "--format", "json"], None),
@@ -428,13 +418,12 @@ def test_calls_leave_no_state_for_the_next(capsys, monkeypatch, earlier, later):
             monkeypatch.delenv("FIBQUIVER_ORACLE_CAP", raising=False)
         else:
             monkeypatch.setenv("FIBQUIVER_ORACLE_CAP", env)
-        return call(capsys, argv)
+        return run(capsys, *argv)
 
     cli.build_parser.cache_clear()
     first = call_with_env(*later)
     cli.build_parser.cache_clear()
     call_with_env(*earlier)
-    assert call_with_env(*later) == first
     assert call_with_env(*later) == first
 
 
