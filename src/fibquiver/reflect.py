@@ -1,6 +1,8 @@
 """The brute-force oracle: integer vectors on the tree and literal reflections.
 
 A TreeVector is a finite-support map from vertex addresses to integers.
+Addresses and values are checked only where callers hand them in: the TreeVector
+constructor, unit, edge_unit, and the center and site of big_sigma and sigma.
 The reflection at a vertex replaces that one coordinate by the sum over its
 three neighbors minus itself; a reflection wave applies this simultaneously
 at every vertex whose distance from a center has a fixed parity (no two such
@@ -31,16 +33,25 @@ class TreeVector:
     """Finite-support integer-valued function on the tree's vertices.
 
     Entries are addressed from the base vertex; zero entries are never stored.
+    Only the constructor checks entries: canonical addresses, int (not bool) values.
     """
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Optional[dict[Vertex, int]] = None):
         self._entries: dict[Vertex, int] = {}
-        if entries:
-            for v, c in entries.items():
-                if c != 0:
-                    self._entries[tree.require_vertex(v)] = c
+        for v, c in (entries or {}).items():
+            tree.require_vertex(v)
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise ValueError(f"entry at vertex {v!r} is not an int: {c!r}")
+            if c != 0:
+                self._entries[v] = c
+
+    @classmethod
+    def _trusted(cls, entries: dict[Vertex, int]) -> "TreeVector":
+        vec = cls.__new__(cls)
+        vec._entries = entries
+        return vec
 
     def value(self, v: Vertex) -> int:
         return self._entries.get(v, 0)
@@ -63,13 +74,13 @@ class TreeVector:
                 out[v] = s
             else:
                 out.pop(v, None)
-        return TreeVector(out)
+        return TreeVector._trusted(out)
 
     def subtract(self, other: "TreeVector") -> "TreeVector":
         return self.add(other.negate())
 
     def negate(self) -> "TreeVector":
-        return TreeVector({v: -c for v, c in self._entries.items()})
+        return TreeVector._trusted({v: -c for v, c in self._entries.items()})
 
     def equals(self, other: "TreeVector") -> bool:
         return self._entries == other._entries
@@ -94,13 +105,14 @@ def edge_unit(x: Vertex, y: Vertex) -> TreeVector:
 def sigma(a: TreeVector, y: Vertex) -> TreeVector:
     """Reflect at one vertex: only coordinate y changes, to
     (sum of a over the neighbors of y) - a_y. An involution."""
+    tree.require_vertex(y)
     new = dict(a._entries)
     val = -a.value(y) + sum(a.value(n) for n in neighbors(y))
     if val:
         new[y] = val
     else:
         new.pop(y, None)
-    return TreeVector(new)
+    return TreeVector._trusted(new)
 
 
 def big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:
@@ -113,20 +125,20 @@ def big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    bit = 0 if parity == "even" else 1
-    candidates = set(a._entries)
-    for v in a._entries:
-        candidates.update(neighbors(v))
+    tree.require_vertex(x)
+    bit = (len(x) + (parity == "odd")) % 2  # the sites' |y| mod 2: d(x, y) = |x| + |y| (mod 2)
+    get = a._entries.get
+    candidates = set(a._entries).union(*map(neighbors, a._entries))
     new = dict(a._entries)
     for y in candidates:
-        if distance(x, y) % 2 != bit:
+        if len(y) % 2 != bit:
             continue
-        val = -a.value(y) + sum(a.value(n) for n in neighbors(y))
+        val = -get(y, 0) + sum(get(n, 0) for n in neighbors(y))
         if val:
             new[y] = val
         else:
             new.pop(y, None)
-    return TreeVector(new)
+    return TreeVector._trusted(new)
 
 
 def _grow(start: TreeVector, center: Vertex, t: int, cap: int) -> TreeVector:

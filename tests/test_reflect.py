@@ -20,7 +20,7 @@ from fibquiver.reflect import (
     sigma,
     unit,
 )
-from fibquiver.tree import BASE, distance, layers, neighbors
+from fibquiver.tree import BASE, distance, is_valid_vertex, layers, neighbors
 
 vertices = st.one_of(
     st.just(BASE),
@@ -88,19 +88,51 @@ def test_big_sigma_rejects_bad_parity():
         big_sigma(TreeVector({}), BASE, "both")
 
 
-@given(small_vectors, st.sampled_from(["even", "odd"]), st.integers(0, 2**32))
+@given(small_vectors, vertices, st.sampled_from(["even", "odd"]), st.integers(0, 2**32))
 @settings(max_examples=40)
-def test_big_sigma_equals_any_sequential_order(a, parity, seed):
+def test_big_sigma_equals_any_sequential_order(a, x, parity, seed):
     bit = 0 if parity == "even" else 1
     sites = {v for v in dict(a.items())}
     for v in dict(a.items()):
         sites.update(neighbors(v))
-    sites = [v for v in sites if distance(BASE, v) % 2 == bit]
+    sites = [v for v in sites if distance(x, v) % 2 == bit]
     random.Random(seed).shuffle(sites)
     seq = a
     for y in sites:
         seq = sigma(seq, y)
-    assert seq.equals(big_sigma(a, BASE, parity))
+    assert seq.equals(big_sigma(a, x, parity))
+
+
+@given(small_vectors, small_vectors, vertices, st.sampled_from(["even", "odd"]), st.integers(0, 3))
+@settings(max_examples=40)
+def test_every_result_key_is_canonical(a, b, x, parity, t):
+    # Results skip the constructor's address check, so their keys must be
+    # canonical by construction.
+    results = [a.add(b), a.negate(), sigma(a, x), big_sigma(a, x, parity), s_vec_at(t, x)]
+    results += [r_vec_at(t, x, y) for y in neighbors(x)]
+    for vec in results:
+        assert all(is_valid_vertex(v) for v, _ in vec.items())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TreeVector({"3": 1}),
+        lambda: unit("0x"),
+        lambda: edge_unit(BASE, "3"),
+        lambda: sigma(unit(BASE), "3"),
+        lambda: big_sigma(unit(BASE), "3", "odd"),
+    ],
+)
+def test_non_canonical_addresses_are_refused(build):
+    with pytest.raises(ValueError, match="not a canonical vertex address"):
+        build()
+
+
+@pytest.mark.parametrize("value", [1.5, True])
+def test_non_int_entries_are_refused(value):
+    with pytest.raises(ValueError, match=f"entry at vertex '0' is not an int: {value}"):
+        TreeVector({"0": value})
 
 
 def test_s_vec_small_steps():
