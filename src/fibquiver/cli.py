@@ -8,7 +8,7 @@ requested checks pass.
 
 Each output kind is declared once. A `payload_*` builder returns a plain
 dict whose "kind" keys an entry of RENDERERS; that entry gives the kind's
-csv header, its csv rows and its ascii lines (json is the dict itself).
+csv header, its csv lines and its ascii lines (json is the dict itself).
 Each subparser sets `payload`, a function of the parsed arguments, and
 `main` alone builds, renders and prints it and picks the exit status.
 
@@ -112,7 +112,7 @@ def payload_utable(t_max: int) -> dict:
         rows.append(
             {
                 "t": row.t,
-                "values": [[s, row.value(s)] for s in row.support()],
+                "values": [[s, v] for s, v in zip(row.support(), row.values)],
                 "minus": minus,
                 "plus": plus,
             }
@@ -126,6 +126,8 @@ def payload_utable(t_max: int) -> dict:
 
 
 def payload_partition(t: int) -> dict:
+    if t >= 0:  # a negative t is refused by the profile itself
+        _check_digit_limit(4 * t + 1)  # f(4t + 1), the plus target, is the largest number printed
     rep = profiles.partition_report(t)
 
     def side(terms, target):
@@ -200,10 +202,8 @@ def payload_oeis(result: oeis.CheckResult, fixture: str) -> dict:
 # rendering: one entry per payload kind
 # ----------------------------------------------------------------------
 
-def _csv(header: str, rows: list[list]) -> str:
-    lines = [header]
-    lines.extend(",".join("" if v is None else str(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_line(fields) -> str:
+    return ",".join("" if v is None else str(v) for v in fields)
 
 
 def _ascii_witness(p: dict) -> str:
@@ -234,21 +234,25 @@ def _ascii_pairs(payload: dict) -> list[str]:
 
 
 def _ascii_utable(payload: dict) -> list[str]:
+    """One column per class lo..hi, as wide as its widest cell. Each row's
+    values cover one run of classes, so a row is its cells between blank
+    ends. Cells are formatted again in the second pass rather than kept:
+    their strings would take more memory than the ints."""
     rows = payload["rows"]
     lo = min(r["values"][0][0] for r in rows)
     hi = max(r["values"][-1][0] for r in rows)
-    cells = {(r["t"], s): str(v) for r in rows for s, v in r["values"]}
-    widths = {
-        s: max(len(str(s)), max((len(cells.get((r["t"], s), "")) for r in rows), default=1))
-        for s in range(lo, hi + 1)
-    }
-    head = "t\\s | " + " ".join(str(s).rjust(widths[s]) for s in range(lo, hi + 1))
+    widths = [len(str(s)) for s in range(lo, hi + 1)]
+    for r in rows:
+        first, end = r["values"][0][0] - lo, r["values"][-1][0] - lo + 1
+        widths[first:end] = map(max, widths[first:end], [len(str(v)) for _, v in r["values"]])
+    blanks = [" " * w for w in widths]
+    head = "t\\s | " + " ".join(str(s).rjust(w) for s, w in zip(range(lo, hi + 1), widths))
     out = [head, "-" * len(head)]
     for r in rows:
-        line = f"{r['t']:>3} | " + " ".join(
-            cells.get((r["t"], s), "").rjust(widths[s]) for s in range(lo, hi + 1)
-        )
-        out.append(line + f"   [{r['minus']}, {r['plus']}]")
+        first, end = r["values"][0][0] - lo, r["values"][-1][0] - lo + 1
+        cells = [str(v).rjust(w) for (_, v), w in zip(r["values"], widths[first:end])]
+        line = " ".join(blanks[:first] + cells + blanks[end:])
+        out.append(f"{r['t']:>3} | {line}   [{r['minus']}, {r['plus']}]")
     return out
 
 
@@ -300,36 +304,36 @@ def _ascii_oeis(payload: dict) -> list[str]:
     return [msg]
 
 
-# payload kind -> (csv header, csv rows, ascii lines)
+# payload kind -> (csv header, csv lines, ascii lines)
 RENDERERS = {
     "fib_range": (
-        "t,value", lambda p: p["values"], lambda p: [",".join(str(v) for _, v in p["values"])]
+        "t,value", lambda p: map(_csv_line, p["values"]), lambda p: [",".join(str(v) for _, v in p["values"])]
     ),
     "pair_class": (
         "x,y,kind,t,direction,negated",
-        lambda p: [_pair_row(p)],
+        lambda p: [_csv_line(_pair_row(p))],
         lambda p: [p["pair_kind"] + _ascii_witness(p)],
     ),
     "pairs": (
-        "x,y,kind,t,direction,negated", lambda p: [_pair_row(r) for r in p["pairs"]], _ascii_pairs
+        "x,y,kind,t,direction,negated", lambda p: [_csv_line(_pair_row(r)) for r in p["pairs"]], _ascii_pairs
     ),
     "u_table": (
         "t,s,value",
-        lambda p: [[row["t"], s, v] for row in p["rows"] for s, v in row["values"]],
+        lambda p: [f"{row['t']},{s},{v}" for row in p["rows"] for s, v in row["values"]],
         _ascii_utable,
     ),
     "partition_report": (
         "side,s,weight,value,product",
-        lambda p: [[side, *term] for side in ("minus", "plus") for term in p[side]["terms"]],
+        lambda p: [_csv_line([side, *term]) for side in ("minus", "plus") for term in p[side]["terms"]],
         _ascii_partition,
     ),
-    "s_vector": ("d,size,value", lambda p: p["classes"], _ascii_svec),
-    "r_vector": ("s,size,value", lambda p: p["classes"], _ascii_rvec),
+    "s_vector": ("d,size,value", lambda p: map(_csv_line, p["classes"]), _ascii_svec),
+    "r_vector": ("s,size,value", lambda p: map(_csv_line, p["classes"]), _ascii_rvec),
     "verify": (
-        "suite,checked,ok", lambda p: [[p["suite"], p["checked"], p["ok"]]], _ascii_verify
+        "suite,checked,ok", lambda p: [_csv_line([p["suite"], p["checked"], p["ok"]])], _ascii_verify
     ),
     "oeis_check": (
-        "sequence,checked,ok", lambda p: [[p["sequence"], p["checked"], p["ok"]]], _ascii_oeis
+        "sequence,checked,ok", lambda p: [_csv_line([p["sequence"], p["checked"], p["ok"]])], _ascii_oeis
     ),
 }
 
@@ -337,11 +341,12 @@ RENDERERS = {
 def emit(payload: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2) + "\n"
-    header, csv_rows, ascii_lines = RENDERERS[payload["kind"]]
+    header, csv_lines, ascii_lines = RENDERERS[payload["kind"]]
+    # A last empty line ends the text with "\n" without copying the whole text.
     if fmt == "csv":
-        return _csv(header, csv_rows(payload))
+        return "\n".join([header, *csv_lines(payload), ""])
     if fmt == "ascii":
-        return "\n".join(ascii_lines(payload)) + "\n"
+        return "\n".join([*ascii_lines(payload), ""])
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -93,9 +93,6 @@ class Profile:
     def hi(self) -> int:
         return self.lo + len(self.values) - 1
 
-    def value(self, s: int) -> int:
-        return self.values[s - self.lo] if self.lo <= s <= self.hi else 0
-
     def support(self) -> range:
         return range(self.lo, self.hi + 1)
 
@@ -192,10 +189,28 @@ def sums(p: Profile) -> tuple[int, int]:
     Classes congruent to the wave count mod 2 feed plus, the others minus:
     f(2t), f(2t+2) for the radial step-t profile, f(4t-1), f(4t+1) for the
     signed index-t profile.
+
+    Each side of class 0 is summed by Horner's rule from the rim inward, one
+    parity at a time, so no class size is formed: one class outward
+    multiplies the size by w(s, s±1) / w(s±1, s), a whole number on both
+    weight tables, and |C_0| = 1. `class_sizes` is the reference.
     """
-    by_parity = [0, 0]
-    for s, size, v in zip(p.support(), class_sizes(p.weights, p.lo, p.hi), p.values):
-        by_parity[s % 2] += size * v
+    behind, center, ahead = p.weights
+    pad = max(p.lo, 0)  # a profile may start past class 0
+    row = (0,) * pad + p.values
+    zero = pad - p.lo  # the index of class 0 in row
+    by_parity = [row[zero], 0]
+    # (classes +-1, +-2, ... outward, |C_{+-1}|, the size ratio past it)
+    sides = [(row[zero + 1:], center[1] // ahead[0], ahead[1] // ahead[0])]
+    if zero:
+        sides.append((row[zero - 1::-1], center[0] // behind[1], behind[0] // behind[1]))
+    for outward, first, ratio in sides:
+        grow = ratio * ratio  # from class +-d to +-(d + 2)
+        for d in (1, 2):
+            acc = 0
+            for v in reversed(outward[d - 1::2]):
+                acc = acc * grow + v
+            by_parity[d % 2] += acc * first * ratio ** (d - 1)
     plus = _waves(p.weights, p.t) % 2
     return by_parity[1 - plus], by_parity[plus]
 

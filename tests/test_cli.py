@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibquiver import cli, suites
+from fibquiver.fibcore import fib
 from fibquiver.cli import (
     main,
     payload_classify,
@@ -108,6 +109,18 @@ def test_fib_prints_past_the_default_limit_once_lifted(capsys):
     with int_digit_limit(0):
         code, out, err = run(capsys, "fib", "30000")
         assert code == 0 and err == "" and int(out) == a
+
+
+def test_partition_past_the_digit_limit_is_refused_before_computing(capsys):
+    with int_digit_limit(640):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "partition", "766")  # f(3065) has 641 digits
+        assert time.perf_counter() - t0 < 0.5
+        assert code == 2 and out == ""
+        assert err == ("error: f(3065) has more than 640 digits, Python's int -> str limit; "
+                       "raise it with PYTHONINTMAXSTRDIGITS (0 lifts it)\n")
+        code, out, err = run(capsys, "partition", "765")  # f(3061) has 640
+        assert code == 0 and err == "" and out.endswith(f"  total = {fib(3061)}\n")
 
 
 def test_classify_ascii_verdicts(capsys):
@@ -369,6 +382,44 @@ def test_cli_json_output_equals_builder(capsys):
     code, out, _ = run(capsys, "utable", "3", "--format", "json")
     assert code == 0
     assert json.loads(out) == payload_utable(3)
+
+
+def _reference_csv(header: str, rows: list[list]) -> str:
+    """The generic csv join: one line per row of values, None left blank."""
+    lines = [header]
+    lines.extend(",".join("" if v is None else str(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def _reference_ascii_utable(payload: dict) -> list[str]:
+    """The ascii table read through a (t, s)-keyed map of cell strings."""
+    rows = payload["rows"]
+    lo = min(r["values"][0][0] for r in rows)
+    hi = max(r["values"][-1][0] for r in rows)
+    cells = {(r["t"], s): str(v) for r in rows for s, v in r["values"]}
+    widths = {
+        s: max(len(str(s)), max((len(cells.get((r["t"], s), "")) for r in rows), default=1))
+        for s in range(lo, hi + 1)
+    }
+    head = "t\\s | " + " ".join(str(s).rjust(widths[s]) for s in range(lo, hi + 1))
+    out = [head, "-" * len(head)]
+    for r in rows:
+        line = f"{r['t']:>3} | " + " ".join(
+            cells.get((r["t"], s), "").rjust(widths[s]) for s in range(lo, hi + 1)
+        )
+        out.append(line + f"   [{r['minus']}, {r['plus']}]")
+    return out
+
+
+def test_utable_rendering_matches_the_reference_routes():
+    # The golden fixtures pin t = 4 only, where every column is 1-2
+    # characters wide; these tables have columns of many widths.
+    for t_max in [*range(61), 101]:
+        payload = payload_utable(t_max)
+        rows = [[row["t"], s, v] for row in payload["rows"] for s, v in row["values"]]
+        assert cli.emit(payload, "csv") == _reference_csv("t,s,value", rows), t_max
+        assert cli.emit(payload, "ascii") == "\n".join(_reference_ascii_utable(payload)) + "\n", t_max
+        assert cli.emit(payload, "json") == json.dumps(payload, indent=2) + "\n", t_max
 
 
 def test_csv_ends_with_single_newline(capsys):

@@ -101,7 +101,7 @@ def test_u_step_published_rows():
     for want, row in zip(U_ROWS, rows):
         assert dict(zip(row.support(), row.values)) == want
     assert [u_sums(r) for r in rows] == U_SUMS
-    assert rows[4].value(0) == 77
+    assert dict(zip(rows[4].support(), rows[4].values))[0] == 77
 
 
 def test_u_table_shortest():
@@ -115,12 +115,27 @@ def test_u_sums_examples():
     assert u_sums(u_profile(4)) == (610, 1597)
 
 
+def _sized_sums(p):
+    """The reference route for `sums`: every class value times its class
+    size from `class_sizes`, added up by parity."""
+    by_parity = [0, 0]
+    for s, size, v in zip(p.support(), class_sizes(p.weights, p.lo, p.hi), p.values):
+        by_parity[s % 2] += size * v
+    plus = (p.t if p.weights == RADIAL else 2 * p.t) % 2
+    return by_parity[1 - plus], by_parity[plus]
+
+
+def test_sums_of_profiles_starting_past_class_0():
+    for prof in (Profile(SIGNED, 1, 1, (1, 1)), Profile(SIGNED, 2, 2, (5, 0, 1)), Profile(SIGNED, 2, 4, (1,))):
+        assert u_sums(prof) == _sized_sums(prof), prof
+
+
 def test_u_sums_match_fib_at_scale():
     u = u_start()
     p = radial_start()
     for t in range(301):
-        assert u_sums(u) == (fib(4 * t - 1), fib(4 * t + 1)), t
-        assert radial_sums(p) == (fib(2 * t), fib(2 * t + 2)), t
+        assert u_sums(u) == (fib(4 * t - 1), fib(4 * t + 1)) == _sized_sums(u), t
+        assert radial_sums(p) == (fib(2 * t), fib(2 * t + 2)) == _sized_sums(p), t
         assert all(v >= 0 for v in u.values)
         assert all(v >= 0 for v in p.values)
         u, p = u_step(u), radial_step(p)
@@ -177,15 +192,16 @@ def test_u_step_equals_cartan_reflection_route():
     u = u_start()
     for _ in range(12):
         lo, hi = u.lo - 2, u.hi + 2
-        mixed = {s: u.value(s) for s in range(lo, hi + 1)}
+        old = dict(zip(u.support(), u.values))
+        mixed = {s: old.get(s, 0) for s in range(lo, hi + 1)}
         for s in range(lo, hi + 1):
             if s % 2 != 0:
-                mixed[s] = -u.value(s) + _cartan_abs(s, s - 1) * u.value(s - 1) \
-                    + _cartan_abs(s, s + 1) * u.value(s + 1)
+                mixed[s] = -old.get(s, 0) + _cartan_abs(s, s - 1) * old.get(s - 1, 0) \
+                    + _cartan_abs(s, s + 1) * old.get(s + 1, 0)
         final = dict(mixed)
         for s in range(lo, hi + 1):
             if s % 2 == 0:
-                final[s] = -u.value(s) + _cartan_abs(s, s - 1) * mixed.get(s - 1, 0) \
+                final[s] = -old.get(s, 0) + _cartan_abs(s, s - 1) * mixed.get(s - 1, 0) \
                     + _cartan_abs(s, s + 1) * mixed.get(s + 1, 0)
         nxt = u_step(u)
         assert {s: v for s, v in final.items() if v} == {s: v for s, v in zip(nxt.support(), nxt.values) if v}
@@ -267,7 +283,6 @@ def test_biradial_validation():
     with pytest.raises(ValueError):
         Profile(SIGNED, 0, -4, (1, 1, 1, 1, 1))  # support outside bounds
     prof = u_profile(3)
-    assert prof.value(prof.lo - 1) == 0 and prof.value(prof.hi + 1) == 0
     assert list(prof.support()) == list(range(prof.lo, prof.hi + 1))
 
 
