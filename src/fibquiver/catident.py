@@ -53,11 +53,9 @@ def third_neighbor(v: Vertex, a: Vertex, b: Vertex) -> Vertex:
 
 
 def straight_path(n: int, letter: str = "0") -> list[Vertex]:
-    """n vertices walking away from the base along one repeated child letter."""
-    out = [BASE]
-    for _ in range(n - 1):
-        out.append(out[-1] + letter if out[-1] else letter)
-    return out
+    """n vertices walking away from the base along one repeated child letter:
+    the prefixes of one word, since the base is the empty word."""
+    return [letter * i for i in range(n)]
 
 
 def random_path(n: int, rng: random.Random) -> list[Vertex]:
@@ -82,16 +80,8 @@ def path_variants(n: int, count: int = 3, seed: int = 0) -> list[list[Vertex]]:
     are bounded."""
     if count < 1:
         raise ValueError(f"path count must be positive, got {count}")
-    zig = [BASE]
-    for i in range(n - 1):
-        zig.append(zig[-1] + ("0" if i % 2 == 0 else "1") if zig[-1] else "0")
-
-    if n >= 3:
-        through = ["1", BASE, "2"]
-        while len(through) < n:
-            through.append(through[-1] + "0")
-    else:
-        through = straight_path(n, letter="2")
+    zig = [("01" * n)[:i] for i in range(n)]
+    through = ["1", BASE, *("2" + "0" * i for i in range(n - 2))] if n >= 3 else straight_path(n, letter="2")
 
     # Each distinct walk once, keyed by its vertices, in the order first met.
     unique: dict[tuple[Vertex, ...], list[Vertex]] = {}

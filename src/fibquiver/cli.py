@@ -30,7 +30,7 @@ import sys
 from . import oeis, profiles, reflect, suites
 from .errors import OracleCapExceeded, SequenceMismatch
 from .fibcore import DimPair, classify_pair, enumerate_pairs, fib, fib_range
-from .profiles import RADIAL, SIGNED, class_sizes
+from .profiles import SIGNED, class_sizes
 from .reflect import ORACLE_CAP
 
 SCHEMA_VERSION = 1
@@ -107,11 +107,11 @@ def payload_pairs(bound: int) -> dict:
 
 def payload_utable(t_max: int) -> dict:
     rows = []
-    for row in profiles.u_table(t_max):
+    for t, row in enumerate(profiles.u_table(t_max)):
         minus, plus = profiles.u_sums(row)
         rows.append(
             {
-                "t": row.t,
+                "t": t,
                 "values": [[s, v] for s, v in zip(row.support(), row.values)],
                 "minus": minus,
                 "plus": plus,
@@ -145,34 +145,31 @@ def payload_partition(t: int) -> dict:
     }
 
 
-def payload_svec(t: int, cap: int) -> dict:
-    vec = reflect.s_vec(t, cap=cap)
-    prof = profiles.compress_radial(vec, cap=cap)
-    minus, plus = reflect.parity_sums(vec, t)
+def _payload_classes(kind: str, vec: reflect.TreeVector, prof: profiles.Profile) -> dict:
+    """[s, |C_s|, value] for every class within the vector's radius r: 0..r
+    on the radial line, -r..r on the signed line."""
+    r = max(-prof.lo, prof.hi)
+    lo = -r if prof.weights == SIGNED else 0
+    values = dict(zip(prof.support(), prof.values))
+    minus, plus = reflect.parity_sums(vec, prof.waves)
     return {
         "schema_version": SCHEMA_VERSION,
-        "kind": "s_vector",
-        "t": t,
-        "classes": [[d, size, prof.values[d]] for d, size in enumerate(class_sizes(RADIAL, 0, t))],
+        "kind": kind,
+        "t": prof.waves,
+        "classes": [[s, size, values.get(s, 0)] for s, size in enumerate(class_sizes(prof.weights, lo, r), lo)],
         "minus": minus,
         "plus": plus,
     }
+
+
+def payload_svec(t: int, cap: int) -> dict:
+    vec = reflect.s_vec(t, cap=cap)
+    return _payload_classes("s_vector", vec, profiles.compress_radial(vec, cap=cap))
 
 
 def payload_rvec(t: int, cap: int) -> dict:
     vec = reflect.r_vec(t, cap=cap)
-    classes = profiles.compress_signed_classes(vec, cap=cap)
-    radius = vec.support_radius()
-    sizes = class_sizes(SIGNED, -radius, radius)
-    minus, plus = reflect.parity_sums(vec, t)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "r_vector",
-        "t": t,
-        "classes": [[s, size, classes.get(s, 0)] for s, size in enumerate(sizes, -radius)],
-        "minus": minus,
-        "plus": plus,
-    }
+    return _payload_classes("r_vector", vec, profiles.compress_biradial(vec, cap=cap))
 
 
 def payload_verify(result: suites.SuiteResult) -> dict:

@@ -90,9 +90,8 @@ def sigma_minus(p: DimPair) -> DimPair:
 
 
 def check_three_term(t: int) -> bool:
-    """f(t+2) = 3 f(t) - f(t-2), in all three rearrangements."""
-    lo, mid, hi = fib(t - 2), fib(t), fib(t + 2)
-    return hi == 3 * mid - lo and lo == 3 * mid - hi and lo + hi == 3 * mid
+    """f(t+2) = 3 f(t) - f(t-2)."""
+    return fib(t + 2) == 3 * fib(t) - fib(t - 2)
 
 
 class Witness(NamedTuple):

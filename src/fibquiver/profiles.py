@@ -37,12 +37,6 @@ RADIAL = ((0, 0), (0, 3), (1, 2))
 SIGNED = ((2, 1), (1, 2), (1, 2))
 
 
-def _waves(weights: tuple, t: int) -> int:
-    """Reflection waves behind a step-t profile: a radial step is one wave, a
-    signed step two, so that signed row t sums to f(4t - 1), f(4t + 1)."""
-    return t if weights == RADIAL else 2 * t
-
-
 def class_sizes(weights: tuple, lo: int, hi: int) -> list[int]:
     """The sizes |C_s| for s = lo..hi.
 
@@ -65,29 +59,29 @@ class Profile:
     """Class values of a vector grown by reflection waves, on one class line.
 
     weights is RADIAL (grown from the base vertex) or SIGNED (grown from the
-    edge to the marked neighbor); t counts steps. values[i] is the entry at
-    every vertex of class lo + i; classes outside [lo, hi] are zero. After w
-    waves the rim class w holds 1, the left end is nonzero, and
-    lo >= -(w + 1), with lo = 0 on the radial line, which ends at class 0.
+    edge to the marked neighbor); waves counts the reflection waves, one per
+    radial table row and two per signed one. values[i] is the entry at every
+    vertex of class lo + i; classes outside [lo, hi] are zero. After w waves
+    the rim class w holds 1, the left end is nonzero, and lo >= -(w + 1),
+    with lo = 0 on the radial line, which ends at class 0.
     """
 
     weights: tuple
-    t: int
+    waves: int
     lo: int
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if self.t < 0:
-            raise ValueError(f"t must be non-negative, got {self.t}")
+        if self.waves < 0:
+            raise ValueError(f"the wave count must be non-negative, got {self.waves}")
         if not self.values or self.values[0] == 0:
             raise ValueError("the leftmost stored class must be nonzero")
         if any(v < 0 for v in self.values):
             raise ValueError(f"negative class value in {self.values}")
-        waves = _waves(self.weights, self.t)
-        if self.hi != waves or self.values[-1] != 1:
-            raise ValueError(f"the last class must be the rim class {waves}, holding 1")
-        if self.lo < -(waves + 1) or (self.weights[1][0] == 0 and self.lo != 0):
-            raise ValueError(f"support [{self.lo}, {self.hi}] leaves the line after {waves} waves")
+        if self.hi != self.waves or self.values[-1] != 1:
+            raise ValueError(f"the last class must be the rim class {self.waves}, holding 1")
+        if self.lo < -(self.waves + 1) or (self.weights[1][0] == 0 and self.lo != 0):
+            raise ValueError(f"support [{self.lo}, {self.hi}] leaves the line after {self.waves} waves")
 
     @property
     def hi(self) -> int:
@@ -113,33 +107,33 @@ def wave(row: list[int], lo: int, weights: tuple, parity: int) -> None:
         row[i] = (left * row[i - 1] if i else 0) - row[i] + (right * row[i + 1] if i < last else 0)
 
 
-def step(p: Profile) -> Profile:
-    """Step t -> t+1: the next one (radial) or two (signed) waves, wave n
-    reflecting the classes of parity n mod 2. Each wave widens the support
-    by at most one class each way; the new row is trimmed to nonzero ends."""
-    k, waves = _waves(p.weights, 1), _waves(p.weights, p.t)
+def step(p: Profile, k: int) -> Profile:
+    """The next k waves, wave n reflecting the classes of parity n mod 2.
+    Each wave widens the support by at most one class each way; the new row
+    is trimmed to nonzero ends."""
     lo = p.lo - k
     row = [0] * k + list(p.values) + [0] * k
-    for n in range(waves + 1, waves + k + 1):
+    for n in range(p.waves + 1, p.waves + k + 1):
         wave(row, lo, p.weights, n % 2)
     first, end = 0, len(row)
     while not row[first]:
         first += 1
     while not row[end - 1]:
         end -= 1
-    return Profile(p.weights, p.t + 1, lo + first, tuple(row[first:end]))
+    return Profile(p.weights, p.waves + k, lo + first, tuple(row[first:end]))
 
 
 # bench/spans.py times the two lines as separate layers, so each keeps a
 # function of its own.
 def radial_step(p: Profile) -> Profile:
-    """One reflection wave on distance classes."""
-    return step(p)
+    """One reflection wave on distance classes: the next radial table row."""
+    return step(p, 1)
 
 
 def u_step(u: Profile) -> Profile:
-    """An odd wave, then an even wave that reads the fresh odd values."""
-    return step(u)
+    """An odd wave, then an even wave that reads the fresh odd values: the
+    next signed table row."""
+    return step(u, 2)
 
 
 def radial_start() -> Profile:
@@ -153,7 +147,7 @@ def u_start() -> Profile:
 
 
 def rows(start: Profile) -> Iterator[Profile]:
-    """start, then every later step, without end."""
+    """start, then every later table row, without end."""
     # By line, since bench/spans.py times each under its name; `step` once it binds that.
     advance = radial_step if start.weights == RADIAL else u_step
     p = start
@@ -187,8 +181,8 @@ def sums(p: Profile) -> tuple[int, int]:
     """(minus, plus) class values weighted by class sizes.
 
     Classes congruent to the wave count mod 2 feed plus, the others minus:
-    f(2t), f(2t+2) for the radial step-t profile, f(4t-1), f(4t+1) for the
-    signed index-t profile.
+    f(2t), f(2t+2) for the radial row t (t waves), f(4t-1), f(4t+1) for the
+    signed row t (2t waves).
 
     Each side of class 0 is summed by Horner's rule from the rim inward, one
     parity at a time, so no class size is formed: one class outward
@@ -211,7 +205,7 @@ def sums(p: Profile) -> tuple[int, int]:
             for v in reversed(outward[d - 1::2]):
                 acc = acc * grow + v
             by_parity[d % 2] += acc * first * ratio ** (d - 1)
-    plus = _waves(p.weights, p.t) % 2
+    plus = p.waves % 2
     return by_parity[1 - plus], by_parity[plus]
 
 
@@ -285,14 +279,15 @@ def expand(p: Profile, *, cap: int = ORACLE_CAP) -> TreeVector:
 expand_radial = expand_biradial = expand
 
 
-def _class_values(a: TreeVector, weights: tuple, cap: int) -> dict[int, int]:
-    """The nonzero class values of a vector constant on every class; rejects
-    any other vector with a witness pair of same-class vertices holding
-    unequal entries."""
+def _compress(a: TreeVector, weights: tuple, cap: int) -> Profile:
+    """Exact inverse of expand on the given line, for a vector constant on
+    every class, after as many waves as its rim class. Any other vector is
+    rejected with a witness pair of same-class vertices holding unequal
+    entries."""
     radius = a.support_radius()
     if radius > cap:
         raise OracleCapExceeded(radius, cap)
-    out: dict[int, int] = {}
+    classes: dict[int, int] = {}
     for s, vertices in class_vertices(weights, radius).items():
         first = vertices[0]
         val = a.value(first)
@@ -301,20 +296,11 @@ def _class_values(a: TreeVector, weights: tuple, cap: int) -> dict[int, int]:
             if other != val:
                 raise NotSymmetric(s, first, val, z, other)
         if val:
-            out[s] = val
-    return out
-
-
-def _compress(a: TreeVector, weights: tuple, cap: int) -> Profile:
-    """Exact inverse of expand on the given line."""
-    classes = _class_values(a, weights, cap)
+            classes[s] = val
     if not classes:
         raise ValueError("the zero vector has no profile")
     lo, hi = min(classes), max(classes)
-    per_step = _waves(weights, 1)
-    if hi % per_step:
-        raise ValueError(f"outer class {hi} is not a profile rim")
-    return Profile(weights, hi // per_step, lo, tuple(classes.get(s, 0) for s in range(lo, hi + 1)))
+    return Profile(weights, hi, lo, tuple(classes.get(s, 0) for s in range(lo, hi + 1)))
 
 
 def compress_radial(a: TreeVector, *, cap: int = ORACLE_CAP) -> Profile:
@@ -322,10 +308,8 @@ def compress_radial(a: TreeVector, *, cap: int = ORACLE_CAP) -> Profile:
 
 
 def compress_biradial(a: TreeVector, *, cap: int = ORACLE_CAP) -> Profile:
-    """Even-index (2t-wave) edge vectors only."""
     return _compress(a, SIGNED, cap)
 
 
-def compress_signed_classes(a: TreeVector, *, cap: int = ORACLE_CAP) -> dict[int, int]:
-    """Per signed class values of an edge-symmetric vector, as a map."""
-    return _class_values(a, SIGNED, cap)
+# Both names time as one layer in bench/spans.py.
+compress_signed_classes = compress_biradial

@@ -439,6 +439,7 @@ GOLDEN = {
     "partition": ["partition", "2"],
     "svec": ["svec", "3"],
     "rvec": ["rvec", "4"],
+    "rvec3": ["rvec", "3"],  # an odd wave count, off the signed table's rows
     "verify": ["verify", "cor42", "--t", "2"],
     "oeis-check": ["oeis-check", "A147316"],
 }

@@ -121,12 +121,12 @@ def _sized_sums(p):
     by_parity = [0, 0]
     for s, size, v in zip(p.support(), class_sizes(p.weights, p.lo, p.hi), p.values):
         by_parity[s % 2] += size * v
-    plus = (p.t if p.weights == RADIAL else 2 * p.t) % 2
+    plus = p.waves % 2
     return by_parity[1 - plus], by_parity[plus]
 
 
 def test_sums_of_profiles_starting_past_class_0():
-    for prof in (Profile(SIGNED, 1, 1, (1, 1)), Profile(SIGNED, 2, 2, (5, 0, 1)), Profile(SIGNED, 2, 4, (1,))):
+    for prof in (Profile(SIGNED, 2, 1, (1, 1)), Profile(SIGNED, 4, 2, (5, 0, 1)), Profile(SIGNED, 4, 4, (1,))):
         assert u_sums(prof) == _sized_sums(prof), prof
 
 
@@ -217,7 +217,8 @@ def test_odd_phase_state_is_the_next_odd_wave_vector():
         row = [0, 0, *u.values, 0, 0]
         wave(row, u.lo - 2, SIGNED, 1)
         mixed = {u.lo - 2 + i: v for i, v in enumerate(row) if v}
-        assert mixed == compress_signed_classes(r_vec(2 * t + 1))
+        prof = compress_signed_classes(r_vec(2 * t + 1))
+        assert mixed == {s: v for s, v in zip(prof.support(), prof.values) if v}
 
 
 def test_partition_report_examples():
@@ -260,9 +261,15 @@ def test_biradial_round_trip():
         assert expand_biradial(compress_biradial(vec)).equals(vec)
 
 
-def test_compress_rejects_odd_wave_vectors():
-    with pytest.raises(ValueError):
-        compress_biradial(r_vec(3))
+def test_odd_wave_vectors_compress():
+    # An edge vector after any number of waves is a profile: the start
+    # stepped one wave at a time, and expand inverts it.
+    p = u_start()
+    for t in range(11):
+        vec = r_vec(t)
+        assert compress_biradial(vec) == p, t
+        assert expand_biradial(p).equals(vec), t
+        p = step(p, 1)
 
 
 def test_compress_zero_vector():
@@ -282,6 +289,8 @@ def test_biradial_validation():
         Profile(SIGNED, 0, -1, (1, 0))  # untrimmed
     with pytest.raises(ValueError):
         Profile(SIGNED, 0, -4, (1, 1, 1, 1, 1))  # support outside bounds
+    with pytest.raises(ValueError, match="rim class 1"):
+        Profile(SIGNED, 1, 0, (1, 1, 1))  # signed row 1: its rim class 2 needs 2 waves
     prof = u_profile(3)
     assert list(prof.support()) == list(range(prof.lo, prof.hi + 1))
 
@@ -293,10 +302,10 @@ def test_negative_indices_are_rejected():
 
 
 def test_rows_stream_every_step():
-    for start in (radial_start(), u_start()):
+    for start, advance in ((radial_start(), radial_step), (u_start(), u_step)):
         want = [start]
         for _ in range(60):
-            want.append(step(want[-1]))
+            want.append(advance(want[-1]))
         assert list(islice(rows(start), 61)) == want
         nth = radial_profile if start.weights == RADIAL else u_profile
         assert all(nth(t) == row for t, row in enumerate(want))
