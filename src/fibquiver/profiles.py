@@ -26,7 +26,6 @@ from . import tree
 from .errors import NotSymmetric, OracleCapExceeded
 from .fibcore import fib
 from .reflect import ORACLE_CAP, TreeVector
-from .tree import BASE, Vertex
 
 # Quotient weights (w(s, s-1), w(s, s+1)) for classes s < 0, s == 0, s > 0.
 # RADIAL: the base sees its 3 neighbors at distance 1; any other vertex has
@@ -246,19 +245,18 @@ def partition_report(t: int) -> PartitionReport:
     return report
 
 
-def class_vertices(weights: tuple, radius: int) -> dict[int, list[Vertex]]:
-    """The vertices of every class within radius of the base, in address
-    order. Radial class d is the sphere of radius d; the signed line splits
-    it into class d, away from the marked neighbor, and class -d behind it."""
-    out: dict[int, list[Vertex]] = {}
-    for d, sphere in enumerate(tree.layers(BASE, radius)):
-        if weights[1][0] and d:  # w(0, -1) > 0: the line runs on behind the base
-            # In address order the 2**(d-1) vertices under MARKED_NEIGHBOR
-            # ("0") come first.
-            behind = 2 ** (d - 1)
-            out[-d], sphere = sphere[:behind], sphere[behind:]
-        out[d] = sphere
-    return out
+def class_codes(weights: tuple, s: int) -> range:
+    """The vertex codes of class s, in address order. Radial class d is the
+    sphere of radius d, codes 2**(d+1) .. 2**(d+1) + 3 * 2**(d-1) - 1; the
+    signed line splits it into class -d, the first 2**(d-1) codes (under the
+    marked neighbor "0"), and class d, the rest."""
+    d = abs(s)
+    if not d:
+        return range(2, 3)
+    first, behind = 2 << d, 1 << (d - 1)
+    if not weights[1][0]:  # w(0, -1) == 0: the line ends at the base
+        return range(first, first + 3 * behind)
+    return range(first, first + behind) if s < 0 else range(first + behind, first + 3 * behind)
 
 
 def expand(p: Profile, *, cap: int = ORACLE_CAP) -> TreeVector:
@@ -266,13 +264,11 @@ def expand(p: Profile, *, cap: int = ORACLE_CAP) -> TreeVector:
     radius = max(-p.lo, p.hi)
     if radius > cap:
         raise OracleCapExceeded(radius, cap)
-    members = class_vertices(p.weights, radius)
-    entries: dict[Vertex, int] = {}
+    entries: dict[int, int] = {}
     for s, v in zip(p.support(), p.values):
         if v:
-            for z in members[s]:
-                entries[z] = v
-    return TreeVector(entries)
+            entries.update(dict.fromkeys(class_codes(p.weights, s), v))
+    return TreeVector._trusted(entries)
 
 
 # Both names time as one layer in bench/spans.py.
@@ -287,14 +283,16 @@ def _compress(a: TreeVector, weights: tuple, cap: int) -> Profile:
     radius = a.support_radius()
     if radius > cap:
         raise OracleCapExceeded(radius, cap)
+    get = a._entries.get
     classes: dict[int, int] = {}
-    for s, vertices in class_vertices(weights, radius).items():
-        first = vertices[0]
-        val = a.value(first)
-        for z in vertices[1:]:
-            other = a.value(z)
+    # Class by class outward from the base, -d before d.
+    for s in sorted(range(-radius if weights[1][0] else 0, radius + 1), key=abs):
+        codes = class_codes(weights, s)
+        val = get(codes[0], 0)
+        for c in codes:
+            other = get(c, 0)
             if other != val:
-                raise NotSymmetric(s, first, val, z, other)
+                raise NotSymmetric(s, tree.word(codes[0]), val, tree.word(c), other)
         if val:
             classes[s] = val
     if not classes:

@@ -1,8 +1,11 @@
 """The brute-force oracle: integer vectors on the tree and literal reflections.
 
-A TreeVector is a finite-support map from vertex addresses to integers.
-Addresses and values are checked only where callers hand them in: the TreeVector
-constructor, unit, edge_unit, and the center and site of big_sigma and sigma.
+A TreeVector is a finite-support map from vertices to integers. Inside the
+oracle its vertices are the tree module's int codes; the constructor, unit,
+edge_unit, value, support, items, repr and every error message speak words,
+translated once at that boundary. Addresses and values are checked only where
+callers hand them in: the TreeVector constructor, unit, edge_unit, and the
+center and site of big_sigma and sigma.
 The reflection at a vertex replaces that one coordinate by the sum over its
 three neighbors minus itself; a reflection wave applies this simultaneously
 at every vertex whose distance from a center has a fixed parity (no two such
@@ -16,7 +19,7 @@ module is the compressed counterpart that this one validates.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
 from . import tree
 from .errors import NotNeighbors, OracleCapExceeded
@@ -32,39 +35,40 @@ MARKED_NEIGHBOR: Vertex = "0"
 class TreeVector:
     """Finite-support integer-valued function on the tree's vertices.
 
-    Entries are addressed from the base vertex; zero entries are never stored.
+    Entries are keyed by vertex code; zero entries are never stored.
     Only the constructor checks entries: canonical addresses, int (not bool) values.
     """
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Optional[dict[Vertex, int]] = None):
-        self._entries: dict[Vertex, int] = {}
+        self._entries: dict[int, int] = {}
         for v, c in (entries or {}).items():
-            tree.require_vertex(v)
+            key = tree.code(v)
             if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"entry at vertex {v!r} is not an int: {c!r}")
             if c != 0:
-                self._entries[v] = c
+                self._entries[key] = c
 
     @classmethod
-    def _trusted(cls, entries: dict[Vertex, int]) -> "TreeVector":
+    def _trusted(cls, entries: dict[int, int]) -> "TreeVector":
         vec = cls.__new__(cls)
         vec._entries = entries
         return vec
 
     def value(self, v: Vertex) -> int:
-        return self._entries.get(v, 0)
+        return self._entries.get(tree.code(v), 0)
 
     def support(self) -> list[Vertex]:
-        return sorted(self._entries, key=lambda v: (len(v), v))
+        """Supported vertices by (length, word): the order of their codes."""
+        return [tree.word(c) for c in sorted(self._entries)]
 
-    def items(self) -> Iterable[tuple[Vertex, int]]:
-        return self._entries.items()
+    def items(self) -> "_Items":
+        return _Items(self._entries)
 
     def support_radius(self) -> int:
         """Largest distance from the base to a supported vertex."""
-        return max((len(v) for v in self._entries), default=0)
+        return max(map(int.bit_length, self._entries), default=2) - 2
 
     def add(self, other: "TreeVector") -> "TreeVector":
         out = dict(self._entries)
@@ -86,8 +90,24 @@ class TreeVector:
         return self._entries == other._entries
 
     def __repr__(self):
-        entries = {v: c for v, c in sorted(self._entries.items(), key=lambda kv: (len(kv[0]), kv[0]))}
+        entries = {tree.word(v): self._entries[v] for v in sorted(self._entries)}
         return f"TreeVector({entries!r})"
+
+
+class _Items:
+    """(word, entry) pairs, sized without translating; words are built only
+    as the pairs are iterated."""
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, entries: dict[int, int]):
+        self._entries = entries
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self) -> Iterator[tuple[Vertex, int]]:
+        return ((tree.word(v), c) for v, c in self._entries.items())
 
 
 def unit(x: Vertex) -> TreeVector:
@@ -105,13 +125,13 @@ def edge_unit(x: Vertex, y: Vertex) -> TreeVector:
 def sigma(a: TreeVector, y: Vertex) -> TreeVector:
     """Reflect at one vertex: only coordinate y changes, to
     (sum of a over the neighbors of y) - a_y. An involution."""
-    tree.require_vertex(y)
+    key = tree.code(y)
     new = dict(a._entries)
-    val = -a.value(y) + sum(a.value(n) for n in neighbors(y))
+    val = -new.get(key, 0) + sum(a.value(n) for n in neighbors(y))
     if val:
-        new[y] = val
+        new[key] = val
     else:
-        new.pop(y, None)
+        new.pop(key, None)
     return TreeVector._trusted(new)
 
 
@@ -122,22 +142,30 @@ def big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:
     Outside the support and its neighbors every reflection acts as the
     identity, so the wave is finite. Same-parity vertices are never
     adjacent, making the simultaneous update equal to any sequential order.
+    The sites and the other vertices split by depth parity, so each site's
+    new entry is its neighbors' sum minus its own: every other entry is kept
+    and added into its three neighbors' sums, every site entry subtracted
+    from its own.
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    tree.require_vertex(x)
-    bit = (len(x) + (parity == "odd")) % 2  # the sites' |y| mod 2: d(x, y) = |x| + |y| (mod 2)
-    get = a._entries.get
-    candidates = set(a._entries).union(*map(neighbors, a._entries))
-    new = dict(a._entries)
-    for y in candidates:
-        if len(y) % 2 != bit:
+    # The sites' code length mod 2: d(x, y) = |x| + |y| (mod 2), |y| = bit_length - 2.
+    bit = (len(tree.require_vertex(x)) + (parity == "odd")) % 2
+    new: dict[int, int] = {}
+    sums: dict[int, int] = {}
+    get = sums.get
+    for c, v in a._entries.items():
+        if c.bit_length() % 2 == bit:
+            sums[c] = get(c, 0) - v
             continue
-        val = -get(y, 0) + sum(get(n, 0) for n in neighbors(y))
-        if val:
-            new[y] = val
-        else:
-            new.pop(y, None)
+        new[c] = v
+        # Neighbors: the children 2c and 2c + 1, and the parent c >> 1, which
+        # is the base 2 at depth 1; the base's third neighbor is "2", code 6.
+        up, left = (c >> 1 if c > 7 else 2 if c > 2 else 6), c + c
+        sums[up] = get(up, 0) + v
+        sums[left] = get(left, 0) + v
+        sums[left + 1] = get(left + 1, 0) + v
+    new.update((c, v) for c, v in sums.items() if v)
     return TreeVector._trusted(new)
 
 
@@ -178,8 +206,8 @@ def parity_sums(a: TreeVector, t: int) -> tuple[int, int]:
     """(minus, plus): entry sums over the vertices whose distance from the
     base is incongruent / congruent to t mod 2."""
     minus = plus = 0
-    for v, c in a.items():
-        if len(v) % 2 == t % 2:
+    for v, c in a._entries.items():
+        if v.bit_length() % 2 == t % 2:
             plus += c
         else:
             minus += c

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 from . import catident, profiles, reflect
 from .catident import path_variants
+from .errors import OracleCapExceeded
 from .fibcore import (
     DimPair,
     EVEN_PAIR,
@@ -52,7 +53,15 @@ def _run_reports(suite: str, cases) -> SuiteResult:
     return _collect(suite, failures, checked)
 
 
+def _require_cap(largest: int, cap: int) -> None:
+    """Refuse a suite whose largest wave count is past the cap before any
+    of its checks runs."""
+    if largest > cap:
+        raise OracleCapExceeded(largest, cap)
+
+
 def run_prop41(t_max: int = 6, *, cap: int = ORACLE_CAP) -> SuiteResult:
+    _require_cap(t_max, cap)
     return _run_reports("prop41", (
         (f"t={t} y={letter!r}", catident.check_prop41(t, y_letter=letter, cap=cap))
         for t in range(1, t_max + 1)
@@ -61,6 +70,7 @@ def run_prop41(t_max: int = 6, *, cap: int = ORACLE_CAP) -> SuiteResult:
 
 
 def run_cor42(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACLE_CAP) -> SuiteResult:
+    _require_cap(t_max, cap)
     return _run_reports("cor42", (
         (f"t={t} path={walk}", catident.check_cor42(t, walk, cap=cap))
         for t in range(1, t_max + 1)
@@ -69,6 +79,7 @@ def run_cor42(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACL
 
 
 def run_cor43(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACLE_CAP) -> SuiteResult:
+    _require_cap(t_max + 1, cap)  # the far edge vector grows t_max + 1 waves
     return _run_reports("cor43", (
         (f"t={t} path={walk}", catident.check_cor43(t, walk, cap=cap))
         for t in range(0, t_max + 1)
@@ -78,6 +89,7 @@ def run_cor43(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACL
 
 def run_oracle(t_max: int = 8, *, cap: int = ORACLE_CAP) -> SuiteResult:
     """Compressed profiles against the literal reflection oracle, both ways."""
+    _require_cap(t_max, cap)
     failures, checked = [], 0
     for t, prof in zip(range(t_max + 1), profiles.rows(profiles.radial_start())):
         vec = reflect.s_vec(t, cap=cap)

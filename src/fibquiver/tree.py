@@ -6,12 +6,17 @@ exactly two children w+"0" and w+"1", and its parent is w with the last
 letter removed. The encoding is canonical: two words are equal iff they name
 the same vertex, and no word can backtrack.
 
+Inside the reflection oracle a vertex is an int code instead: the base is 2,
+its neighbors "0", "1" and "2" are 4, 5 and 6, and child b of code c is
+2c + b. The code is the word read in binary behind a three-bit head, so a
+vertex at depth d has c.bit_length() == d + 2, and sorting codes sorts words
+by (length, word). `code` and `word` translate between the two at every
+public boundary, where vertices are words.
+
 Everything here is a pure function on immutable values.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 Vertex = str
 
@@ -34,6 +39,25 @@ def require_vertex(v: object) -> Vertex:
     return v  # type: ignore[return-value]
 
 
+_HEADS = {"0": "100", "1": "101", "2": "110"}
+_LETTERS = {head: letter for letter, head in _HEADS.items()}
+
+
+def code(v: object) -> int:
+    """The int code of a canonical word; anything else is refused."""
+    require_vertex(v)
+    return int(_HEADS[v[0]] + v[1:], 2) if v else 2  # type: ignore[index]
+
+
+def word(c: int) -> Vertex:
+    """The word of a valid int code: the first letter from the head, the
+    rest from the binary digits below it."""
+    if c == 2:
+        return BASE
+    digits = bin(c)
+    return _LETTERS[digits[2:5]] + digits[5:]
+
+
 def neighbors(v: Vertex) -> list[Vertex]:
     """The 3 neighbors, parent first (the base has 3 children instead)."""
     if v == BASE:
@@ -49,21 +73,3 @@ def distance(v: Vertex, w: Vertex) -> int:
             break
         k += 1
     return len(v) + len(w) - 2 * k
-
-
-def layers(center: Vertex, radius: int) -> Iterator[list[Vertex]]:
-    """Yield the spheres of radius 0..radius around center, in BFS order."""
-    if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
-    frontier = [center]
-    seen = {center}
-    yield frontier
-    for _ in range(radius):
-        nxt = []
-        for v in frontier:
-            for w in neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-        yield frontier

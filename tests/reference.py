@@ -1,0 +1,85 @@
+"""Word-address reference routes that the tests hold the code routes to.
+
+The reflection oracle and the expand/compress pair run on int vertex codes
+and class code ranges. The routes here walk words instead, the way the
+package did before: breadth-first spheres, class members split off them, and
+a reflection wave that lists every vertex's neighbors by word.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+from fibquiver import tree
+from fibquiver.reflect import TreeVector
+from fibquiver.tree import BASE, Vertex, neighbors
+
+
+def layers(center: Vertex, radius: int) -> Iterator[list[Vertex]]:
+    """Yield the spheres of radius 0..radius around center, in BFS order."""
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
+    frontier = [center]
+    seen = {center}
+    yield frontier
+    for _ in range(radius):
+        nxt = []
+        for v in frontier:
+            for w in neighbors(v):
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+        yield frontier
+
+
+def ball(center: Vertex, radius: int) -> list[Vertex]:
+    """All vertices at distance <= radius from center, sphere by sphere."""
+    return [v for layer in layers(center, radius) for v in layer]
+
+
+def class_vertices(weights: tuple, radius: int) -> dict[int, list[Vertex]]:
+    """The vertices of every class within radius of the base, in address
+    order. Radial class d is the sphere of radius d; the signed line splits
+    it into class d, away from the marked neighbor, and class -d behind it."""
+    out: dict[int, list[Vertex]] = {}
+    for d, sphere in enumerate(layers(BASE, radius)):
+        if weights[1][0] and d:  # w(0, -1) > 0: the line runs on behind the base
+            # In address order the 2**(d-1) vertices under the marked
+            # neighbor ("0") come first.
+            behind = 2 ** (d - 1)
+            out[-d], sphere = sphere[:behind], sphere[behind:]
+        out[d] = sphere
+    return out
+
+
+def big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:
+    """One reflection wave by words: every candidate site lists its three
+    neighbors and reads their entries."""
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    tree.require_vertex(x)
+    bit = (len(x) + (parity == "odd")) % 2  # the sites' |y| mod 2: d(x, y) = |x| + |y| (mod 2)
+    entries = dict(a.items())
+    get = entries.get
+    candidates = set(entries).union(*map(neighbors, entries))
+    new = dict(entries)
+    for y in candidates:
+        if len(y) % 2 != bit:
+            continue
+        val = -get(y, 0) + sum(get(n, 0) for n in neighbors(y))
+        if val:
+            new[y] = val
+        else:
+            new.pop(y, None)
+    return TreeVector(new)
+
+
+def grown(start: TreeVector, center: Vertex, t_max: int) -> Iterator[TreeVector]:
+    """start after 0, 1, .., t_max alternating word-route waves around
+    center, the first reflecting the odd-distance shell."""
+    a = start
+    yield a
+    for i in range(t_max):
+        a = big_sigma(a, center, "even" if i % 2 else "odd")
+        yield a

@@ -10,12 +10,13 @@ from fibquiver.catident import (
     path_variants,
     random_path,
     require_walk,
+    _vector_eq_check,
     straight_path,
     third_neighbor,
 )
 from fibquiver.errors import NotNeighbors, OracleCapExceeded
 from fibquiver.fibcore import DimPair, classify_pair, fib, fib_range
-from fibquiver.reflect import edge_unit, parity_sums, r_vec, r_vec_at, s_vec, s_vec_at, unit
+from fibquiver.reflect import TreeVector, edge_unit, parity_sums, r_vec, r_vec_at, s_vec, s_vec_at, unit
 from fibquiver.tree import BASE
 
 
@@ -153,6 +154,15 @@ def test_reports_carry_their_checks():
     checks = check_cor43(1, straight_path(4))
     assert [c.label for c in checks] == ["side-branch-sum", "scalar-shadow"]
     assert all(c.ok for c in checks)
+
+
+def test_a_failed_check_names_the_first_differing_vertex():
+    # In (length, word) order "2" comes before "01", and "01" before "10".
+    rhs = TreeVector({"10": 5})
+    check = _vector_eq_check("x", TreeVector({"10": 1, "01": 2, "2": 3}), rhs)
+    assert check == Check("x", False, "first differing vertex '2': lhs 3, rhs 0")
+    check = _vector_eq_check("x", TreeVector({"10": 1, "01": 2}), rhs)
+    assert check == Check("x", False, "first differing vertex '01': lhs 2, rhs 0")
 
 
 def test_caps_are_enforced():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibquiver import cli, suites
+from fibquiver import cli, reflect, suites
 from fibquiver.fibcore import fib
 from fibquiver.cli import (
     main,
@@ -203,6 +203,25 @@ def test_oracle_cap_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("FIBQUIVER_ORACLE_CAP", "not-a-number")
     code, _, err = run(capsys, "svec", "3")
     assert code == 2 and "FIBQUIVER_ORACLE_CAP" in err
+
+
+@pytest.mark.parametrize(
+    "argv,step",
+    [
+        (["prop41", "--t", "13"], 13),
+        (["cor42", "--t", "13"], 13),
+        (["cor43", "--t", "12"], 13),  # its far edge vector grows t + 1 waves
+        (["oracle", "--t", "26"], 26),
+    ],
+)
+def test_past_cap_suites_are_refused_before_any_wave(capsys, monkeypatch, argv, step):
+    def no_wave(*args):
+        raise AssertionError("a wave ran before the cap refusal")
+
+    monkeypatch.setattr(reflect, "big_sigma", no_wave)
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: step {step} exceeds the oracle cap 12; raise it with --oracle-cap or FIBQUIVER_ORACLE_CAP\n"
 
 
 def test_verify_suites_exit_zero(capsys):

@@ -11,8 +11,8 @@ from fibquiver.profiles import (
     RADIAL,
     SIGNED,
     Profile,
+    class_codes,
     class_sizes,
-    class_vertices,
     compress_biradial,
     compress_radial,
     compress_signed_classes,
@@ -33,7 +33,8 @@ from fibquiver.profiles import (
     wave,
 )
 from fibquiver.reflect import TreeVector, edge_unit, r_vec, s_vec, unit
-from fibquiver.tree import BASE
+from fibquiver.tree import BASE, word
+from reference import class_vertices
 
 # Signed-class table rows 0..4 and their weighted sums, as published.
 U_ROWS = [
@@ -57,6 +58,13 @@ def test_shell_and_class_sizes():
     assert len(class_vertices(SIGNED, 2)[2]) == 4
     assert class_vertices(SIGNED, 1)[-1] == ["0"]
     assert len(class_vertices(RADIAL, 2)[2]) == 6 and -1 not in class_vertices(RADIAL, 2)
+
+
+@pytest.mark.parametrize("weights", [RADIAL, SIGNED])
+def test_class_codes_equal_the_bfs_split(weights):
+    for radius in range(11):
+        members = class_vertices(weights, radius)
+        assert {s: [word(c) for c in class_codes(weights, s)] for s in members} == members, radius
 
 
 def test_radial_step_examples():
@@ -251,6 +259,10 @@ def test_compress_examples():
     with pytest.raises(NotSymmetric) as exc:
         compress_radial(unit(BASE).add(unit("0")))
     assert exc.value.cls == 1
+    assert exc.value.witness == (("0", 1), ("1", 0))
+    with pytest.raises(NotSymmetric) as exc:  # class -2 is scanned before class 2
+        compress_biradial(unit("00").add(unit("10")))
+    assert exc.value.witness == (("00", 1), ("01", 0))
 
 
 def test_biradial_round_trip():

@@ -20,7 +20,9 @@ from fibquiver.reflect import (
     sigma,
     unit,
 )
-from fibquiver.tree import BASE, distance, is_valid_vertex, layers, neighbors
+from fibquiver.tree import BASE, distance, is_valid_vertex, neighbors
+import reference
+from reference import ball
 
 vertices = st.one_of(
     st.just(BASE),
@@ -33,10 +35,6 @@ small_vectors = st.dictionaries(vertices, st.integers(-5, 5), max_size=6).map(Tr
 
 def entries(v):
     return dict(v.items())
-
-
-def ball(center, radius):
-    return [v for layer in layers(center, radius) for v in layer]
 
 
 def test_unit_and_edge_unit():
@@ -101,6 +99,37 @@ def test_big_sigma_equals_any_sequential_order(a, x, parity, seed):
     for y in sites:
         seq = sigma(seq, y)
     assert seq.equals(big_sigma(a, x, parity))
+
+
+@given(small_vectors, vertices, st.sampled_from(["even", "odd"]))
+@settings(max_examples=200)
+def test_big_sigma_equals_the_word_route(a, x, parity):
+    assert big_sigma(a, x, parity).equals(reference.big_sigma(a, x, parity))
+
+
+@pytest.mark.parametrize("center", [BASE, "1", "201"])
+def test_grown_vectors_equal_the_word_route(center):
+    for t, want in enumerate(reference.grown(unit(center), center, 9)):
+        assert entries(s_vec_at(t, center)) == entries(want), t
+    for y in neighbors(center):
+        for t, want in enumerate(reference.grown(edge_unit(center, y), center, 9)):
+            assert entries(r_vec_at(t, center, y)) == entries(want), (y, t)
+
+
+@given(small_vectors)
+def test_items_are_sized_and_speak_words(a):
+    pairs = list(a.items())
+    assert len(a.items()) == len(pairs) == len(a.support())
+    assert sorted(v for v, _ in pairs) == sorted(a.support())
+    assert all(is_valid_vertex(v) and c != 0 for v, c in pairs)
+
+
+@given(small_vectors)
+def test_support_is_in_length_then_word_order(a):
+    support = a.support()
+    assert support == sorted(support, key=lambda v: (len(v), v))
+    assert a.support_radius() == max(map(len, support), default=0)
+    assert repr(a) == f"TreeVector({ {v: a.value(v) for v in support}!r})"
 
 
 @given(small_vectors, small_vectors, vertices, st.sampled_from(["even", "odd"]), st.integers(0, 3))

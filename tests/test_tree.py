@@ -1,10 +1,13 @@
-"""Tree addressing, metric, bounded enumeration and the side-count formula."""
+"""Tree addressing, vertex codes, metric, bounded enumeration and the
+side-count formula."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fibquiver.profiles import RADIAL, SIGNED, class_sizes
-from fibquiver.tree import BASE, distance, is_valid_vertex, layers, neighbors
+from fibquiver.tree import BASE, code, distance, is_valid_vertex, neighbors, word
+from reference import ball, layers
 
 vertices = st.one_of(
     st.just(BASE),
@@ -56,9 +59,30 @@ def test_metric_triangle_inequality(u, v, w):
     assert distance(u, w) <= distance(u, v) + distance(v, w)
 
 
-def ball(center, radius):
-    """All vertices at distance <= radius from center, sphere by sphere."""
-    return [v for layer in layers(center, radius) for v in layer]
+def test_code_examples():
+    assert [code(v) for v in (BASE, "0", "1", "2", "00", "01", "21")] == [2, 4, 5, 6, 8, 9, 13]
+    assert [word(c) for c in (2, 4, 5, 6, 8, 9, 13)] == [BASE, "0", "1", "2", "00", "01", "21"]
+
+
+def test_codes_round_trip_to_depth_10():
+    # Every vertex to depth 10, depth by depth: codes are exactly the
+    # consecutive run 2**(d+1) .. 2**(d+1) + 3 * 2**(d-1) - 1 at depth d, in
+    # (length, word) order, and their bit length is d + 2.
+    vertices = ball(BASE, 10)
+    codes = [code(v) for v in vertices]
+    assert [word(c) for c in codes] == vertices
+    assert codes == sorted(codes) and len(set(codes)) == len(codes)
+    assert sorted(vertices, key=lambda v: (len(v), v)) == vertices
+    for v, c in zip(vertices, codes):
+        assert c.bit_length() == len(v) + 2
+    for d in range(1, 11):
+        assert [code(v) for v in vertices if len(v) == d] == list(range(2 ** (d + 1), 2 ** (d + 1) + 3 * 2 ** (d - 1)))
+
+
+@pytest.mark.parametrize("bad", ["3", "12", "0x", 3, None])
+def test_code_refuses_non_canonical_words(bad):
+    with pytest.raises(ValueError, match="not a canonical vertex address"):
+        code(bad)
 
 
 def test_ball_examples():
