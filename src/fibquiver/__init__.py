@@ -8,51 +8,4 @@ exact-sequence style vector identities (`catident`), b-file cross-checks
 (`oeis`) and a CLI (`cli`).
 """
 
-from .errors import (
-    BFileParseError,
-    NotNeighbors,
-    NotSymmetric,
-    OracleCapExceeded,
-    SequenceMismatch,
-)
-from .fibcore import (
-    DimPair,
-    PairClass,
-    Witness,
-    check_three_term,
-    classify_pair,
-    euler_form,
-    fib,
-    fib_pair,
-    fib_range,
-    sigma_minus,
-    sigma_plus,
-)
-from .profiles import (
-    PartitionReport,
-    Profile,
-    compress_biradial,
-    compress_radial,
-    expand_biradial,
-    expand_radial,
-    partition_report,
-    radial_step,
-    radial_sums,
-    u_step,
-    u_sums,
-    u_table,
-)
-from .reflect import (
-    ORACLE_CAP,
-    TreeVector,
-    big_sigma,
-    edge_unit,
-    parity_sums,
-    r_vec,
-    s_vec,
-    sigma,
-    unit,
-)
-from .tree import BASE, distance, neighbors
-
 __version__ = "0.1.0"

@@ -136,23 +136,17 @@ def run_three_term(lo: int = -100, hi: int = 100) -> SuiteResult:
 
 
 def run_pairs(bound: int = 200) -> SuiteResult:
-    """Exhaustive box scan: the classifier accepts exactly the |q| = 1
-    points, with the kind matching the sign of q."""
-    failures, checked = [], 0
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            checked += 1
+    """Exhaustive box scan: the classifier calls a point EvenPair exactly
+    when q = 1, OddPair exactly when q = -1, and NotAPair otherwise."""
+    failures, span = [], range(-bound, bound + 1)
+    for x in span:
+        for y in span:
             q = x * x + y * y - 3 * x * y
-            verdict = classify_pair(DimPair(x, y))
-            if (abs(q) == 1) != (verdict.kind != NOT_A_PAIR):
-                failures.append(f"acceptance mismatch at ({x}, {y}): q={q}, kind={verdict.kind}")
-            elif verdict.kind == EVEN_PAIR and q != 1:
-                failures.append(f"({x}, {y}) classified even but q={q}")
-            elif verdict.kind == ODD_PAIR and q != -1:
-                failures.append(f"({x}, {y}) classified odd but q={q}")
-            if len(failures) > MAX_REPORTED_FAILURES:
-                return _collect("pairs", failures, checked)
-    return _collect("pairs", failures, checked)
+            want = EVEN_PAIR if q == 1 else ODD_PAIR if q == -1 else NOT_A_PAIR
+            kind = classify_pair(DimPair(x, y)).kind
+            if kind != want and len(failures) < MAX_REPORTED_FAILURES:
+                failures.append(f"({x}, {y}) classified {kind} but q={q}")
+    return _collect("pairs", failures, len(span) ** 2)
 
 
 SUITES = {

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibquiver import cli, reflect, suites
-from fibquiver.fibcore import fib
+from fibquiver import cli, profiles, reflect, suites
+from fibquiver.fibcore import NON_PAIR, fib
 from fibquiver.cli import (
     main,
     payload_classify,
@@ -307,6 +307,32 @@ def test_verify_failure_prints_counterexample(capsys, monkeypatch):
     assert code == 1
     assert "FAILED" in out
     assert "acceptance mismatch at (1, 1)" in err
+
+
+@pytest.mark.parametrize(
+    "argv,module,name,breaks",
+    [
+        (["pairs", "--max", "10"], suites, "classify_pair", lambda real: lambda pair: NON_PAIR),
+        (["oracle", "--t", "3"], profiles, "compress_radial",
+         lambda real: lambda a, *, cap: profiles.step(real(a, cap=cap), 1)),  # one wave too many
+        (["sums", "--t", "5"], profiles, "u_sums", lambda real: lambda p: tuple(v + 1 for v in real(p))),
+    ],
+    ids=["pairs", "oracle", "sums"],
+)
+def test_a_failing_suite_still_counts_every_check(capsys, monkeypatch, argv, module, name, breaks):
+    code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+    assert code == 0
+    checked = json.loads(out)["checked"]
+    monkeypatch.setattr(module, name, breaks(getattr(module, name)))
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 1
+    assert out.startswith(f"{argv[0]}: FAILED ({checked} checks)\n")
+    lines = err.splitlines()
+    assert 0 < len(lines) <= suites.MAX_REPORTED_FAILURES
+    assert all(line.startswith(f"verify {argv[0]}: ") for line in lines)
+    if argv[0] == "pairs":
+        assert checked == 21 * 21
+        assert lines[0] == "verify pairs: (-8, -3) classified NotAPair but q=1"
 
 
 @pytest.mark.parametrize("suite", ["cor42", "cor43"])
