@@ -14,7 +14,7 @@ caller (or the CLI) can print the first counterexample.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from . import reflect
 from .errors import NotNeighbors, OracleCapExceeded
@@ -59,17 +59,10 @@ def straight_path(n: int, letter: str = "0") -> list[Vertex]:
 
 
 def random_path(n: int, rng: random.Random) -> list[Vertex]:
-    """n vertices of a non-backtracking walk from the base; may pass back
-    through it."""
-    out = [BASE]
-    prev: Optional[Vertex] = None
-    cur = BASE
-    for _ in range(n - 1):
-        options = neighbors(cur) if prev is None else [w for w in neighbors(cur) if w != prev]
-        nxt = rng.choice(options)
-        out.append(nxt)
-        prev, cur = cur, nxt
-    return out
+    """n vertices of a non-backtracking walk from the base. Such a walk only
+    moves outward, so it is the prefixes of one random word."""
+    word = "".join(rng.choice("01" if i else "012") for i in range(n - 1))
+    return [word[:i] for i in range(n)]
 
 
 def path_variants(n: int, count: int = 3, seed: int = 0) -> list[list[Vertex]]:

@@ -30,7 +30,7 @@ import sys
 from . import oeis, profiles, reflect, suites
 from .errors import OracleCapExceeded, SequenceMismatch
 from .fibcore import DimPair, classify_pair, enumerate_pairs, fib, fib_range
-from .profiles import SIGNED, class_sizes
+from .profiles import SIGNED, class_size
 from .reflect import ORACLE_CAP
 
 SCHEMA_VERSION = 1
@@ -108,7 +108,7 @@ def payload_pairs(bound: int) -> dict:
 def payload_utable(t_max: int) -> dict:
     rows = []
     for t, row in enumerate(profiles.u_table(t_max)):
-        minus, plus = profiles.u_sums(row)
+        minus, plus = profiles.sums(row)
         rows.append(
             {
                 "t": t,
@@ -156,7 +156,7 @@ def _payload_classes(kind: str, vec: reflect.TreeVector, prof: profiles.Profile)
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "t": prof.waves,
-        "classes": [[s, size, values.get(s, 0)] for s, size in enumerate(class_sizes(prof.weights, lo, r), lo)],
+        "classes": [[s, class_size(prof.weights, s), values.get(s, 0)] for s in range(lo, r + 1)],
         "minus": minus,
         "plus": plus,
     }
@@ -191,7 +191,7 @@ def payload_oeis(result: oeis.CheckResult, fixture: str) -> dict:
         "fixture": fixture,
         "checked": result.checked,
         "ok": result.ok,
-        "warning": result.warning,
+        "warning": None,  # kept for schema_version 1; an empty fixture is refused
     }
 
 
@@ -295,10 +295,7 @@ def _ascii_verify(payload: dict) -> list[str]:
 
 
 def _ascii_oeis(payload: dict) -> list[str]:
-    msg = f"{payload['sequence']}: {payload['checked']} values match {payload['fixture']}"
-    if payload["warning"]:
-        msg += f" [warning: {payload['warning']}]"
-    return [msg]
+    return [f"{payload['sequence']}: {payload['checked']} values match {payload['fixture']}"]
 
 
 # payload kind -> (csv header, csv lines, ascii lines)
@@ -497,8 +494,6 @@ def main(argv=None) -> int:
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
         return 2
-    if payload.get("warning"):
-        print(f"warning: {payload['warning']}", file=sys.stderr)
     print(text, end="")
     for failure in payload.get("failures", ()):
         print(f"verify {payload['suite']}: {failure}", file=sys.stderr)

@@ -79,17 +79,16 @@ class CheckResult:
     sequence: str
     checked: int
     ok: bool
-    warning: Optional[str] = None
 
 
 def check_bfile(sequence: str, records: tuple[tuple[int, int], ...], gen: Callable[[int], int]) -> CheckResult:
     """Compare generator output against every fixture record.
 
-    Raises SequenceMismatch at the first differing index. An empty fixture
-    (comments only) passes vacuously, with a warning attached.
+    Raises SequenceMismatch at the first differing index, and ValueError on
+    an empty fixture (comments only), which would check nothing.
     """
     if not records:
-        return CheckResult(sequence, 0, True, warning="fixture holds no records; vacuous pass")
+        raise ValueError(f"fixture for {sequence} holds no records; nothing to check")
     for n, expected in records:
         actual = gen(n)
         if actual != expected:

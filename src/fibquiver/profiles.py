@@ -10,7 +10,7 @@ vertices at distance s behind it.
 Both class systems are equitable partitions of the tree: every vertex of
 class s has the same number w(s, s-1), w(s, s+1) of neighbors in each
 adjacent class. One `Profile` type, one reflection wave (`wave`), one class
-size derivation and one expand/compress pair therefore serve both lines,
+code range per class and one expand/compress pair therefore serve both lines,
 read with the RADIAL or the SIGNED weight table. Expand/compress tie every
 profile back to the literal reflection oracle, and the test suite checks
 them entry by entry.
@@ -34,23 +34,6 @@ RADIAL = ((0, 0), (0, 3), (1, 2))
 # SIGNED: in front of the marked edge the children sit one class higher,
 # behind it one class lower; classes -1 and 0 share a single simple bond.
 SIGNED = ((2, 1), (1, 2), (1, 2))
-
-
-def class_sizes(weights: tuple, lo: int, hi: int) -> list[int]:
-    """The sizes |C_s| for s = lo..hi.
-
-    Counting the edges between two adjacent classes from either side gives
-    |C_s| w(s, s+1) = |C_{s+1}| w(s+1, s); with |C_0| = 1 (the base) this
-    fixes every size. A class past a zero outward weight is empty.
-    """
-    behind, center, ahead = weights
-    sizes = {0: 1}
-    for s in range(1, hi + 1):
-        sizes[s] = sizes[s - 1] * (center if s == 1 else ahead)[1] // ahead[0]
-    for s in range(-1, lo - 1, -1):
-        out = (center if s == -1 else behind)[0]
-        sizes[s] = sizes[s + 1] * out // behind[1] if out else 0
-    return [sizes[s] for s in range(lo, hi + 1)]
 
 
 @dataclass(frozen=True)
@@ -186,7 +169,7 @@ def sums(p: Profile) -> tuple[int, int]:
     Each side of class 0 is summed by Horner's rule from the rim inward, one
     parity at a time, so no class size is formed: one class outward
     multiplies the size by w(s, s±1) / w(s±1, s), a whole number on both
-    weight tables, and |C_0| = 1. `class_sizes` is the reference.
+    weight tables, and |C_0| = 1.
     """
     behind, center, ahead = p.weights
     pad = max(p.lo, 0)  # a profile may start past class 0
@@ -236,8 +219,9 @@ def partition_report(t: int) -> PartitionReport:
     u = u_profile(t)
     target_minus, target_plus = fib(4 * t - 1), fib(4 * t + 1)
     minus, plus = [], []
-    for s, w, v in zip(u.support(), class_sizes(SIGNED, u.lo, u.hi), u.values):
+    for s, v in zip(u.support(), u.values):
         if v:
+            w = class_size(SIGNED, s)
             (minus if s % 2 else plus).append(PartitionTerm(s, w, v, w * v))
     report = PartitionReport(t, target_minus, target_plus, tuple(minus), tuple(plus))
     if sum(x.product for x in minus) != target_minus or sum(x.product for x in plus) != target_plus:
@@ -257,6 +241,13 @@ def class_codes(weights: tuple, s: int) -> range:
     if not weights[1][0]:  # w(0, -1) == 0: the line ends at the base
         return range(first, first + 3 * behind)
     return range(first, first + behind) if s < 0 else range(first + behind, first + 3 * behind)
+
+
+def class_size(weights: tuple, s: int) -> int:
+    """|C_s|, the number of codes in class s. Not len(): a range past
+    2**63 codes overflows it."""
+    codes = class_codes(weights, s)
+    return codes.stop - codes.start
 
 
 def expand(p: Profile, *, cap: int = ORACLE_CAP) -> TreeVector:

@@ -94,14 +94,14 @@ def run_oracle(t_max: int = 8, *, cap: int = ORACLE_CAP) -> SuiteResult:
     for t, prof in zip(range(t_max + 1), profiles.rows(profiles.radial_start())):
         vec = reflect.s_vec(t, cap=cap)
         checked += 2
-        if not profiles.expand_radial(prof, cap=cap).equals(vec):
+        if not profiles.expand(prof, cap=cap).equals(vec):
             failures.append(f"t={t}: expanded radial profile differs from the vertex vector")
         if profiles.compress_radial(vec, cap=cap) != prof:
             failures.append(f"t={t}: compressed vertex vector differs from the stepped profile")
     for tt, prof in zip(range(t_max // 2 + 1), profiles.rows(profiles.u_start())):
         vec = reflect.r_vec(2 * tt, cap=cap)
         checked += 2
-        if not profiles.expand_biradial(prof, cap=cap).equals(vec):
+        if not profiles.expand(prof, cap=cap).equals(vec):
             failures.append(f"index {tt}: expanded signed profile differs from the edge vector")
         if profiles.compress_biradial(vec, cap=cap) != prof:
             failures.append(f"index {tt}: compressed edge vector differs from the stepped profile")
@@ -114,10 +114,10 @@ def run_sums(t_max: int = 300) -> SuiteResult:
     signed, radial = profiles.rows(profiles.u_start()), profiles.rows(profiles.radial_start())
     for t, u, p in zip(range(t_max + 1), signed, radial):
         checked += 2
-        if profiles.u_sums(u) != (fib(4 * t - 1), fib(4 * t + 1)):
-            failures.append(f"signed sums at index {t}: {profiles.u_sums(u)}")
-        if profiles.radial_sums(p) != (fib(2 * t), fib(2 * t + 2)):
-            failures.append(f"radial sums at step {t}: {profiles.radial_sums(p)}")
+        if profiles.sums(u) != (fib(4 * t - 1), fib(4 * t + 1)):
+            failures.append(f"signed sums at index {t}: {profiles.sums(u)}")
+        if profiles.sums(p) != (fib(2 * t), fib(2 * t + 2)):
+            failures.append(f"radial sums at step {t}: {profiles.sums(p)}")
         if any(v < 0 for v in u.values) or any(v < 0 for v in p.values):
             failures.append(f"negative profile entry at step {t}")
     return _collect("sums", failures, checked)

@@ -1,9 +1,10 @@
-"""Word-address reference routes that the tests hold the code routes to.
+"""Reference routes that the tests hold the code routes to.
 
 The reflection oracle and the expand/compress pair run on int vertex codes
 and class code ranges. The routes here walk words instead, the way the
 package did before: breadth-first spheres, class members split off them, and
-a reflection wave that lists every vertex's neighbors by word.
+a reflection wave that lists every vertex's neighbors by word. Class sizes
+come from the weight-balance recursion rather than from the code ranges.
 """
 
 from __future__ import annotations
@@ -36,6 +37,23 @@ def layers(center: Vertex, radius: int) -> Iterator[list[Vertex]]:
 def ball(center: Vertex, radius: int) -> list[Vertex]:
     """All vertices at distance <= radius from center, sphere by sphere."""
     return [v for layer in layers(center, radius) for v in layer]
+
+
+def class_sizes(weights: tuple, lo: int, hi: int) -> list[int]:
+    """The sizes |C_s| for s = lo..hi.
+
+    Counting the edges between two adjacent classes from either side gives
+    |C_s| w(s, s+1) = |C_{s+1}| w(s+1, s); with |C_0| = 1 (the base) this
+    fixes every size. A class past a zero outward weight is empty.
+    """
+    behind, center, ahead = weights
+    sizes = {0: 1}
+    for s in range(1, hi + 1):
+        sizes[s] = sizes[s - 1] * (center if s == 1 else ahead)[1] // ahead[0]
+    for s in range(-1, lo - 1, -1):
+        out = (center if s == -1 else behind)[0]
+        sizes[s] = sizes[s + 1] * out // behind[1] if out else 0
+    return [sizes[s] for s in range(lo, hi + 1)]
 
 
 def class_vertices(weights: tuple, radius: int) -> dict[int, list[Vertex]]:

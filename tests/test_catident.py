@@ -147,6 +147,18 @@ def test_random_path_is_valid():
         require_walk(walk, 6)  # validates adjacency and no backtracking
 
 
+def test_a_seed_draws_the_same_walks():
+    # Pinned from the neighbor-list walk that random_path replaced.
+    assert path_variants(6, 5, seed=7) == [
+        ["", "0", "00", "000", "0000", "00000"],
+        ["", "0", "01", "010", "0101", "01010"],
+        ["1", "", "2", "20", "200", "2000"],
+        ["", "1", "10", "101", "1010", "10100"],
+        ["", "2", "20", "201", "2010", "20100"],
+    ]
+    assert path_variants(2, 3, seed=123) == [["", "0"], ["", "2"], ["", "1"]]
+
+
 def test_reports_carry_their_checks():
     checks = check_cor42(3, ("1", BASE, "2", "20"))
     assert [c.label for c in checks] == ["filtration-sum", "scalar-shadow"]

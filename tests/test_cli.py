@@ -298,24 +298,13 @@ def test_env_cap_reaches_only_suites_that_read_it(capsys, monkeypatch):
         assert code == 0 and "ok" in out and err == "", argv
 
 
-def test_verify_failure_prints_counterexample(capsys, monkeypatch):
-    def broken(**kwargs):
-        return suites.SuiteResult("pairs", False, 1, ["acceptance mismatch at (1, 1)"])
-
-    monkeypatch.setitem(suites.SUITES, "pairs", broken)
-    code, out, err = run(capsys, "verify", "pairs")
-    assert code == 1
-    assert "FAILED" in out
-    assert "acceptance mismatch at (1, 1)" in err
-
-
 @pytest.mark.parametrize(
     "argv,module,name,breaks",
     [
         (["pairs", "--max", "10"], suites, "classify_pair", lambda real: lambda pair: NON_PAIR),
         (["oracle", "--t", "3"], profiles, "compress_radial",
          lambda real: lambda a, *, cap: profiles.step(real(a, cap=cap), 1)),  # one wave too many
-        (["sums", "--t", "5"], profiles, "u_sums", lambda real: lambda p: tuple(v + 1 for v in real(p))),
+        (["sums", "--t", "5"], profiles, "sums", lambda real: lambda p: tuple(v + 1 for v in real(p))),
     ],
     ids=["pairs", "oracle", "sums"],
 )
@@ -373,13 +362,13 @@ def test_oeis_check_mismatch(capsys, tmp_path):
     assert "mismatch at index 3" in err
 
 
-def test_oeis_check_empty_fixture_warns(capsys, tmp_path):
+def test_oeis_check_empty_fixture_is_refused(capsys, tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("# header only\n")
-    code, out, err = run(capsys, "oeis-check", "A000045", "--fixture", str(empty))
-    assert code == 0
-    assert "warning" in err and "vacuous" in err
-    assert "0 values match" in out
+    for fmt in cli.FORMATS:
+        code, out, err = run(capsys, "oeis-check", "A000045", "--fixture", str(empty), "--format", fmt)
+        assert code == 2 and out == "", fmt
+        assert err == "error: fixture for A000045 holds no records; nothing to check\n", fmt
 
 
 def test_oeis_check_parse_error(capsys, tmp_path):

@@ -44,7 +44,7 @@ def test_parse_rejects_malformed_lines():
 def test_check_matches_generator():
     bf = parse_bfile("\n".join(f"{n} {fib(n)}" for n in range(40)))
     result = check_bfile("A000045", bf, fib)
-    assert result.ok and result.checked == 40 and result.warning is None
+    assert result.ok and result.checked == 40
 
 
 def test_check_reports_first_mismatch():
@@ -59,11 +59,10 @@ def test_check_reports_first_mismatch():
     assert "index 30" in str(exc.value)
 
 
-def test_check_empty_fixture_is_vacuous_with_warning():
+def test_check_empty_fixture_is_refused():
     bf = parse_bfile("# nothing but comments\n# here\n")
-    result = check_bfile("A000045", bf, fib)
-    assert result.ok and result.checked == 0
-    assert "vacuous" in result.warning
+    with pytest.raises(ValueError, match="no records"):
+        check_bfile("A000045", bf, fib)
 
 
 def test_generator_registry():

@@ -12,7 +12,7 @@ from fibquiver.profiles import (
     SIGNED,
     Profile,
     class_codes,
-    class_sizes,
+    class_size,
     compress_biradial,
     compress_radial,
     compress_signed_classes,
@@ -34,7 +34,7 @@ from fibquiver.profiles import (
 )
 from fibquiver.reflect import TreeVector, edge_unit, r_vec, s_vec, unit
 from fibquiver.tree import BASE, word
-from reference import class_vertices
+from reference import class_sizes, class_vertices
 
 # Signed-class table rows 0..4 and their weighted sums, as published.
 U_ROWS = [
@@ -65,6 +65,13 @@ def test_class_codes_equal_the_bfs_split(weights):
     for radius in range(11):
         members = class_vertices(weights, radius)
         assert {s: [word(c) for c in class_codes(weights, s)] for s in members} == members, radius
+
+
+def test_class_size_equals_the_reference_recursion():
+    # Past 2**63 codes a class is too large for len() of its range.
+    assert class_size(SIGNED, 65) == 2**65 > 2**63
+    assert [class_size(RADIAL, s) for s in range(901)] == class_sizes(RADIAL, 0, 900)
+    assert [class_size(SIGNED, s) for s in range(-900, 901)] == class_sizes(SIGNED, -900, 900)
 
 
 def test_radial_step_examples():
@@ -245,6 +252,17 @@ def test_partition_terms_use_class_sizes():
     for term in rep.terms_minus + rep.terms_plus:
         assert term.weight == len(members[term.cls])
         assert term.product == term.weight * term.value
+
+
+def test_partition_weights_past_enumeration():
+    # Index 33 spans classes -64..66, far too deep to list their vertices:
+    # on the signed line |C_s| is 2**s for s >= 0 and 2**(|s| - 1) behind.
+    rep = partition_report(33)
+    for term in rep.terms_minus + rep.terms_plus:
+        s = term.cls
+        assert term.weight == (2**s if s >= 0 else 2 ** (-s - 1)), s
+        assert term.product == term.weight * term.value
+    assert [min(x.cls for x in rep.terms_plus), max(x.cls for x in rep.terms_plus)] == [-64, 66]
 
 
 def test_expand_examples():

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fibquiver.profiles import RADIAL, SIGNED, class_sizes
+from fibquiver.profiles import RADIAL, SIGNED
 from fibquiver.tree import BASE, code, distance, is_valid_vertex, neighbors, word
-from reference import ball, layers
+from reference import ball, class_sizes, layers
 
 vertices = st.one_of(
     st.just(BASE),
