@@ -6,9 +6,13 @@ csv are schema-stable (schema_version 1), ascii is for reading. Data goes
 to stdout, diagnostics to stderr; the exit status is 0 exactly when all
 requested checks pass.
 
-Each output kind is declared once. A `payload_*` builder returns a plain
-dict whose "kind" keys an entry of RENDERERS; that entry gives the kind's
-csv header, its csv lines and its ascii lines (json is the dict itself).
+Each output kind is declared once. A `payload_*` builder returns a dict
+whose "kind" keys an entry of RENDERERS; that entry gives the kind's csv
+header, its csv lines and its ascii lines. Payloads hold json-safe values
+(ints, strings, lists), and json is the dict itself, with one exception:
+the u_table payload carries the stepped `Profile` rows with their sums, so
+no per-cell list is built, and its json is written from string templates,
+byte for byte what json.dumps(indent=2) gives for the dict of [s, v] lists.
 Each subparser sets `payload`, a function of the parsed arguments, and
 `main` alone builds, renders and prints it and picks the exit status.
 
@@ -26,6 +30,7 @@ import json
 import math
 import os
 import sys
+from itertools import accumulate
 
 from . import oeis, profiles, reflect, suites
 from .errors import OracleCapExceeded, SequenceMismatch
@@ -40,8 +45,15 @@ _LOG10_PHI = math.log10((1 + math.sqrt(5)) / 2)
 
 
 # ----------------------------------------------------------------------
-# payload builders: plain dicts of json-safe values (ints, strings, lists)
+# payload builders: dicts of json-safe values, u_table's rows apart
 # ----------------------------------------------------------------------
+
+def _past_digit_limit(what: str, limit: int) -> ValueError:
+    return ValueError(
+        f"{what} has more than {limit} digits, Python's int -> str limit; "
+        f"raise it with PYTHONINTMAXSTRDIGITS (0 lifts it)"
+    )
+
 
 def _check_digit_limit(t: int) -> None:
     """Refuse f(t) whose decimal form is past Python's int -> str limit, at
@@ -55,10 +67,7 @@ def _check_digit_limit(t: int) -> None:
     if limit == 0 or abs(t) < (limit - 8) / _LOG10_PHI:
         return
     if abs(t) > (limit + 8) / _LOG10_PHI or abs(fib(t)) >= 10**limit:
-        raise ValueError(
-            f"f({t}) has more than {limit} digits, Python's int -> str limit; "
-            f"raise it with PYTHONINTMAXSTRDIGITS (0 lifts it)"
-        )
+        raise _past_digit_limit(f"f({t})", limit)
 
 
 def payload_fib(lo: int, hi: int) -> dict:
@@ -106,22 +115,13 @@ def payload_pairs(bound: int) -> dict:
 
 
 def payload_utable(t_max: int) -> dict:
-    rows = []
-    for t, row in enumerate(profiles.u_table(t_max)):
-        minus, plus = profiles.sums(row)
-        rows.append(
-            {
-                "t": t,
-                "values": [[s, v] for s, v in zip(row.support(), row.values)],
-                "minus": minus,
-                "plus": plus,
-            }
-        )
+    """Rows 0..t_max as (row, minus, plus): row t is the stepped `Profile`,
+    read by the renderers as it is."""
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "u_table",
         "t_max": t_max,
-        "rows": rows,
+        "rows": [(row, *profiles.sums(row)) for row in profiles.u_table(t_max)],
     }
 
 
@@ -190,8 +190,9 @@ def payload_oeis(result: oeis.CheckResult, fixture: str) -> dict:
         "sequence": result.sequence,
         "fixture": fixture,
         "checked": result.checked,
-        "ok": result.ok,
-        "warning": None,  # kept for schema_version 1; an empty fixture is refused
+        # Both kept for schema_version 1: a mismatch or an empty fixture is refused.
+        "ok": True,
+        "warning": None,
     }
 
 
@@ -230,27 +231,69 @@ def _ascii_pairs(payload: dict) -> list[str]:
     return lines
 
 
+def _check_table_digits(rows: list, with_sums: bool) -> None:
+    """Refuse a table that prints a number past Python's int -> str limit,
+    before any cell is converted: the largest class value, and with the
+    sums the last plus sum f(4t+1). A cell is at most its row's larger sum,
+    plus, and plus grows with t, so the cells are scanned only when the
+    last plus is past the limit."""
+    limit = sys.get_int_max_str_digits()
+    past = 10**limit
+    if limit == 0 or rows[-1][2] < past:
+        return
+    for t, (row, _, plus) in enumerate(rows):
+        if with_sums and plus >= past:
+            raise _past_digit_limit(f"utable row {t}'s plus sum f({4 * t + 1})", limit)
+        if max(row.values) >= past:
+            raise _past_digit_limit(f"a class value of utable row {t}", limit)
+
+
+def _csv_utable(payload: dict) -> list[str]:
+    """One block of lines per row."""
+    rows = payload["rows"]
+    _check_table_digits(rows, with_sums=False)
+    return ["\n".join([f"{t},{s},{v}" for s, v in zip(row.support(), row.values)])
+            for t, (row, _, _) in enumerate(rows)]
+
+
 def _ascii_utable(payload: dict) -> list[str]:
     """One column per class lo..hi, as wide as its widest cell. Each row's
     values cover one run of classes, so a row is its cells between blank
-    ends. Cells are formatted again in the second pass rather than kept:
-    their strings would take more memory than the ints."""
+    ends. Cells are non-negative, so a column's widest cell is its largest
+    and each cell is converted to a string once."""
     rows = payload["rows"]
-    lo = min(r["values"][0][0] for r in rows)
-    hi = max(r["values"][-1][0] for r in rows)
-    widths = [len(str(s)) for s in range(lo, hi + 1)]
-    for r in rows:
-        first, end = r["values"][0][0] - lo, r["values"][-1][0] - lo + 1
-        widths[first:end] = map(max, widths[first:end], [len(str(v)) for _, v in r["values"]])
-    blanks = [" " * w for w in widths]
-    head = "t\\s | " + " ".join(str(s).rjust(w) for s, w in zip(range(lo, hi + 1), widths))
+    _check_table_digits(rows, with_sums=True)
+    lo = min(row.lo for row, _, _ in rows)
+    labels = range(lo, max(row.hi for row, _, _ in rows) + 1)
+    top = [0] * len(labels)
+    for row, _, _ in rows:
+        first, end = row.lo - lo, row.hi - lo + 1
+        top[first:end] = [x if x > v else v for x, v in zip(top[first:end], row.values)]
+    widths = [max(len(str(s)), len(str(x))) for s, x in zip(labels, top)]
+    before = [0, *accumulate(w + 1 for w in widths)]  # before[k]: columns 0..k-1, each with its separator
+    head = "t\\s | " + " ".join(str(s).rjust(w) for s, w in zip(labels, widths))
     out = [head, "-" * len(head)]
-    for r in rows:
-        first, end = r["values"][0][0] - lo, r["values"][-1][0] - lo + 1
-        cells = [str(v).rjust(w) for (_, v), w in zip(r["values"], widths[first:end])]
-        line = " ".join(blanks[:first] + cells + blanks[end:])
-        out.append(f"{r['t']:>3} | {line}   [{r['minus']}, {r['plus']}]")
+    for t, (row, minus, plus) in enumerate(rows):
+        first, end = row.lo - lo, row.hi - lo + 1
+        cells = " ".join(map(str.rjust, map(str, row.values), widths[first:end]))
+        out.append(f"{t:>3} | {' ' * before[first]}{cells}{' ' * (before[-1] - before[end])}   [{minus}, {plus}]")
     return out
+
+
+def _json_utable(payload: dict) -> str:
+    """json.dumps(<the payload with one [s, v] list per cell>, indent=2),
+    written from templates: every field is an int, so each cell is one
+    int -> str."""
+    rows = payload["rows"]
+    _check_table_digits(rows, with_sums=True)
+    blocks = []
+    for t, (row, minus, plus) in enumerate(rows):
+        cells = ",".join([f"\n        [\n          {s},\n          {v}\n        ]"
+                          for s, v in zip(row.support(), row.values)])
+        blocks.append(f'\n    {{\n      "t": {t},\n      "values": [{cells}\n      ],\n'
+                      f'      "minus": {minus},\n      "plus": {plus}\n    }}')
+    return (f'{{\n  "schema_version": {payload["schema_version"]},\n  "kind": "u_table",\n'
+            f'  "t_max": {payload["t_max"]},\n  "rows": [{",".join(blocks)}\n  ]\n}}\n')
 
 
 def _ascii_partition(payload: dict) -> list[str]:
@@ -298,7 +341,8 @@ def _ascii_oeis(payload: dict) -> list[str]:
     return [f"{payload['sequence']}: {payload['checked']} values match {payload['fixture']}"]
 
 
-# payload kind -> (csv header, csv lines, ascii lines)
+# payload kind -> (csv header, csv lines, ascii lines); a csv "line" may hold
+# several, as u_table's row blocks do
 RENDERERS = {
     "fib_range": (
         "t,value", lambda p: map(_csv_line, p["values"]), lambda p: [",".join(str(v) for _, v in p["values"])]
@@ -311,11 +355,7 @@ RENDERERS = {
     "pairs": (
         "x,y,kind,t,direction,negated", lambda p: [_csv_line(_pair_row(r)) for r in p["pairs"]], _ascii_pairs
     ),
-    "u_table": (
-        "t,s,value",
-        lambda p: [f"{row['t']},{s},{v}" for row in p["rows"] for s, v in row["values"]],
-        _ascii_utable,
-    ),
+    "u_table": ("t,s,value", _csv_utable, _ascii_utable),
     "partition_report": (
         "side,s,weight,value,product",
         lambda p: [_csv_line([side, *term]) for side in ("minus", "plus") for term in p[side]["terms"]],
@@ -334,6 +374,8 @@ RENDERERS = {
 
 def emit(payload: dict, fmt: str) -> str:
     if fmt == "json":
+        if payload["kind"] == "u_table":
+            return _json_utable(payload)
         return json.dumps(payload, indent=2) + "\n"
     header, csv_lines, ascii_lines = RENDERERS[payload["kind"]]
     # A last empty line ends the text with "\n" without copying the whole text.

@@ -78,7 +78,6 @@ GENERATORS: dict[str, Callable[[], Callable[[int], int]]] = {
 class CheckResult:
     sequence: str
     checked: int
-    ok: bool
 
 
 def check_bfile(sequence: str, records: tuple[tuple[int, int], ...], gen: Callable[[int], int]) -> CheckResult:
@@ -93,7 +92,7 @@ def check_bfile(sequence: str, records: tuple[tuple[int, int], ...], gen: Callab
         actual = gen(n)
         if actual != expected:
             raise SequenceMismatch(n, expected, actual)
-    return CheckResult(sequence, len(records), True)
+    return CheckResult(sequence, len(records))
 
 
 def default_fixture_path(sequence: str) -> Path:

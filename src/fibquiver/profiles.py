@@ -53,6 +53,14 @@ class Profile:
     lo: int
     values: tuple[int, ...]
 
+    @classmethod
+    def _trusted(cls, weights: tuple, waves: int, lo: int, values: tuple[int, ...]) -> Profile:
+        """A row that `step` built, valid by construction: __post_init__'s
+        checks, a scan of every cell among them, are skipped."""
+        p = cls.__new__(cls)
+        vars(p).update(weights=weights, waves=waves, lo=lo, values=values)
+        return p
+
     def __post_init__(self):
         if self.waves < 0:
             raise ValueError(f"the wave count must be non-negative, got {self.waves}")
@@ -76,25 +84,32 @@ class Profile:
 def wave(row: list[int], lo: int, weights: tuple, parity: int) -> None:
     """One reflection wave on a dense row of class values, in place.
 
-    row[i] holds class lo + i; classes outside the row are zero. Every class
-    s with s % 2 == parity becomes w(s, s-1) row[s-1] - row[s] + w(s, s+1)
-    row[s+1]. Same-parity classes are never adjacent, so the order of the
-    updates does not matter.
+    row[i] holds class lo + i. Every class s with s % 2 == parity becomes
+    w(s, s-1) row[s-1] - row[s] + w(s, s+1) row[s+1], except the two end
+    classes: row[0] and row[-1] are zero sentinels, read but never written,
+    so the caller pads the row past the wave's reach. Same-parity classes
+    are never adjacent, so each run of classes with one weight pair (behind
+    class 0, class 0, ahead of it) is updated as one slice.
     """
-    behind, center, ahead = weights
     last = len(row) - 1
-    for i in range((parity - lo) % 2, last + 1, 2):
-        s = lo + i
-        left, right = ahead if s > 0 else center if s == 0 else behind
-        row[i] = (left * row[i - 1] if i else 0) - row[i] + (right * row[i + 1] if i < last else 0)
+    # The runs are [1, c0), [c0, c1) and [c1, last), with c0 and c1 the
+    # indices of classes 0 and 1 clamped into the row.
+    c0, c1 = (min(max(i, 1), last) for i in (-lo, 1 - lo))
+    for a, b, (left, right) in zip((1, c0, c1), (c0, c1, last), weights):
+        a += (parity - lo - a) % 2
+        row[a:b:2] = [
+            left * x - y + right * z for x, y, z in zip(row[a - 1:b - 1:2], row[a:b:2], row[a + 1:b + 1:2])
+        ]
 
 
 def step(p: Profile, k: int) -> Profile:
     """The next k waves, wave n reflecting the classes of parity n mod 2.
-    Each wave widens the support by at most one class each way; the new row
-    is trimmed to nonzero ends."""
-    lo = p.lo - k
-    row = [0] * k + list(p.values) + [0] * k
+    Each wave widens the support by at most one class each way, so the row
+    is padded by k classes and a zero sentinel at each end; the new row is
+    trimmed to nonzero ends."""
+    lo = p.lo - k - 1
+    pad = [0] * (k + 1)
+    row = [*pad, *p.values, *pad]
     for n in range(p.waves + 1, p.waves + k + 1):
         wave(row, lo, p.weights, n % 2)
     first, end = 0, len(row)
@@ -102,7 +117,7 @@ def step(p: Profile, k: int) -> Profile:
         first += 1
     while not row[end - 1]:
         end -= 1
-    return Profile(p.weights, p.waves + k, lo + first, tuple(row[first:end]))
+    return Profile._trusted(p.weights, p.waves + k, lo + first, tuple(row[first:end]))
 
 
 # bench/spans.py times the two lines as separate layers, so each keeps a

@@ -5,13 +5,19 @@ and class code ranges. The routes here walk words instead, the way the
 package did before: breadth-first spheres, class members split off them, and
 a reflection wave that lists every vertex's neighbors by word. Class sizes
 come from the weight-balance recursion rather than from the code ranges.
+
+The profile wave here updates one class at a time, where the package updates
+each run of classes with one weight pair as a slice, and `step` builds its
+rows through the validating `Profile` constructor; `payload_utable` builds
+the u_table payload as the plain dict that the package's json renderer writes
+from templates.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from fibquiver import tree
+from fibquiver import profiles, tree
 from fibquiver.reflect import TreeVector
 from fibquiver.tree import BASE, Vertex, neighbors
 
@@ -101,3 +107,46 @@ def grown(start: TreeVector, center: Vertex, t_max: int) -> Iterator[TreeVector]
     for i in range(t_max):
         a = big_sigma(a, center, "even" if i % 2 else "odd")
         yield a
+
+
+def wave(row: list[int], lo: int, weights: tuple, parity: int) -> None:
+    """One reflection wave on a dense row of class values, in place, class by
+    class: every class s with s % 2 == parity becomes w(s, s-1) row[s-1] -
+    row[s] + w(s, s+1) row[s+1], with classes outside the row read as zero."""
+    behind, center, ahead = weights
+    last = len(row) - 1
+    for i in range((parity - lo) % 2, last + 1, 2):
+        s = lo + i
+        left, right = ahead if s > 0 else center if s == 0 else behind
+        row[i] = (left * row[i - 1] if i else 0) - row[i] + (right * row[i + 1] if i < last else 0)
+
+
+def step(p: profiles.Profile, k: int) -> profiles.Profile:
+    """The next k loop waves, the row built through the validating
+    constructor."""
+    lo = p.lo - k
+    row = [0] * k + list(p.values) + [0] * k
+    for n in range(p.waves + 1, p.waves + k + 1):
+        wave(row, lo, p.weights, n % 2)
+    first, end = 0, len(row)
+    while not row[first]:
+        first += 1
+    while not row[end - 1]:
+        end -= 1
+    return profiles.Profile(p.weights, p.waves + k, lo + first, tuple(row[first:end]))
+
+
+def payload_utable(t_max: int) -> dict:
+    """The u_table payload as a plain dict, one [s, v] list per cell."""
+    rows = []
+    for t, row in enumerate(profiles.u_table(t_max)):
+        minus, plus = profiles.sums(row)
+        rows.append(
+            {
+                "t": t,
+                "values": [[s, v] for s, v in zip(row.support(), row.values)],
+                "minus": minus,
+                "plus": plus,
+            }
+        )
+    return {"schema_version": 1, "kind": "u_table", "t_max": t_max, "rows": rows}

@@ -40,6 +40,8 @@ from fibquiver.profiles import (
 )
 from fibquiver.reflect import r_vec, s_vec
 
+import reference
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 U_ROWS = [
@@ -214,7 +216,6 @@ def test_c8_cli_contract():
         cli.payload_classify(2, 5),
         cli.payload_classify(0, 0),
         cli.payload_pairs(10),
-        cli.payload_utable(4),
         cli.payload_partition(3),
         cli.payload_svec(4, 12),
         cli.payload_rvec(4, 12),
@@ -223,6 +224,8 @@ def test_c8_cli_contract():
     ]
     for payload in payloads:
         assert json.loads(cli.emit(payload, "json")) == payload
+    # The u_table payload carries its rows; its json is the reference dict.
+    assert json.loads(cli.emit(cli.payload_utable(4), "json")) == reference.payload_utable(4)
 
     proc = _run_cli("oeis-check", "A000045")
     assert proc.returncode == 0, proc.stderr

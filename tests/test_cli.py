@@ -4,12 +4,13 @@ import contextlib
 import inspect
 import io
 import json
+import re
 import sys
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibquiver import cli, profiles, reflect, suites
@@ -26,6 +27,8 @@ from fibquiver.cli import (
     payload_utable,
     payload_verify,
 )
+
+import reference
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -121,6 +124,29 @@ def test_partition_past_the_digit_limit_is_refused_before_computing(capsys):
                        "raise it with PYTHONINTMAXSTRDIGITS (0 lifts it)\n")
         code, out, err = run(capsys, "partition", "765")  # f(3061) has 640
         assert code == 0 and err == "" and out.endswith(f"  total = {fib(3061)}\n")
+
+
+def test_utable_past_the_digit_limit_is_refused_before_rendering(capsys, monkeypatch):
+    # Row 842 is the first whose largest class value has 641 digits, and
+    # row 766 the first whose plus sum, f(3065), does: csv prints only the
+    # class values, json and ascii the sums too. The rows are stepped once
+    # (about 1 s) and served to every call.
+    stepped = profiles.u_table(842)
+    monkeypatch.setattr(profiles, "u_table", lambda t_max: stepped[:t_max + 1])
+    rows = payload_utable(842)["rows"]
+    past = 10**640
+    assert next(t for t, (row, _, _) in enumerate(rows) if max(row.values) >= past) == 842
+    assert next(t for t, (_, _, plus) in enumerate(rows) if plus >= past) == 766
+    hint = "has more than 640 digits, Python's int -> str limit; raise it with PYTHONINTMAXSTRDIGITS (0 lifts it)\n"
+    with int_digit_limit(640):
+        for fmt, first, what in (("csv", 842, "a class value of utable row 842"),
+                                 ("json", 766, "utable row 766's plus sum f(3065)"),
+                                 ("ascii", 766, "utable row 766's plus sum f(3065)")):
+            assert run(capsys, "utable", "842", "--format", fmt) == (2, "", f"error: {what} {hint}")
+            # The boundary is exact: the rows before the first refused one render.
+            cli._check_table_digits(rows[:first], with_sums=fmt != "csv")
+            with pytest.raises(ValueError, match=re.escape(what)):
+                cli._check_table_digits(rows[:first + 1], with_sums=fmt != "csv")
 
 
 def test_classify_ascii_verdicts(capsys):
@@ -400,7 +426,6 @@ def test_json_round_trip_all_payloads(capsys):
         payload_classify(2, 5),
         payload_classify(2, 2),
         payload_pairs(5),
-        payload_utable(3),
         payload_partition(2),
         payload_svec(3, 12),
         payload_rvec(3, 12),
@@ -410,12 +435,14 @@ def test_json_round_trip_all_payloads(capsys):
     for payload in payloads:
         assert json.loads(cli.emit(payload, "json")) == payload
         assert payload["schema_version"] == 1
+    # The u_table payload carries its rows; its json is the reference dict.
+    assert json.loads(cli.emit(payload_utable(3), "json")) == reference.payload_utable(3)
 
 
 def test_cli_json_output_equals_builder(capsys):
     code, out, _ = run(capsys, "utable", "3", "--format", "json")
     assert code == 0
-    assert json.loads(out) == payload_utable(3)
+    assert json.loads(out) == reference.payload_utable(3)
 
 
 def _reference_csv(header: str, rows: list[list]) -> str:
@@ -445,15 +472,19 @@ def _reference_ascii_utable(payload: dict) -> list[str]:
     return out
 
 
-def test_utable_rendering_matches_the_reference_routes():
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 120))
+@example(0)
+@example(120)
+def test_utable_rendering_matches_the_reference_routes(t_max):
     # The golden fixtures pin t = 4 only, where every column is 1-2
-    # characters wide; these tables have columns of many widths.
-    for t_max in [*range(61), 101]:
-        payload = payload_utable(t_max)
-        rows = [[row["t"], s, v] for row in payload["rows"] for s, v in row["values"]]
-        assert cli.emit(payload, "csv") == _reference_csv("t,s,value", rows), t_max
-        assert cli.emit(payload, "ascii") == "\n".join(_reference_ascii_utable(payload)) + "\n", t_max
-        assert cli.emit(payload, "json") == json.dumps(payload, indent=2) + "\n", t_max
+    # characters wide; these tables have columns of many widths. The
+    # renderers read the stepped rows, the references the [s, v] lists.
+    payload, want = payload_utable(t_max), reference.payload_utable(t_max)
+    rows = [[row["t"], s, v] for row in want["rows"] for s, v in row["values"]]
+    assert cli.emit(payload, "csv") == _reference_csv("t,s,value", rows)
+    assert cli.emit(payload, "ascii") == "\n".join(_reference_ascii_utable(want)) + "\n"
+    assert cli.emit(payload, "json") == json.dumps(want, indent=2) + "\n"
 
 
 def test_csv_ends_with_single_newline(capsys):

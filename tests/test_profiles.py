@@ -3,6 +3,8 @@
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibquiver import oeis, profiles, suites
 from fibquiver.errors import NotSymmetric, OracleCapExceeded
@@ -34,6 +36,7 @@ from fibquiver.profiles import (
 )
 from fibquiver.reflect import TreeVector, edge_unit, r_vec, s_vec, unit
 from fibquiver.tree import BASE, word
+import reference
 from reference import class_sizes, class_vertices
 
 # Signed-class table rows 0..4 and their weighted sums, as published.
@@ -199,6 +202,35 @@ def _cartan_abs(i, j):
     if i >= 0:
         return 1 if j == i - 1 else 2
     return 1 if j == i + 1 else 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([RADIAL, SIGNED]),
+    st.integers(-12, 12),
+    st.lists(st.integers(-(10**30), 10**30), max_size=30),
+    st.integers(0, 1),
+)
+def test_slice_wave_equals_the_loop_wave(weights, lo, inner, parity):
+    # The slice wave leaves its two end cells alone, so it runs on the row
+    # with a zero sentinel at each end.
+    want = list(inner)
+    reference.wave(want, lo, weights, parity)
+    got = [0, *inner, 0]
+    wave(got, lo - 1, weights, parity)
+    assert got == [0, *want, 0]
+
+
+def test_stepped_rows_equal_the_validated_loop_route():
+    # step skips Profile validation, so both lines' rows are held to the
+    # loop wave through the validating constructor, cell for cell; the
+    # ascii table's column widths rely on the cells being non-negative.
+    for start, k, stepped in ((u_start(), 2, u_table(300)), (radial_start(), 1, islice(rows(radial_start()), 301))):
+        want = start
+        for got in stepped:
+            assert got == want and min(got.values) >= 0, got.waves
+            assert Profile(got.weights, got.waves, got.lo, got.values) == got
+            want = reference.step(want, k)
 
 
 def test_u_step_equals_cartan_reflection_route():
