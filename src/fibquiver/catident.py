@@ -17,7 +17,7 @@ import random
 from typing import NamedTuple, Sequence
 
 from . import reflect
-from .errors import NotNeighbors, OracleCapExceeded
+from .errors import NotNeighbors
 from .fibcore import fib
 from .reflect import ORACLE_CAP, TreeVector
 from .tree import BASE, Vertex, distance, neighbors
@@ -158,8 +158,6 @@ def check_cor43(t: int, walk: Sequence[Vertex], *, cap: int = ORACLE_CAP) -> tup
     Fibonacci numbers."""
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
-    if t + 1 > cap:
-        raise OracleCapExceeded(t + 1, cap)
     xs = require_walk(walk, t + 3)
 
     total = reflect.edge_unit(xs[0], xs[1])

@@ -48,16 +48,11 @@ _LOG10_PHI = math.log10((1 + math.sqrt(5)) / 2)
 # payload builders: dicts of json-safe values, u_table's rows apart
 # ----------------------------------------------------------------------
 
-def _past_digit_limit(what: str, limit: int) -> ValueError:
-    return ValueError(
-        f"{what} has more than {limit} digits, Python's int -> str limit; "
-        f"raise it with PYTHONINTMAXSTRDIGITS (0 lifts it)"
-    )
-
-
 def _check_digit_limit(t: int) -> None:
     """Refuse f(t) whose decimal form is past Python's int -> str limit, at
     the exact boundary (f(20577) prints, f(20578) does not, at 4300 digits).
+    `fib` checks its largest index; `partition` and `utable` check f(4t + 1),
+    the largest number they print, before stepping a row.
 
     f(t) has about |t| log10(phi) digits, so an index clearly past the
     limit is refused without computing f(t); near the limit f(t) is cheap
@@ -67,7 +62,10 @@ def _check_digit_limit(t: int) -> None:
     if limit == 0 or abs(t) < (limit - 8) / _LOG10_PHI:
         return
     if abs(t) > (limit + 8) / _LOG10_PHI or abs(fib(t)) >= 10**limit:
-        raise _past_digit_limit(f"f({t})", limit)
+        raise ValueError(
+            f"f({t}) has more than {limit} digits, Python's int -> str limit; "
+            f"raise it with PYTHONINTMAXSTRDIGITS (0 lifts it)"
+        )
 
 
 def payload_fib(lo: int, hi: int) -> dict:
@@ -116,7 +114,10 @@ def payload_pairs(bound: int) -> dict:
 
 def payload_utable(t_max: int) -> dict:
     """Rows 0..t_max as (row, minus, plus): row t is the stepped `Profile`,
-    read by the renderers as it is."""
+    read by the renderers as it is. Each cell is a term of one of its row's
+    sums, so the largest number printed is the last plus sum f(4t_max + 1)."""
+    if t_max >= 0:  # a negative t_max is refused by the table itself
+        _check_digit_limit(4 * t_max + 1)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "u_table",
@@ -231,29 +232,10 @@ def _ascii_pairs(payload: dict) -> list[str]:
     return lines
 
 
-def _check_table_digits(rows: list, with_sums: bool) -> None:
-    """Refuse a table that prints a number past Python's int -> str limit,
-    before any cell is converted: the largest class value, and with the
-    sums the last plus sum f(4t+1). A cell is at most its row's larger sum,
-    plus, and plus grows with t, so the cells are scanned only when the
-    last plus is past the limit."""
-    limit = sys.get_int_max_str_digits()
-    past = 10**limit
-    if limit == 0 or rows[-1][2] < past:
-        return
-    for t, (row, _, plus) in enumerate(rows):
-        if with_sums and plus >= past:
-            raise _past_digit_limit(f"utable row {t}'s plus sum f({4 * t + 1})", limit)
-        if max(row.values) >= past:
-            raise _past_digit_limit(f"a class value of utable row {t}", limit)
-
-
 def _csv_utable(payload: dict) -> list[str]:
     """One block of lines per row."""
-    rows = payload["rows"]
-    _check_table_digits(rows, with_sums=False)
     return ["\n".join([f"{t},{s},{v}" for s, v in zip(row.support(), row.values)])
-            for t, (row, _, _) in enumerate(rows)]
+            for t, (row, _, _) in enumerate(payload["rows"])]
 
 
 def _ascii_utable(payload: dict) -> list[str]:
@@ -262,7 +244,6 @@ def _ascii_utable(payload: dict) -> list[str]:
     ends. Cells are non-negative, so a column's widest cell is its largest
     and each cell is converted to a string once."""
     rows = payload["rows"]
-    _check_table_digits(rows, with_sums=True)
     lo = min(row.lo for row, _, _ in rows)
     labels = range(lo, max(row.hi for row, _, _ in rows) + 1)
     top = [0] * len(labels)
@@ -284,10 +265,8 @@ def _json_utable(payload: dict) -> str:
     """json.dumps(<the payload with one [s, v] list per cell>, indent=2),
     written from templates: every field is an int, so each cell is one
     int -> str."""
-    rows = payload["rows"]
-    _check_table_digits(rows, with_sums=True)
     blocks = []
-    for t, (row, minus, plus) in enumerate(rows):
+    for t, (row, minus, plus) in enumerate(payload["rows"]):
         cells = ",".join([f"\n        [\n          {s},\n          {v}\n        ]"
                           for s, v in zip(row.support(), row.values)])
         blocks.append(f'\n    {{\n      "t": {t},\n      "values": [{cells}\n      ],\n'
@@ -532,9 +511,8 @@ def main(argv=None) -> int:
     except SequenceMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, KeyError, ValueError) as exc:
-        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
-        print(f"error: {msg}", file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     print(text, end="")
     for failure in payload.get("failures", ()):

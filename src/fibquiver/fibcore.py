@@ -112,16 +112,6 @@ class PairClass:
     kind: str
     witness: Optional[Witness] = None
 
-    def __post_init__(self):
-        if self.kind not in (EVEN_PAIR, ODD_PAIR, NOT_A_PAIR):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if (self.witness is None) != (self.kind == NOT_A_PAIR):
-            raise ValueError("witness present iff the point is a pair")
-        if self.witness is not None:
-            want_even = self.kind == EVEN_PAIR
-            if (self.witness.t % 2 == 0) != want_even:
-                raise ValueError("witness parity disagrees with kind")
-
 
 NON_PAIR = PairClass(NOT_A_PAIR)
 

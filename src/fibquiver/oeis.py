@@ -108,7 +108,7 @@ def run_check(sequence: str, fixture: str | Path | None = None) -> CheckResult:
     default)."""
     make = GENERATORS.get(sequence.upper())
     if make is None:
-        raise KeyError(f"no generator configured for {sequence!r}")
+        raise ValueError(f"no generator configured for {sequence!r}")
     gen = make()
     path = Path(fixture) if fixture is not None else default_fixture_path(sequence)
     return check_bfile(sequence.upper(), load_bfile(path), gen)

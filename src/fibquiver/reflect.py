@@ -5,7 +5,7 @@ oracle its vertices are the tree module's int codes; the constructor, unit,
 edge_unit, value, support, items, repr and every error message speak words,
 translated once at that boundary. Addresses and values are checked only where
 callers hand them in: the TreeVector constructor, unit, edge_unit, and the
-center and site of big_sigma and sigma.
+center of big_sigma.
 The reflection at a vertex replaces that one coordinate by the sum over its
 three neighbors minus itself; a reflection wave applies this simultaneously
 at every vertex whose distance from a center has a fixed parity (no two such
@@ -23,7 +23,7 @@ from typing import Iterator, Optional
 
 from . import tree
 from .errors import NotNeighbors, OracleCapExceeded
-from .tree import BASE, Vertex, distance, neighbors
+from .tree import BASE, Vertex, distance
 
 # Past this many reflection waves the support (3 * 2**t vertices) stops being
 # "instant"; the compressed profiles are authoritative beyond it.
@@ -120,19 +120,6 @@ def edge_unit(x: Vertex, y: Vertex) -> TreeVector:
     if distance(x, y) != 1:
         raise NotNeighbors(f"{x!r} and {y!r} are at distance {distance(x, y)}, not 1")
     return TreeVector({x: 1, y: 1})
-
-
-def sigma(a: TreeVector, y: Vertex) -> TreeVector:
-    """Reflect at one vertex: only coordinate y changes, to
-    (sum of a over the neighbors of y) - a_y. An involution."""
-    key = tree.code(y)
-    new = dict(a._entries)
-    val = -new.get(key, 0) + sum(a.value(n) for n in neighbors(y))
-    if val:
-        new[key] = val
-    else:
-        new.pop(key, None)
-    return TreeVector._trusted(new)
 
 
 def big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:

@@ -2,8 +2,9 @@
 
 The reflection oracle and the expand/compress pair run on int vertex codes
 and class code ranges. The routes here walk words instead, the way the
-package did before: breadth-first spheres, class members split off them, and
-a reflection wave that lists every vertex's neighbors by word. Class sizes
+package did before: breadth-first spheres, class members split off them, a
+reflection wave that lists every vertex's neighbors by word, and `sigma`, the
+single-site reflection that the wave equals in any order. Class sizes
 come from the weight-balance recursion rather than from the code ranges.
 
 The profile wave here updates one class at a time, where the package updates
@@ -75,6 +76,14 @@ def class_vertices(weights: tuple, radius: int) -> dict[int, list[Vertex]]:
             out[-d], sphere = sphere[:behind], sphere[behind:]
         out[d] = sphere
     return out
+
+
+def sigma(a: TreeVector, y: Vertex) -> TreeVector:
+    """Reflect at one vertex: only coordinate y changes, to
+    (sum of a over the neighbors of y) - a_y. An involution."""
+    entries = dict(a.items())
+    entries[y] = -a.value(y) + sum(a.value(n) for n in neighbors(y))
+    return TreeVector(entries)
 
 
 def big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:

@@ -4,7 +4,6 @@ import contextlib
 import inspect
 import io
 import json
-import re
 import sys
 import time
 from pathlib import Path
@@ -127,26 +126,32 @@ def test_partition_past_the_digit_limit_is_refused_before_computing(capsys):
 
 
 def test_utable_past_the_digit_limit_is_refused_before_rendering(capsys, monkeypatch):
-    # Row 842 is the first whose largest class value has 641 digits, and
-    # row 766 the first whose plus sum, f(3065), does: csv prints only the
-    # class values, json and ascii the sums too. The rows are stepped once
-    # (about 1 s) and served to every call.
-    stepped = profiles.u_table(842)
+    # Each cell is a term of one of its row's sums, so a table's largest
+    # number is its last plus sum f(4 t_max + 1), and utable refuses as
+    # partition does: row 765's plus sum f(3061) has 640 digits, row 766's
+    # f(3065) has 641. The rows are stepped once and served to every call.
+    stepped = profiles.u_table(765)
     monkeypatch.setattr(profiles, "u_table", lambda t_max: stepped[:t_max + 1])
-    rows = payload_utable(842)["rows"]
-    past = 10**640
-    assert next(t for t, (row, _, _) in enumerate(rows) if max(row.values) >= past) == 842
-    assert next(t for t, (_, _, plus) in enumerate(rows) if plus >= past) == 766
     hint = "has more than 640 digits, Python's int -> str limit; raise it with PYTHONINTMAXSTRDIGITS (0 lifts it)\n"
     with int_digit_limit(640):
-        for fmt, first, what in (("csv", 842, "a class value of utable row 842"),
-                                 ("json", 766, "utable row 766's plus sum f(3065)"),
-                                 ("ascii", 766, "utable row 766's plus sum f(3065)")):
-            assert run(capsys, "utable", "842", "--format", fmt) == (2, "", f"error: {what} {hint}")
-            # The boundary is exact: the rows before the first refused one render.
-            cli._check_table_digits(rows[:first], with_sums=fmt != "csv")
-            with pytest.raises(ValueError, match=re.escape(what)):
-                cli._check_table_digits(rows[:first + 1], with_sums=fmt != "csv")
+        # The boundary is exact: table 765 is not refused, and every number
+        # it prints is at most its last plus sum, which has 640 digits.
+        rows = payload_utable(765)["rows"]
+        pluses = [plus for _, _, plus in rows]
+        assert pluses == sorted(pluses) and len(str(pluses[-1])) == 640
+        assert all(max(row.values) <= plus and minus <= plus for row, minus, plus in rows)
+        for t_max, f in (("766", "f(3065)"), ("842", "f(3369)")):
+            _, _, err = run(capsys, "partition", t_max)
+            assert err == f"error: {f} {hint}"
+            for fmt in cli.FORMATS:
+                assert run(capsys, "utable", t_max, "--format", fmt) == (2, "", err), fmt
+
+        def unstepped(t_max):
+            raise AssertionError("a row was stepped before the refusal")
+
+        monkeypatch.setattr(profiles, "u_table", unstepped)
+        for fmt in cli.FORMATS:
+            assert run(capsys, "utable", "766", "--format", fmt) == (2, "", f"error: f(3065) {hint}"), fmt
 
 
 def test_classify_ascii_verdicts(capsys):
@@ -415,8 +420,7 @@ def test_oeis_check_unreadable_fixture(capsys, tmp_path):
 
 
 def test_oeis_check_unknown_sequence(capsys):
-    code, _, err = run(capsys, "oeis-check", "A999999")
-    assert code == 2 and "no generator configured" in err
+    assert run(capsys, "oeis-check", "A999999") == (2, "", "error: no generator configured for 'A999999'\n")
 
 
 def test_json_round_trip_all_payloads(capsys):

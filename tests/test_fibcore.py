@@ -248,6 +248,7 @@ def test_witness_reconstructs_the_point():
     for x in range(-60, 61):
         for y in range(-60, 61):
             got = classify_pair(DimPair(x, y))
+            assert (got.witness is None) == (got.kind == NOT_A_PAIR)
             if got.kind == NOT_A_PAIR:
                 continue
             w = got.witness

@@ -101,7 +101,7 @@ def test_bundled_fibonacci_fixture_values():
 
 
 def test_run_check_unknown_sequence():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="no generator configured for 'A999999'"):
         run_check("A999999")
 
 
