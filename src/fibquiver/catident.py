@@ -7,14 +7,14 @@ scalar Fibonacci identity that the vector identity shadows.
 A path is a plain walk, a sequence of vertices each a neighbor of the last
 that never steps straight back: x_0 .. x_t for Cor. 4.2, and x_{-1} ..
 x_{t+1} for Cor. 4.3, whose anchors are the walk's two ends. Each check
-returns its sub-checks, a tuple of Check values with a pass flag, so a
-caller (or the CLI) can print the first counterexample.
+returns None when every identity holds, else the first failure's text (the
+identity's name and any detail): the counterexample a caller prints.
 """
 
 from __future__ import annotations
 
 import random
-from typing import NamedTuple, Sequence
+from typing import Optional, Sequence
 
 from . import reflect
 from .errors import NotNeighbors
@@ -36,12 +36,6 @@ def require_walk(walk: Sequence[Vertex], n: int) -> tuple[Vertex, ...]:
         if a == c:
             raise ValueError(f"path backtracks at {b!r}")
     return walk
-
-
-class Check(NamedTuple):
-    label: str
-    ok: bool
-    detail: str = ""
 
 
 def third_neighbor(v: Vertex, a: Vertex, b: Vertex) -> Vertex:
@@ -91,15 +85,19 @@ def path_variants(n: int, count: int = 3, seed: int = 0) -> list[list[Vertex]]:
     return list(unique.values())[:count]
 
 
-def _vector_eq_check(label: str, lhs: TreeVector, rhs: TreeVector) -> Check:
+def _vector_eq_check(label: str, lhs: TreeVector, rhs: TreeVector) -> Optional[str]:
     if lhs.equals(rhs):
-        return Check(label, True)
+        return None
     diff = lhs.subtract(rhs)
     v = diff.support()[0]
-    return Check(label, False, f"first differing vertex {v!r}: lhs {lhs.value(v)}, rhs {rhs.value(v)}")
+    return f"{label} first differing vertex {v!r}: lhs {lhs.value(v)}, rhs {rhs.value(v)}"
 
 
-def check_prop41(t: int, *, y_letter: str = "0", cap: int = ORACLE_CAP) -> tuple[Check, ...]:
+def _scalar_shadow(holds: bool) -> Optional[str]:
+    return None if holds else "scalar-shadow"
+
+
+def check_prop41(t: int, *, y_letter: str = "0", cap: int = ORACLE_CAP) -> Optional[str]:
     """Two peeling identities at the base vertex x with marked neighbor y:
     the step-t vertex vector is the step-(t-1) vector at y plus the step-t
     edge vector, and the edge vector peels into the step-(t-1) vector at a
@@ -118,21 +116,20 @@ def check_prop41(t: int, *, y_letter: str = "0", cap: int = ORACLE_CAP) -> tuple
             "vertex-splits-into-neighbor-plus-edge",
             s_t,
             reflect.s_vec_at(t - 1, y, cap=cap).add(r_t),
-        ),
-        _vector_eq_check(
+        )
+        or _vector_eq_check(
             "edge-splits-into-neighbor-plus-turned-edge",
             r_t,
             reflect.s_vec_at(t - 1, y2, cap=cap).add(reflect.r_vec_at(t - 1, y3, x, cap=cap)),
-        ),
-        Check(
-            "scalar-shadow",
+        )
+        or _scalar_shadow(
             fib(2 * t + 2) == fib(2 * t) + fib(2 * t + 1)
-            and fib(2 * t) == fib(2 * t - 2) + fib(2 * t - 1),
-        ),
+            and fib(2 * t) == fib(2 * t - 2) + fib(2 * t - 1)
+        )
     )
 
 
-def check_cor42(t: int, walk: Sequence[Vertex], *, cap: int = ORACLE_CAP) -> tuple[Check, ...]:
+def check_cor42(t: int, walk: Sequence[Vertex], *, cap: int = ORACLE_CAP) -> Optional[str]:
     """Filtration identity along a walk x_0 .. x_t: the step-t vector at the
     far end equals the unit at the start plus the edge vectors picked up one
     step at a time. Scalar shadow: f(2t) is the sum of the first t odd-index
@@ -145,12 +142,12 @@ def check_cor42(t: int, walk: Sequence[Vertex], *, cap: int = ORACLE_CAP) -> tup
     for i in range(1, t + 1):
         total = total.add(reflect.r_vec_at(i, xs[i], xs[i - 1], cap=cap))
     return (
-        _vector_eq_check("filtration-sum", reflect.s_vec_at(t, xs[t], cap=cap), total),
-        Check("scalar-shadow", fib(2 * t) == sum(fib(2 * i - 1) for i in range(1, t + 1))),
+        _vector_eq_check("filtration-sum", reflect.s_vec_at(t, xs[t], cap=cap), total)
+        or _scalar_shadow(fib(2 * t) == sum(fib(2 * i - 1) for i in range(1, t + 1)))
     )
 
 
-def check_cor43(t: int, walk: Sequence[Vertex], *, cap: int = ORACLE_CAP) -> tuple[Check, ...]:
+def check_cor43(t: int, walk: Sequence[Vertex], *, cap: int = ORACLE_CAP) -> Optional[str]:
     """Side-branch identity along an anchored walk x_{-1} .. x_{t+1}, given
     as its t+3 vertices: the step-(t+1) edge vector at the far end equals the
     starting edge vector plus one vertex vector grown at each side branch
@@ -165,6 +162,6 @@ def check_cor43(t: int, walk: Sequence[Vertex], *, cap: int = ORACLE_CAP) -> tup
         z = third_neighbor(xs[i + 1], xs[i], xs[i + 2])
         total = total.add(reflect.s_vec_at(i, z, cap=cap))
     return (
-        _vector_eq_check("side-branch-sum", reflect.r_vec_at(t + 1, xs[t + 1], xs[t + 2], cap=cap), total),
-        Check("scalar-shadow", fib(2 * t + 1) == 1 + sum(fib(2 * i) for i in range(1, t + 1))),
+        _vector_eq_check("side-branch-sum", reflect.r_vec_at(t + 1, xs[t + 1], xs[t + 2], cap=cap), total)
+        or _scalar_shadow(fib(2 * t + 1) == 1 + sum(fib(2 * i) for i in range(1, t + 1)))
     )

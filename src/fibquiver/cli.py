@@ -81,34 +81,28 @@ def payload_fib(lo: int, hi: int) -> dict:
     }
 
 
-def _witness_fields(verdict) -> dict:
-    if verdict.witness is None:
-        return {"t": None, "direction": None, "negated": None}
-    w = verdict.witness
-    return {"t": w.t, "direction": w.direction, "negated": w.negated}
+def _pair_fields(p: DimPair, verdict) -> dict:
+    """A point's fields: x, y, pair_kind, then its witness's t, direction and
+    negated, each None off the pairs."""
+    t, direction, negated = verdict.witness or (None, None, None)
+    return {"x": p.x, "y": p.y, "pair_kind": verdict.kind, "t": t, "direction": direction, "negated": negated}
 
 
 def payload_classify(x: int, y: int) -> dict:
-    verdict = classify_pair(DimPair(x, y))
+    p = DimPair(x, y)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "pair_class",
-        "x": x,
-        "y": y,
-        "pair_kind": verdict.kind,
-        **_witness_fields(verdict),
+        **_pair_fields(p, classify_pair(p)),
     }
 
 
 def payload_pairs(bound: int) -> dict:
-    rows = []
-    for pt, verdict in enumerate_pairs(bound):
-        rows.append({"x": pt.x, "y": pt.y, "pair_kind": verdict.kind, **_witness_fields(verdict)})
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "pairs",
         "bound": bound,
-        "pairs": rows,
+        "pairs": [_pair_fields(p, verdict) for p, verdict in enumerate_pairs(bound)],
     }
 
 

@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+import sys
+
 
 class NotNeighbors(ValueError):
     """The operation requires two adjacent tree vertices."""
@@ -38,7 +40,11 @@ class SequenceMismatch(Exception):
     """A generated sequence value disagrees with the fixture."""
 
     def __init__(self, n, expected, actual):
-        super().__init__(f"mismatch at index {n}: fixture has {expected}, generator produced {actual}")
+        try:  # the fixture's value was parsed, so only the generator's can be past the digit limit
+            produced = str(actual)
+        except ValueError:
+            produced = f"a number of more than {sys.get_int_max_str_digits()} digits (Python's int -> str limit)"
+        super().__init__(f"mismatch at index {n}: fixture has {expected}, generator produced {produced}")
         self.n = n
         self.expected = expected
         self.actual = actual

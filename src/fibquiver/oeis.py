@@ -13,6 +13,7 @@ self-consistency only; to cross-check, pass the published b-files with
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -37,6 +38,10 @@ def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:
         try:
             n, value = int(parts[0]), int(parts[1])
         except ValueError:
+            limit, digits = sys.get_int_max_str_digits(), [f.lstrip("+-") for f in parts]
+            if limit and all(d.isdigit() for d in digits) and max(map(len, digits)) > limit:
+                raise BFileParseError(f"line {lineno}: a field has more than {limit} digits, Python's int -> str "
+                                      f"limit; raise it with PYTHONINTMAXSTRDIGITS (0 lifts it)") from None
             raise BFileParseError(f"line {lineno}: non-integer field in {raw!r}") from None
         if last_n is not None and n <= last_n:
             raise BFileParseError(f"line {lineno}: index {n} not greater than previous {last_n}")

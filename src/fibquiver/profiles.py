@@ -107,6 +107,8 @@ def step(p: Profile, k: int) -> Profile:
     Each wave widens the support by at most one class each way, so the row
     is padded by k classes and a zero sentinel at each end; the new row is
     trimmed to nonzero ends."""
+    if k < 0:
+        raise ValueError(f"the wave count to add must be non-negative, got k={k}")
     lo = p.lo - k - 1
     pad = [0] * (k + 1)
     row = [*pad, *p.values, *pad]

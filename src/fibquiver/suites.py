@@ -8,7 +8,7 @@ a suite whose range names no instance raises ValueError instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import catident, profiles, reflect
 from .catident import path_variants
@@ -32,7 +32,7 @@ class SuiteResult:
     suite: str
     ok: bool
     checked: int
-    failures: list[str] = field(default_factory=list)
+    failures: list[str]
 
 
 def _collect(suite: str, failures: list[str], checked: int) -> SuiteResult:
@@ -42,14 +42,13 @@ def _collect(suite: str, failures: list[str], checked: int) -> SuiteResult:
 
 
 def _run_reports(suite: str, cases) -> SuiteResult:
-    """Collect (label, checks) cases; a failing case contributes its first
-    failed check."""
+    """Collect (label, failure) cases, failure a check's verdict: None when
+    it holds, else its first failure's text, reported after the label."""
     failures, checked = [], 0
-    for label, checks in cases:
+    for label, failure in cases:
         checked += 1
-        bad = next((c for c in checks if not c.ok), None)
-        if bad is not None:
-            failures.append(f"{label}: {bad.label} {bad.detail}")
+        if failure is not None:
+            failures.append(f"{label}: {failure}")
     return _collect(suite, failures, checked)
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fibquiver import cli, profiles, reflect, suites
+from fibquiver import catident, cli, profiles, reflect, suites
 from fibquiver.fibcore import NON_PAIR, fib
 from fibquiver.cli import (
     main,
@@ -355,6 +355,19 @@ def test_a_failing_suite_still_counts_every_check(capsys, monkeypatch, argv, mod
         assert lines[0] == "verify pairs: (-8, -3) classified NotAPair but q=1"
 
 
+def test_a_broken_scalar_shadow_is_reported_by_name_alone(capsys, monkeypatch):
+    real = catident.fib
+    monkeypatch.setattr(catident, "fib", lambda n: real(n) + 1)
+    code, out, err = run(capsys, "verify", "cor42", "--t", "4")
+    assert code == 1
+    shown = [line for line in out.splitlines() if line.startswith("  counterexample: ")]
+    assert shown and all(line.endswith(": scalar-shadow") for line in shown)
+    assert err and all(line.endswith(": scalar-shadow") for line in err.splitlines())
+    code, out, _ = run(capsys, "verify", "cor42", "--t", "4", "--format", "json")
+    failures = json.loads(out)["failures"]
+    assert code == 1 and failures and all(f.endswith(": scalar-shadow") for f in failures)
+
+
 @pytest.mark.parametrize("suite", ["cor42", "cor43"])
 def test_paths_is_a_bounded_count(capsys, suite):
     counts = {}
@@ -407,6 +420,30 @@ def test_oeis_check_parse_error(capsys, tmp_path):
     broken.write_text("0 0\noops\n")
     code, out, err = run(capsys, "oeis-check", "A000045", "--fixture", str(broken))
     assert code == 2 and "error" in err
+
+
+def test_oeis_check_names_a_fixture_value_past_the_digit_limit(capsys, tmp_path):
+    big = tmp_path / "big.txt"
+    with int_digit_limit(0):
+        big.write_text(f"30000 {fib(30000)}\n")  # 6,270 digits
+    with int_digit_limit(4300):
+        code, out, err = run(capsys, "oeis-check", "A000045", "--fixture", str(big))
+    assert (code, out) == (2, "")
+    assert err == ("error: line 1: a field has more than 4300 digits, Python's int -> str limit; "
+                   "raise it with PYTHONINTMAXSTRDIGITS (0 lifts it)\n")
+    with int_digit_limit(0):
+        code, out, err = run(capsys, "oeis-check", "A000045", "--fixture", str(big), "--format", "csv")
+    assert (code, out, err) == (0, "sequence,checked,ok\nA000045,1,True\n", "")
+
+
+def test_oeis_check_mismatch_past_the_digit_limit_keeps_its_exit_code(capsys, tmp_path):
+    small = tmp_path / "small.txt"
+    small.write_text("30000 5\n")
+    with int_digit_limit(4300):
+        code, out, err = run(capsys, "oeis-check", "A000045", "--fixture", str(small))
+    assert (code, out) == (1, "")
+    assert err == ("error: mismatch at index 30000: fixture has 5, generator produced "
+                   "a number of more than 4300 digits (Python's int -> str limit)\n")
 
 
 def test_oeis_check_unreadable_fixture(capsys, tmp_path):

@@ -233,6 +233,15 @@ def test_stepped_rows_equal_the_validated_loop_route():
             want = reference.step(want, k)
 
 
+def test_step_refuses_a_negative_wave_count():
+    # Such a row would have fewer waves than its start, or a negative count.
+    for start in (u_start(), radial_start()):
+        for k in (-1, -5):
+            with pytest.raises(ValueError, match=f"k={k}"):
+                step(start, k)
+    assert step(u_start(), 0) == u_start()
+
+
 def test_u_step_equals_cartan_reflection_route():
     # Independent route: generic simple reflections new[i] = -u[i] +
     # sum |a(i,j)| u[j], odd sites first, then even sites.
