@@ -8,7 +8,10 @@ A path is a plain walk, a sequence of vertices each a neighbor of the last
 that never steps straight back: x_0 .. x_t for Cor. 4.2, and x_{-1} ..
 x_{t+1} for Cor. 4.3, whose anchors are the walk's two ends. Each check
 returns None when every identity holds, else the first failure's text (the
-identity's name and any detail): the counterexample a caller prints.
+identity's name and any detail): the counterexample a caller prints. A check
+draws its vectors from the `families` table it is given, so a suite that
+hands every check one table grows each vector family once; without one, a
+check grows its own.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Optional, Sequence
 from . import reflect
 from .errors import NotNeighbors
 from .fibcore import fib
-from .reflect import ORACLE_CAP, TreeVector
+from .reflect import ORACLE_CAP, Families, TreeVector
 from .tree import BASE, Vertex, distance, neighbors
 
 
@@ -97,7 +100,9 @@ def _scalar_shadow(holds: bool) -> Optional[str]:
     return None if holds else "scalar-shadow"
 
 
-def check_prop41(t: int, *, y_letter: str = "0", cap: int = ORACLE_CAP) -> Optional[str]:
+def check_prop41(
+    t: int, *, y_letter: str = "0", cap: int = ORACLE_CAP, families: Optional[Families] = None
+) -> Optional[str]:
     """Two peeling identities at the base vertex x with marked neighbor y:
     the step-t vertex vector is the step-(t-1) vector at y plus the step-t
     edge vector, and the edge vector peels into the step-(t-1) vector at a
@@ -108,19 +113,20 @@ def check_prop41(t: int, *, y_letter: str = "0", cap: int = ORACLE_CAP) -> Optio
     x = BASE
     y = y_letter
     y2, y3 = [n for n in neighbors(x) if n != y]
+    grown = families or Families()
 
-    s_t = reflect.s_vec_at(t, x, cap=cap)
-    r_t = reflect.r_vec_at(t, x, y, cap=cap)
+    s_t = grown.s_vec_at(t, x, cap=cap)
+    r_t = grown.r_vec_at(t, x, y, cap=cap)
     return (
         _vector_eq_check(
             "vertex-splits-into-neighbor-plus-edge",
             s_t,
-            reflect.s_vec_at(t - 1, y, cap=cap).add(r_t),
+            grown.s_vec_at(t - 1, y, cap=cap).add(r_t),
         )
         or _vector_eq_check(
             "edge-splits-into-neighbor-plus-turned-edge",
             r_t,
-            reflect.s_vec_at(t - 1, y2, cap=cap).add(reflect.r_vec_at(t - 1, y3, x, cap=cap)),
+            grown.s_vec_at(t - 1, y2, cap=cap).add(grown.r_vec_at(t - 1, y3, x, cap=cap)),
         )
         or _scalar_shadow(
             fib(2 * t + 2) == fib(2 * t) + fib(2 * t + 1)
@@ -129,7 +135,9 @@ def check_prop41(t: int, *, y_letter: str = "0", cap: int = ORACLE_CAP) -> Optio
     )
 
 
-def check_cor42(t: int, walk: Sequence[Vertex], *, cap: int = ORACLE_CAP) -> Optional[str]:
+def check_cor42(
+    t: int, walk: Sequence[Vertex], *, cap: int = ORACLE_CAP, families: Optional[Families] = None
+) -> Optional[str]:
     """Filtration identity along a walk x_0 .. x_t: the step-t vector at the
     far end equals the unit at the start plus the edge vectors picked up one
     step at a time. Scalar shadow: f(2t) is the sum of the first t odd-index
@@ -137,17 +145,20 @@ def check_cor42(t: int, walk: Sequence[Vertex], *, cap: int = ORACLE_CAP) -> Opt
     if t < 1:
         raise ValueError(f"t must be positive, got {t}")
     xs = require_walk(walk, t + 1)
+    grown = families or Families()
 
     total = reflect.unit(xs[0])
     for i in range(1, t + 1):
-        total = total.add(reflect.r_vec_at(i, xs[i], xs[i - 1], cap=cap))
+        total = total.add(grown.r_vec_at(i, xs[i], xs[i - 1], cap=cap))
     return (
-        _vector_eq_check("filtration-sum", reflect.s_vec_at(t, xs[t], cap=cap), total)
+        _vector_eq_check("filtration-sum", grown.s_vec_at(t, xs[t], cap=cap), total)
         or _scalar_shadow(fib(2 * t) == sum(fib(2 * i - 1) for i in range(1, t + 1)))
     )
 
 
-def check_cor43(t: int, walk: Sequence[Vertex], *, cap: int = ORACLE_CAP) -> Optional[str]:
+def check_cor43(
+    t: int, walk: Sequence[Vertex], *, cap: int = ORACLE_CAP, families: Optional[Families] = None
+) -> Optional[str]:
     """Side-branch identity along an anchored walk x_{-1} .. x_{t+1}, given
     as its t+3 vertices: the step-(t+1) edge vector at the far end equals the
     starting edge vector plus one vertex vector grown at each side branch
@@ -156,12 +167,13 @@ def check_cor43(t: int, walk: Sequence[Vertex], *, cap: int = ORACLE_CAP) -> Opt
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     xs = require_walk(walk, t + 3)
+    grown = families or Families()
 
     total = reflect.edge_unit(xs[0], xs[1])
     for i in range(t + 1):
         z = third_neighbor(xs[i + 1], xs[i], xs[i + 2])
-        total = total.add(reflect.s_vec_at(i, z, cap=cap))
+        total = total.add(grown.s_vec_at(i, z, cap=cap))
     return (
-        _vector_eq_check("side-branch-sum", reflect.r_vec_at(t + 1, xs[t + 1], xs[t + 2], cap=cap), total)
+        _vector_eq_check("side-branch-sum", grown.r_vec_at(t + 1, xs[t + 1], xs[t + 2], cap=cap), total)
         or _scalar_shadow(fib(2 * t + 1) == 1 + sum(fib(2 * i) for i in range(1, t + 1)))
     )

@@ -19,7 +19,7 @@ them entry by entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterator, NamedTuple
 
 from . import tree
@@ -297,10 +297,11 @@ def _compress(a: TreeVector, weights: tuple, cap: int) -> Profile:
     for s in sorted(range(-radius if weights[1][0] else 0, radius + 1), key=abs):
         codes = class_codes(weights, s)
         val = get(codes[0], 0)
-        for c in codes:
-            other = get(c, 0)
-            if other != val:
-                raise NotSymmetric(s, tree.word(codes[0]), val, tree.word(c), other)
+        if list(map(get, codes, repeat(0))).count(val) != len(codes):
+            for c in codes:  # name the first witness
+                other = get(c, 0)
+                if other != val:
+                    raise NotSymmetric(s, tree.word(codes[0]), val, tree.word(c), other)
         if val:
             classes[s] = val
     if not classes:

@@ -19,6 +19,7 @@ module is the compressed counterpart that this one validates.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterator, Optional
 
 from . import tree
@@ -138,40 +139,78 @@ def big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     # The sites' code length mod 2: d(x, y) = |x| + |y| (mod 2), |y| = bit_length - 2.
     bit = (len(tree.require_vertex(x)) + (parity == "odd")) % 2
-    new: dict[int, int] = {}
     sums: dict[int, int] = {}
     get = sums.get
     for c, v in a._entries.items():
         if c.bit_length() % 2 == bit:
             sums[c] = get(c, 0) - v
             continue
-        new[c] = v
-        # Neighbors: the children 2c and 2c + 1, and the parent c >> 1, which
-        # is the base 2 at depth 1; the base's third neighbor is "2", code 6.
-        up, left = (c >> 1 if c > 7 else 2 if c > 2 else 6), c + c
+        # Neighbors: the children 2c and 2c + 1, and the parent c >> 1.
+        up, left = c >> 1, c + c
         sums[up] = get(up, 0) + v
         sums[left] = get(left, 0) + v
         sums[left + 1] = get(left + 1, 0) + v
-    new.update((c, v) for c, v in sums.items() if v)
+    # c >> 1 is wrong only at the base region: the base's third neighbor is
+    # "2", code 6, not 1; and the parent of "2" is the base, code 2, not 3.
+    for wrong, right in ((1, 6), (3, 2)):
+        if wrong in sums:
+            sums[right] = get(right, 0) + sums.pop(wrong)
+    # Every sum is at a site, so it overwrites the site's old entry.
+    new = dict(a._entries)
+    new.update(sums)
+    if 0 in sums.values():
+        for c, v in sums.items():
+            if not v:
+                del new[c]
     return TreeVector._trusted(new)
 
 
-def _grow(start: TreeVector, center: Vertex, t: int, cap: int) -> TreeVector:
-    """start after t alternating reflection waves around center, the first
-    reflecting the odd-distance shell."""
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    if t > cap:
-        raise OracleCapExceeded(t, cap)
-    a = start
-    for i in range(t):
-        a = big_sigma(a, center, "even" if i % 2 else "odd")
-    return a
+class Families:
+    """The vector families that one suite call grows, each grown once.
+
+    A family is one start vector grown around its first vertex x by
+    alternating reflection waves, the first reflecting the odd-distance
+    shell. It is keyed by its start's words, (x,) for unit(x) and (x, y) for
+    edge_unit(x, y), so a repeat request builds no start vector and checks
+    no address again. Only the latest vector is kept: a later wave count
+    grows on from it, an earlier one regrows from the start. A table belongs
+    to the call that made it and is dropped with it: kept across calls, it
+    would make a repeated call cheaper than a fresh process could ever be.
+    """
+
+    __slots__ = ("_grown",)
+
+    def __init__(self):
+        # key -> (start, waves, the start after that many waves)
+        self._grown: dict[tuple[Vertex, ...], tuple[TreeVector, int, TreeVector]] = {}
+
+    def s_vec_at(self, t: int, center: Vertex, *, cap: int = ORACLE_CAP) -> TreeVector:
+        return self._at((center,), unit, t, cap)
+
+    def r_vec_at(self, t: int, x: Vertex, y: Vertex, *, cap: int = ORACLE_CAP) -> TreeVector:
+        return self._at((x, y), edge_unit, t, cap)
+
+    def _at(self, key: tuple[Vertex, ...], start_of, t: int, cap: int) -> TreeVector:
+        if key in self._grown:
+            start, waves, a = self._grown[key]
+        else:
+            start = a = start_of(*key)
+            waves = 0
+        if t < 0:
+            raise ValueError(f"t must be non-negative, got {t}")
+        if t > cap:
+            raise OracleCapExceeded(t, cap)
+        if t < waves:
+            waves, a = 0, start
+        for i in range(waves, t):
+            a = big_sigma(a, key[0], "even" if i % 2 else "odd")
+        self._grown[key] = (start, t, a)
+        return a
 
 
 def s_vec_at(t: int, center: Vertex, *, cap: int = ORACLE_CAP) -> TreeVector:
     """The vector grown from unit(center) by t alternating reflection waves."""
-    return _grow(unit(center), center, t, cap)
+    return Families().s_vec_at(t, center, cap=cap)
 
 
 def s_vec(t: int, *, cap: int = ORACLE_CAP) -> TreeVector:
@@ -181,7 +220,7 @@ def s_vec(t: int, *, cap: int = ORACLE_CAP) -> TreeVector:
 
 def r_vec_at(t: int, x: Vertex, y: Vertex, *, cap: int = ORACLE_CAP) -> TreeVector:
     """The vector grown from edge_unit(x, y) by t reflection waves centered at x."""
-    return _grow(edge_unit(x, y), x, t, cap)
+    return Families().r_vec_at(t, x, y, cap=cap)
 
 
 def r_vec(t: int, *, cap: int = ORACLE_CAP) -> TreeVector:
@@ -192,10 +231,8 @@ def r_vec(t: int, *, cap: int = ORACLE_CAP) -> TreeVector:
 def parity_sums(a: TreeVector, t: int) -> tuple[int, int]:
     """(minus, plus): entry sums over the vertices whose distance from the
     base is incongruent / congruent to t mod 2."""
-    minus = plus = 0
-    for v, c in a._entries.items():
-        if v.bit_length() % 2 == t % 2:
-            plus += c
-        else:
-            minus += c
-    return minus, plus
+    entries = a._entries
+    # A code's bit length is its depth plus 2: odd exactly at odd depths.
+    odd = sum(compress(entries.values(), map((1).__and__, map(int.bit_length, entries))))
+    even = sum(entries.values()) - odd
+    return (even, odd) if t % 2 else (odd, even)

@@ -4,6 +4,10 @@ Each suite runs a family of exact checks and returns a SuiteResult with the
 first counterexamples formatted for display. All checks are pure; a suite
 that returns ok=True has verified every instance it names, no sampling, and
 a suite whose range names no instance raises ValueError instead.
+
+The oracle suites (prop41, cor42, cor43, oracle) hand all their checks one
+reflect.Families table, made for the call and dropped with it: each vector
+family grows once per call, and no call reuses another's vectors.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ from .fibcore import (
     classify_pair,
     fib,
 )
-from .reflect import ORACLE_CAP
+from .reflect import MARKED_NEIGHBOR, ORACLE_CAP
+from .tree import BASE
 
 MAX_REPORTED_FAILURES = 5
 
@@ -61,8 +66,9 @@ def _require_cap(largest: int, cap: int) -> None:
 
 def run_prop41(t_max: int = 6, *, cap: int = ORACLE_CAP) -> SuiteResult:
     _require_cap(t_max, cap)
+    families = reflect.Families()
     return _run_reports("prop41", (
-        (f"t={t} y={letter!r}", catident.check_prop41(t, y_letter=letter, cap=cap))
+        (f"t={t} y={letter!r}", catident.check_prop41(t, y_letter=letter, cap=cap, families=families))
         for t in range(1, t_max + 1)
         for letter in "012"
     ))
@@ -70,8 +76,9 @@ def run_prop41(t_max: int = 6, *, cap: int = ORACLE_CAP) -> SuiteResult:
 
 def run_cor42(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACLE_CAP) -> SuiteResult:
     _require_cap(t_max, cap)
+    families = reflect.Families()
     return _run_reports("cor42", (
-        (f"t={t} path={walk}", catident.check_cor42(t, walk, cap=cap))
+        (f"t={t} path={walk}", catident.check_cor42(t, walk, cap=cap, families=families))
         for t in range(1, t_max + 1)
         for walk in path_variants(t + 1, paths, seed)
     ))
@@ -79,31 +86,36 @@ def run_cor42(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACL
 
 def run_cor43(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACLE_CAP) -> SuiteResult:
     _require_cap(t_max + 1, cap)  # the far edge vector grows t_max + 1 waves
+    families = reflect.Families()
     return _run_reports("cor43", (
-        (f"t={t} path={walk}", catident.check_cor43(t, walk, cap=cap))
+        (f"t={t} path={walk}", catident.check_cor43(t, walk, cap=cap, families=families))
         for t in range(0, t_max + 1)
         for walk in path_variants(t + 3, paths, seed)
     ))
 
 
 def run_oracle(t_max: int = 8, *, cap: int = ORACLE_CAP) -> SuiteResult:
-    """Compressed profiles against the literal reflection oracle, both ways."""
+    """Compressed profiles against the literal reflection oracle, both ways,
+    at every wave count 0..t_max on both lines."""
     _require_cap(t_max, cap)
+    families = reflect.Families()
     failures, checked = [], 0
     for t, prof in zip(range(t_max + 1), profiles.rows(profiles.radial_start())):
-        vec = reflect.s_vec(t, cap=cap)
+        vec = families.s_vec_at(t, BASE, cap=cap)
         checked += 2
         if not profiles.expand(prof, cap=cap).equals(vec):
             failures.append(f"t={t}: expanded radial profile differs from the vertex vector")
         if profiles.compress_radial(vec, cap=cap) != prof:
             failures.append(f"t={t}: compressed vertex vector differs from the stepped profile")
-    for tt, prof in zip(range(t_max // 2 + 1), profiles.rows(profiles.u_start())):
-        vec = reflect.r_vec(2 * tt, cap=cap)
+    signed = profiles.rows(profiles.u_start())  # the even wave counts
+    for t in range(t_max + 1):
+        prof = profiles.step(prof, 1) if t % 2 else next(signed)
+        vec = families.r_vec_at(t, BASE, MARKED_NEIGHBOR, cap=cap)
         checked += 2
         if not profiles.expand(prof, cap=cap).equals(vec):
-            failures.append(f"index {tt}: expanded signed profile differs from the edge vector")
+            failures.append(f"t={t}: expanded signed profile differs from the edge vector")
         if profiles.compress_biradial(vec, cap=cap) != prof:
-            failures.append(f"index {tt}: compressed edge vector differs from the stepped profile")
+            failures.append(f"t={t}: compressed edge vector differs from the stepped profile")
     return _collect("oracle", failures, checked)
 
 

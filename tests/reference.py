@@ -7,6 +7,10 @@ reflection wave that lists every vertex's neighbors by word, and `sigma`, the
 single-site reflection that the wave equals in any order. Class sizes
 come from the weight-balance recursion rather than from the code ranges.
 
+`code_big_sigma` and `code_parity_sums` are the package's earlier code
+routes: the wave re-inserts every kept entry and maps each parent on its
+own, and the parity sums loop over the entries one at a time.
+
 The profile wave here updates one class at a time, where the package updates
 each run of classes with one weight pair as a slice, and `step` builds its
 rows through the validating `Profile` constructor; `payload_utable` builds
@@ -106,6 +110,40 @@ def big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:
         else:
             new.pop(y, None)
     return TreeVector(new)
+
+
+def code_big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:
+    """One reflection wave on int codes, each kept entry re-inserted and
+    each parent found on its own."""
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    bit = (len(tree.require_vertex(x)) + (parity == "odd")) % 2
+    new: dict[int, int] = {}
+    sums: dict[int, int] = {}
+    get = sums.get
+    for c, v in a._entries.items():
+        if c.bit_length() % 2 == bit:
+            sums[c] = get(c, 0) - v
+            continue
+        new[c] = v
+        # The parent of depth 1 is the base, code 2; the base's is "2", code 6.
+        up, left = (c >> 1 if c > 7 else 2 if c > 2 else 6), c + c
+        sums[up] = get(up, 0) + v
+        sums[left] = get(left, 0) + v
+        sums[left + 1] = get(left + 1, 0) + v
+    new.update((c, v) for c, v in sums.items() if v)
+    return TreeVector._trusted(new)
+
+
+def code_parity_sums(a: TreeVector, t: int) -> tuple[int, int]:
+    """(minus, plus) entry sums by depth parity against t, entry by entry."""
+    minus = plus = 0
+    for v, c in a._entries.items():
+        if v.bit_length() % 2 == t % 2:
+            plus += c
+        else:
+            minus += c
+    return minus, plus
 
 
 def grown(start: TreeVector, center: Vertex, t_max: int) -> Iterator[TreeVector]:

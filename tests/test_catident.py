@@ -2,7 +2,7 @@
 
 import pytest
 
-from fibquiver import catident
+from fibquiver import catident, reflect, suites
 from fibquiver.catident import (
     check_cor42,
     check_cor43,
@@ -18,6 +18,19 @@ from fibquiver.errors import NotNeighbors, OracleCapExceeded
 from fibquiver.fibcore import DimPair, classify_pair, fib, fib_range
 from fibquiver.reflect import TreeVector, edge_unit, parity_sums, r_vec, r_vec_at, s_vec, s_vec_at, unit
 from fibquiver.tree import BASE
+
+
+def _record_waves(monkeypatch):
+    """Count every wave: the list gets each one's center, parity and input."""
+    waves = []
+    real = reflect.big_sigma
+
+    def recorded(a, x, parity):
+        waves.append((x, parity, frozenset(a.items())))
+        return real(a, x, parity)
+
+    monkeypatch.setattr(reflect, "big_sigma", recorded)
+    return waves
 
 
 def test_walk_validation():
@@ -201,3 +214,46 @@ def test_pushdown_lands_on_classified_pairs():
     for t in range(9):
         assert classify_pair(DimPair(*parity_sums(s_vec(t), t))).kind == "EvenPair"
         assert classify_pair(DimPair(*parity_sums(r_vec(t), t))).kind == "OddPair"
+
+
+@pytest.mark.parametrize("run,most", [(lambda: suites.run_prop41(6), 59), (lambda: suites.run_oracle(8), 16)])
+def test_a_suite_grows_each_family_once(monkeypatch, run, most):
+    # Regrowing every vector for every check made 261 and 56 waves. Grown
+    # once per family, no wave repeats an input.
+    waves = _record_waves(monkeypatch)
+    assert run().ok
+    assert len(waves) <= most
+    assert len(set(waves)) == len(waves)
+    # The next call keeps nothing from this one, so it grows them all again.
+    first = list(waves)
+    waves.clear()
+    assert run().ok
+    assert waves == first
+
+
+def _broken_wave(monkeypatch):
+    """Every even wave also adds 1 at its center."""
+    real = reflect.big_sigma
+    monkeypatch.setattr(
+        reflect, "big_sigma",
+        lambda a, x, parity: real(a, x, parity).add(unit(x)) if parity == "even" else real(a, x, parity),
+    )
+
+
+@pytest.mark.parametrize("suite", ["prop41", "cor42", "cor43"])
+def test_one_table_per_suite_keeps_every_verdict(monkeypatch, suite):
+    # Under a broken wave the suite's shared table and a table of each
+    # check's own name the same failures.
+    _broken_wave(monkeypatch)
+    if suite == "prop41":
+        result = suites.run_prop41(4)
+        cases = [(f"t={t} y={y!r}", check_prop41(t, y_letter=y)) for t in range(1, 5) for y in "012"]
+    elif suite == "cor42":
+        result = suites.run_cor42(4)
+        cases = [(f"t={t} path={w}", check_cor42(t, w)) for t in range(1, 5) for w in path_variants(t + 1)]
+    else:
+        result = suites.run_cor43(3)
+        cases = [(f"t={t} path={w}", check_cor43(t, w)) for t in range(0, 4) for w in path_variants(t + 3)]
+    failures = [f"{label}: {failure}" for label, failure in cases if failure is not None]
+    assert failures and not result.ok
+    assert result.failures == failures[: suites.MAX_REPORTED_FAILURES]

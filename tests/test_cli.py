@@ -566,10 +566,15 @@ SEQUENCES = [
     ((["fib", "--from", "1", "--to", "3"], None), (["fib", "5"], None)),
     ((["svec", "3", "--oracle-cap", "20"], None), (["svec", "3"], "2")),
     ((["classify", "2"], None), (["classify", "2", "5"], None)),
+    # A suite's vector families live for its call only.
+    ((["verify", "prop41", "--t", "4"], None), (["verify", "prop41", "--t", "2"], None)),
+    ((["verify", "cor43", "--t", "3"], None), (["verify", "cor43", "--t", "1", "--format", "json"], None)),
 ]
 
 
-@pytest.mark.parametrize("earlier,later", SEQUENCES, ids=["verify", "fib", "oracle-cap", "usage-error"])
+@pytest.mark.parametrize(
+    "earlier,later", SEQUENCES, ids=["verify", "fib", "oracle-cap", "usage-error", "prop41-families", "cor43-families"]
+)
 def test_calls_leave_no_state_for_the_next(capsys, monkeypatch, earlier, later):
     def call_with_env(argv, env):
         if env is None:

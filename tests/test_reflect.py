@@ -6,9 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fibquiver import reflect
 from fibquiver.errors import NotNeighbors, OracleCapExceeded
 from fibquiver.fibcore import fib
 from fibquiver.reflect import (
+    Families,
     TreeVector,
     big_sigma,
     edge_unit,
@@ -104,6 +106,31 @@ def test_big_sigma_equals_any_sequential_order(a, x, parity, seed):
 @settings(max_examples=200)
 def test_big_sigma_equals_the_word_route(a, x, parity):
     assert big_sigma(a, x, parity).equals(reference.big_sigma(a, x, parity))
+
+
+@given(small_vectors, vertices, st.sampled_from(["even", "odd"]))
+@settings(max_examples=200)
+def test_wave_and_parity_sums_equal_the_earlier_code_routes(a, x, parity):
+    assert big_sigma(a, x, parity).equals(reference.code_big_sigma(a, x, parity))
+    for t in (0, 1):
+        assert parity_sums(a, t) == reference.code_parity_sums(a, t)
+
+
+# Entries at the base region, where a parent is not c >> 1: codes 1 and 3
+# stand for "2" (code 6) and the base (code 2).
+BASE_REGION = (BASE, "0", "1", "2", "20", "21")
+
+
+@pytest.mark.parametrize("center", [BASE, "0", "2"])
+@pytest.mark.parametrize("values", [(1, 2, 3, 5, 7, 11), (1, 1, 1, 1, 1, 1), (1, -1, 2, 1, -1, 1)])
+def test_wave_at_the_base_region_equals_the_earlier_code_route(center, values):
+    a = TreeVector(dict(zip(BASE_REGION, values)))
+    for parity in ("even", "odd"):
+        got = big_sigma(a, center, parity)
+        assert entries(got) == entries(reference.code_big_sigma(a, center, parity)), parity
+        assert entries(got) == entries(reference.big_sigma(a, center, parity)), parity
+        for t in (0, 1):
+            assert parity_sums(got, t) == reference.code_parity_sums(got, t)
 
 
 @pytest.mark.parametrize("center", [BASE, "1", "201"])
@@ -237,6 +264,34 @@ def test_off_center_oracle():
     assert _sums_around(v, "01", 3) == (fib(6), fib(8))
     w = r_vec_at(2, "01", "0")
     assert _sums_around(w, "01", 2) == (fib(3), fib(5))
+
+
+def test_a_family_grows_on_from_its_latest_vector():
+    families = Families()
+    s3 = families.s_vec_at(3, "0")
+    assert s3.equals(s_vec_at(3, "0"))
+    assert families.s_vec_at(3, "0") is s3  # the same wave count is not regrown
+    assert families.s_vec_at(5, "0").equals(s_vec_at(5, "0"))
+    assert families.s_vec_at(2, "0").equals(s_vec_at(2, "0"))  # an earlier one regrows from the start
+    assert families.r_vec_at(4, BASE, "1").equals(r_vec_at(4, BASE, "1"))
+    assert families.r_vec_at(4, "1", BASE).equals(r_vec_at(4, "1", BASE))  # another start, another family
+    with pytest.raises(OracleCapExceeded):
+        families.s_vec_at(4, "0", cap=3)
+    with pytest.raises(ValueError):
+        families.r_vec_at(-1, BASE, "1")
+    with pytest.raises(NotNeighbors):
+        families.r_vec_at(1, BASE, "00")
+
+
+def test_no_grown_vector_outlives_its_call(monkeypatch):
+    waves = []
+    real = reflect.big_sigma
+    monkeypatch.setattr(reflect, "big_sigma", lambda a, x, parity: waves.append(x) or real(a, x, parity))
+    for grow in (lambda: s_vec(4), lambda: r_vec(4), lambda: Families().s_vec_at(4, BASE)):
+        for _ in range(2):
+            waves.clear()
+            grow()
+            assert len(waves) == 4
 
 
 def test_oracle_cap():
