@@ -9,9 +9,9 @@ that never steps straight back: x_0 .. x_t for Cor. 4.2, and x_{-1} ..
 x_{t+1} for Cor. 4.3, whose anchors are the walk's two ends. Each check
 returns None when every identity holds, else the first failure's text (the
 identity's name and any detail): the counterexample a caller prints. A check
-draws its vectors from the `families` table it is given, so a suite that
-hands every check one table grows each vector family once; without one, a
-check grows its own.
+draws its vectors from the `families` table it is given, under that table's
+oracle cap, so a suite that hands every check one table grows each vector
+family once. A far end, asked for once per check, is grown outside the table.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from . import reflect
 from .errors import NotNeighbors
 from .fibcore import fib
-from .reflect import ORACLE_CAP, Families, TreeVector
+from .reflect import Families, TreeVector
 from .tree import BASE, Vertex, distance, neighbors
 
 
@@ -100,9 +100,7 @@ def _scalar_shadow(holds: bool) -> Optional[str]:
     return None if holds else "scalar-shadow"
 
 
-def check_prop41(
-    t: int, *, y_letter: str = "0", cap: int = ORACLE_CAP, families: Optional[Families] = None
-) -> Optional[str]:
+def check_prop41(t: int, families: Families, *, y_letter: str = "0") -> Optional[str]:
     """Two peeling identities at the base vertex x with marked neighbor y:
     the step-t vertex vector is the step-(t-1) vector at y plus the step-t
     edge vector, and the edge vector peels into the step-(t-1) vector at a
@@ -113,20 +111,19 @@ def check_prop41(
     x = BASE
     y = y_letter
     y2, y3 = [n for n in neighbors(x) if n != y]
-    grown = families or Families()
 
-    s_t = grown.s_vec_at(t, x, cap=cap)
-    r_t = grown.r_vec_at(t, x, y, cap=cap)
+    s_t = families.s_vec_at(t, x)
+    r_t = families.r_vec_at(t, x, y)
     return (
         _vector_eq_check(
             "vertex-splits-into-neighbor-plus-edge",
             s_t,
-            grown.s_vec_at(t - 1, y, cap=cap).add(r_t),
+            families.s_vec_at(t - 1, y).add(r_t),
         )
         or _vector_eq_check(
             "edge-splits-into-neighbor-plus-turned-edge",
             r_t,
-            grown.s_vec_at(t - 1, y2, cap=cap).add(grown.r_vec_at(t - 1, y3, x, cap=cap)),
+            families.s_vec_at(t - 1, y2).add(families.r_vec_at(t - 1, y3, x)),
         )
         or _scalar_shadow(
             fib(2 * t + 2) == fib(2 * t) + fib(2 * t + 1)
@@ -135,9 +132,7 @@ def check_prop41(
     )
 
 
-def check_cor42(
-    t: int, walk: Sequence[Vertex], *, cap: int = ORACLE_CAP, families: Optional[Families] = None
-) -> Optional[str]:
+def check_cor42(t: int, walk: Sequence[Vertex], families: Families) -> Optional[str]:
     """Filtration identity along a walk x_0 .. x_t: the step-t vector at the
     far end equals the unit at the start plus the edge vectors picked up one
     step at a time. Scalar shadow: f(2t) is the sum of the first t odd-index
@@ -145,20 +140,17 @@ def check_cor42(
     if t < 1:
         raise ValueError(f"t must be positive, got {t}")
     xs = require_walk(walk, t + 1)
-    grown = families or Families()
 
     total = reflect.unit(xs[0])
     for i in range(1, t + 1):
-        total = total.add(grown.r_vec_at(i, xs[i], xs[i - 1], cap=cap))
+        total = total.add(families.r_vec_at(i, xs[i], xs[i - 1]))
     return (
-        _vector_eq_check("filtration-sum", grown.s_vec_at(t, xs[t], cap=cap), total)
+        _vector_eq_check("filtration-sum", reflect.s_vec_at(t, xs[t], cap=families.cap), total)
         or _scalar_shadow(fib(2 * t) == sum(fib(2 * i - 1) for i in range(1, t + 1)))
     )
 
 
-def check_cor43(
-    t: int, walk: Sequence[Vertex], *, cap: int = ORACLE_CAP, families: Optional[Families] = None
-) -> Optional[str]:
+def check_cor43(t: int, walk: Sequence[Vertex], families: Families) -> Optional[str]:
     """Side-branch identity along an anchored walk x_{-1} .. x_{t+1}, given
     as its t+3 vertices: the step-(t+1) edge vector at the far end equals the
     starting edge vector plus one vertex vector grown at each side branch
@@ -167,13 +159,12 @@ def check_cor43(
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     xs = require_walk(walk, t + 3)
-    grown = families or Families()
 
     total = reflect.edge_unit(xs[0], xs[1])
     for i in range(t + 1):
         z = third_neighbor(xs[i + 1], xs[i], xs[i + 2])
-        total = total.add(grown.s_vec_at(i, z, cap=cap))
+        total = total.add(families.s_vec_at(i, z))
     return (
-        _vector_eq_check("side-branch-sum", grown.r_vec_at(t + 1, xs[t + 1], xs[t + 2], cap=cap), total)
+        _vector_eq_check("side-branch-sum", reflect.r_vec_at(t + 1, xs[t + 1], xs[t + 2], cap=families.cap), total)
         or _scalar_shadow(fib(2 * t + 1) == 1 + sum(fib(2 * i) for i in range(1, t + 1)))
     )

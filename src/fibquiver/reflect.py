@@ -166,7 +166,7 @@ def big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:
 
 
 class Families:
-    """The vector families that one suite call grows, each grown once.
+    """The vector families that one suite call grows, each once, under one cap.
 
     A family is one start vector grown around its first vertex x by
     alternating reflection waves, the first reflecting the odd-distance
@@ -178,19 +178,20 @@ class Families:
     would make a repeated call cheaper than a fresh process could ever be.
     """
 
-    __slots__ = ("_grown",)
+    __slots__ = ("cap", "_grown")
 
-    def __init__(self):
+    def __init__(self, cap: int = ORACLE_CAP):
+        self.cap = cap
         # key -> (start, waves, the start after that many waves)
         self._grown: dict[tuple[Vertex, ...], tuple[TreeVector, int, TreeVector]] = {}
 
-    def s_vec_at(self, t: int, center: Vertex, *, cap: int = ORACLE_CAP) -> TreeVector:
-        return self._at((center,), unit, t, cap)
+    def s_vec_at(self, t: int, center: Vertex) -> TreeVector:
+        return self._at((center,), unit, t)
 
-    def r_vec_at(self, t: int, x: Vertex, y: Vertex, *, cap: int = ORACLE_CAP) -> TreeVector:
-        return self._at((x, y), edge_unit, t, cap)
+    def r_vec_at(self, t: int, x: Vertex, y: Vertex) -> TreeVector:
+        return self._at((x, y), edge_unit, t)
 
-    def _at(self, key: tuple[Vertex, ...], start_of, t: int, cap: int) -> TreeVector:
+    def _at(self, key: tuple[Vertex, ...], start_of, t: int) -> TreeVector:
         if key in self._grown:
             start, waves, a = self._grown[key]
         else:
@@ -198,8 +199,8 @@ class Families:
             waves = 0
         if t < 0:
             raise ValueError(f"t must be non-negative, got {t}")
-        if t > cap:
-            raise OracleCapExceeded(t, cap)
+        if t > self.cap:
+            raise OracleCapExceeded(t, self.cap)
         if t < waves:
             waves, a = 0, start
         for i in range(waves, t):
@@ -210,7 +211,7 @@ class Families:
 
 def s_vec_at(t: int, center: Vertex, *, cap: int = ORACLE_CAP) -> TreeVector:
     """The vector grown from unit(center) by t alternating reflection waves."""
-    return Families().s_vec_at(t, center, cap=cap)
+    return Families(cap).s_vec_at(t, center)
 
 
 def s_vec(t: int, *, cap: int = ORACLE_CAP) -> TreeVector:
@@ -220,7 +221,7 @@ def s_vec(t: int, *, cap: int = ORACLE_CAP) -> TreeVector:
 
 def r_vec_at(t: int, x: Vertex, y: Vertex, *, cap: int = ORACLE_CAP) -> TreeVector:
     """The vector grown from edge_unit(x, y) by t reflection waves centered at x."""
-    return Families().r_vec_at(t, x, y, cap=cap)
+    return Families(cap).r_vec_at(t, x, y)
 
 
 def r_vec(t: int, *, cap: int = ORACLE_CAP) -> TreeVector:

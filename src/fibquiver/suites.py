@@ -6,8 +6,8 @@ that returns ok=True has verified every instance it names, no sampling, and
 a suite whose range names no instance raises ValueError instead.
 
 The oracle suites (prop41, cor42, cor43, oracle) hand all their checks one
-reflect.Families table, made for the call and dropped with it: each vector
-family grows once per call, and no call reuses another's vectors.
+reflect.Families table that carries the call's cap and is dropped with it:
+each vector family grows once per call, and no call reuses another's vectors.
 """
 
 from __future__ import annotations
@@ -57,38 +57,36 @@ def _run_reports(suite: str, cases) -> SuiteResult:
     return _collect(suite, failures, checked)
 
 
-def _require_cap(largest: int, cap: int) -> None:
-    """Refuse a suite whose largest wave count is past the cap before any
-    of its checks runs."""
+def _families(largest: int, cap: int) -> reflect.Families:
+    """The call's table under the cap, once its largest wave count is known
+    to be within it: a suite past the cap is refused before any check runs."""
     if largest > cap:
         raise OracleCapExceeded(largest, cap)
+    return reflect.Families(cap)
 
 
 def run_prop41(t_max: int = 6, *, cap: int = ORACLE_CAP) -> SuiteResult:
-    _require_cap(t_max, cap)
-    families = reflect.Families()
+    families = _families(t_max, cap)
     return _run_reports("prop41", (
-        (f"t={t} y={letter!r}", catident.check_prop41(t, y_letter=letter, cap=cap, families=families))
+        (f"t={t} y={letter!r}", catident.check_prop41(t, families, y_letter=letter))
         for t in range(1, t_max + 1)
         for letter in "012"
     ))
 
 
 def run_cor42(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACLE_CAP) -> SuiteResult:
-    _require_cap(t_max, cap)
-    families = reflect.Families()
+    families = _families(t_max, cap)
     return _run_reports("cor42", (
-        (f"t={t} path={walk}", catident.check_cor42(t, walk, cap=cap, families=families))
+        (f"t={t} path={walk}", catident.check_cor42(t, walk, families))
         for t in range(1, t_max + 1)
         for walk in path_variants(t + 1, paths, seed)
     ))
 
 
 def run_cor43(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACLE_CAP) -> SuiteResult:
-    _require_cap(t_max + 1, cap)  # the far edge vector grows t_max + 1 waves
-    families = reflect.Families()
+    families = _families(t_max + 1, cap)  # the far edge vector grows t_max + 1 waves
     return _run_reports("cor43", (
-        (f"t={t} path={walk}", catident.check_cor43(t, walk, cap=cap, families=families))
+        (f"t={t} path={walk}", catident.check_cor43(t, walk, families))
         for t in range(0, t_max + 1)
         for walk in path_variants(t + 3, paths, seed)
     ))
@@ -97,11 +95,10 @@ def run_cor43(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACL
 def run_oracle(t_max: int = 8, *, cap: int = ORACLE_CAP) -> SuiteResult:
     """Compressed profiles against the literal reflection oracle, both ways,
     at every wave count 0..t_max on both lines."""
-    _require_cap(t_max, cap)
-    families = reflect.Families()
+    families = _families(t_max, cap)
     failures, checked = [], 0
     for t, prof in zip(range(t_max + 1), profiles.rows(profiles.radial_start())):
-        vec = families.s_vec_at(t, BASE, cap=cap)
+        vec = families.s_vec_at(t, BASE)
         checked += 2
         if not profiles.expand(prof, cap=cap).equals(vec):
             failures.append(f"t={t}: expanded radial profile differs from the vertex vector")
@@ -110,7 +107,7 @@ def run_oracle(t_max: int = 8, *, cap: int = ORACLE_CAP) -> SuiteResult:
     signed = profiles.rows(profiles.u_start())  # the even wave counts
     for t in range(t_max + 1):
         prof = profiles.step(prof, 1) if t % 2 else next(signed)
-        vec = families.r_vec_at(t, BASE, MARKED_NEIGHBOR, cap=cap)
+        vec = families.r_vec_at(t, BASE, MARKED_NEIGHBOR)
         checked += 2
         if not profiles.expand(prof, cap=cap).equals(vec):
             failures.append(f"t={t}: expanded signed profile differs from the edge vector")

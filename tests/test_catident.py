@@ -16,7 +16,7 @@ from fibquiver.catident import (
 )
 from fibquiver.errors import NotNeighbors, OracleCapExceeded
 from fibquiver.fibcore import DimPair, classify_pair, fib, fib_range
-from fibquiver.reflect import TreeVector, edge_unit, parity_sums, r_vec, r_vec_at, s_vec, s_vec_at, unit
+from fibquiver.reflect import Families, TreeVector, edge_unit, parity_sums, r_vec, r_vec_at, s_vec, s_vec_at, unit
 from fibquiver.tree import BASE
 
 
@@ -46,11 +46,11 @@ def test_walk_validation():
         require_walk((BASE, "0", "00"), 4)
     # The checks validate the walks they are given.
     with pytest.raises(NotNeighbors):
-        check_cor42(1, (BASE, "00"))
+        check_cor42(1, (BASE, "00"), Families())
     with pytest.raises(ValueError, match="backtracks"):
-        check_cor43(0, ("0", BASE, "0"))
+        check_cor43(0, ("0", BASE, "0"), Families())
     with pytest.raises(ValueError, match="need 3 walk vertices"):
-        check_cor43(0, (BASE, "0"))
+        check_cor43(0, (BASE, "0"), Families())
 
 
 def test_third_neighbor():
@@ -61,7 +61,7 @@ def test_third_neighbor():
 
 
 def test_prop41_smallest_step_by_hand():
-    assert check_prop41(1) is None
+    assert check_prop41(1, Families()) is None
     # Both sides literally: entry 1 at the base and all three neighbors.
     lhs = s_vec(1)
     rhs = s_vec_at(0, "0").add(r_vec(1))
@@ -72,7 +72,7 @@ def test_prop41_smallest_step_by_hand():
 def test_prop41_all_steps_and_markings():
     for t in range(1, 7):
         for letter in "012":
-            failure = check_prop41(t, y_letter=letter)
+            failure = check_prop41(t, Families(), y_letter=letter)
             assert failure is None, (t, letter, failure)
 
 
@@ -82,7 +82,7 @@ def test_prop41_scalar_shadow():
 
 
 def test_cor42_smallest_step():
-    assert check_cor42(1, (BASE, "0")) is None
+    assert check_cor42(1, (BASE, "0"), Families()) is None
     assert s_vec_at(1, "0").equals(unit(BASE).add(r_vec_at(1, "0", BASE)))
 
 
@@ -98,7 +98,7 @@ def test_cor42_scalar_examples():
 
 def test_cor43_smallest_step():
     walk = straight_path(3)
-    assert check_cor43(0, walk) is None
+    assert check_cor43(0, walk, Families()) is None
     lhs = r_vec_at(1, walk[1], walk[2])
     rhs = edge_unit(walk[0], walk[1]).add(s_vec_at(0, third_neighbor(walk[1], walk[0], walk[2])))
     assert lhs.equals(rhs)
@@ -120,10 +120,10 @@ def test_identities_hold_on_every_path_shape():
         assert len(shapes) >= 3
         assert len({tuple(s) for s in shapes}) == len(shapes)
         for shape in shapes:
-            assert check_cor42(t, shape) is None, (t, shape)
+            assert check_cor42(t, shape, Families()) is None, (t, shape)
     for t in range(0, 5):
         for shape in path_variants(t + 3, 4, seed=11):
-            assert check_cor43(t, shape) is None, (t, shape)
+            assert check_cor43(t, shape, Families()) is None, (t, shape)
 
 
 def test_path_variants_returns_at_most_count_shapes():
@@ -145,8 +145,8 @@ def test_seed_draws_only_the_shapes_past_the_fixed_three():
 
 def test_paths_can_turn_through_the_base():
     walk = ["1", BASE, "2", "20", "200"]
-    assert check_cor42(4, walk) is None
-    assert check_cor43(2, walk) is None
+    assert check_cor42(4, walk, Families()) is None
+    assert check_cor43(2, walk, Families()) is None
 
 
 def test_random_path_is_valid():
@@ -173,14 +173,14 @@ def test_a_seed_draws_the_same_walks():
 
 def test_a_broken_identity_is_named_in_the_verdict(monkeypatch):
     walk = ("1", BASE, "2", "20")
-    assert check_cor42(3, walk) is None
+    assert check_cor42(3, walk, Families()) is None
     # One more on every Fibonacci number breaks each scalar shadow, with no
     # detail to follow the identity's name.
     real = catident.fib
     monkeypatch.setattr(catident, "fib", lambda n: real(n) + 1)
-    assert check_cor42(3, walk) == "scalar-shadow"
-    assert check_cor43(2, straight_path(5)) == "scalar-shadow"
-    assert check_prop41(2, y_letter="1") == "scalar-shadow"
+    assert check_cor42(3, walk, Families()) == "scalar-shadow"
+    assert check_cor43(2, straight_path(5), Families()) == "scalar-shadow"
+    assert check_prop41(2, Families(), y_letter="1") == "scalar-shadow"
 
 
 def test_a_failed_check_names_the_first_differing_vertex():
@@ -195,13 +195,28 @@ def test_a_failed_check_names_the_first_differing_vertex():
 
 def test_caps_are_enforced():
     with pytest.raises(OracleCapExceeded):
-        check_prop41(13)
+        check_prop41(13, Families())
     with pytest.raises(OracleCapExceeded):
-        check_cor43(12, straight_path(15))
+        check_cor43(12, straight_path(15), Families())
     with pytest.raises(OracleCapExceeded):
-        check_cor42(3, straight_path(4), cap=2)
+        check_cor42(3, straight_path(4), Families(cap=2))
     with pytest.raises(ValueError):
-        check_cor42(0, straight_path(1))
+        check_cor42(0, straight_path(1), Families())
+
+
+def test_a_raised_cap_reaches_every_vector_a_check_grows():
+    # Each check grows a vector of 13 waves: in the table or at the far end.
+    checks = (
+        lambda grown: check_prop41(13, grown, y_letter="1"),
+        lambda grown: check_cor42(13, straight_path(14), grown),
+        lambda grown: check_cor43(12, straight_path(15), grown),
+    )
+    raised = Families(cap=13)
+    assert all(check(raised) is None for check in checks)
+    for check in checks:
+        with pytest.raises(OracleCapExceeded) as refused:
+            check(Families())
+        assert (refused.value.t, refused.value.cap) == (13, 12)
 
 
 def test_pushdown_examples():
@@ -231,6 +246,21 @@ def test_a_suite_grows_each_family_once(monkeypatch, run, most):
     assert waves == first
 
 
+@pytest.mark.parametrize("run,kept,count", [(lambda: suites.run_cor42(6), 2, 18), (lambda: suites.run_cor43(6), 1, 21)])
+def test_a_suite_table_keeps_only_the_families_a_later_check_extends(monkeypatch, run, kept, count):
+    # Each walk's far end is asked for once, so it is grown outside the
+    # table: cor42 keeps only its 18 edge families, keyed (x, y), and cor43
+    # only its 21 vertex families, keyed (x,). Kept too, they made 35 and 42.
+    tables = []
+    real = reflect.Families
+    monkeypatch.setattr(reflect, "Families", lambda *args: tables.append(real(*args)) or tables[-1])
+    assert run().ok
+    table = tables[0]  # the suite's own; each far end makes one more
+    assert len(tables) > 1
+    assert len(table._grown) == count
+    assert {len(key) for key in table._grown} == {kept}
+
+
 def _broken_wave(monkeypatch):
     """Every even wave also adds 1 at its center."""
     real = reflect.big_sigma
@@ -247,13 +277,13 @@ def test_one_table_per_suite_keeps_every_verdict(monkeypatch, suite):
     _broken_wave(monkeypatch)
     if suite == "prop41":
         result = suites.run_prop41(4)
-        cases = [(f"t={t} y={y!r}", check_prop41(t, y_letter=y)) for t in range(1, 5) for y in "012"]
+        cases = [(f"t={t} y={y!r}", check_prop41(t, Families(), y_letter=y)) for t in range(1, 5) for y in "012"]
     elif suite == "cor42":
         result = suites.run_cor42(4)
-        cases = [(f"t={t} path={w}", check_cor42(t, w)) for t in range(1, 5) for w in path_variants(t + 1)]
+        cases = [(f"t={t} path={w}", check_cor42(t, w, Families())) for t in range(1, 5) for w in path_variants(t + 1)]
     else:
         result = suites.run_cor43(3)
-        cases = [(f"t={t} path={w}", check_cor43(t, w)) for t in range(0, 4) for w in path_variants(t + 3)]
+        cases = [(f"t={t} path={w}", check_cor43(t, w, Families())) for t in range(0, 4) for w in path_variants(t + 3)]
     failures = [f"{label}: {failure}" for label, failure in cases if failure is not None]
     assert failures and not result.ok
     assert result.failures == failures[: suites.MAX_REPORTED_FAILURES]

@@ -569,11 +569,13 @@ SEQUENCES = [
     # A suite's vector families live for its call only.
     ((["verify", "prop41", "--t", "4"], None), (["verify", "prop41", "--t", "2"], None)),
     ((["verify", "cor43", "--t", "3"], None), (["verify", "cor43", "--t", "1", "--format", "json"], None)),
+    # The table carries the cap, and the cap lives for its call only too.
+    ((["verify", "cor42", "--t", "3", "--oracle-cap", "13"], None), (["verify", "cor42", "--t", "3"], "2")),
 ]
 
 
 @pytest.mark.parametrize(
-    "earlier,later", SEQUENCES, ids=["verify", "fib", "oracle-cap", "usage-error", "prop41-families", "cor43-families"]
+    "earlier,later", SEQUENCES, ids=["verify", "fib", "oracle-cap", "usage-error", "prop41-families", "cor43-families", "cor42-cap"]
 )
 def test_calls_leave_no_state_for_the_next(capsys, monkeypatch, earlier, later):
     def call_with_env(argv, env):

@@ -276,7 +276,7 @@ def test_a_family_grows_on_from_its_latest_vector():
     assert families.r_vec_at(4, BASE, "1").equals(r_vec_at(4, BASE, "1"))
     assert families.r_vec_at(4, "1", BASE).equals(r_vec_at(4, "1", BASE))  # another start, another family
     with pytest.raises(OracleCapExceeded):
-        families.s_vec_at(4, "0", cap=3)
+        Families(cap=3).s_vec_at(4, "0")
     with pytest.raises(ValueError):
         families.r_vec_at(-1, BASE, "1")
     with pytest.raises(NotNeighbors):
