@@ -16,7 +16,6 @@ family once. A far end, asked for once per check, is grown outside the table.
 
 from __future__ import annotations
 
-import random
 from typing import Optional, Sequence
 
 from . import reflect
@@ -55,37 +54,15 @@ def straight_path(n: int, letter: str = "0") -> list[Vertex]:
     return [letter * i for i in range(n)]
 
 
-def random_path(n: int, rng: random.Random) -> list[Vertex]:
-    """n vertices of a non-backtracking walk from the base. Such a walk only
-    moves outward, so it is the prefixes of one random word."""
-    word = "".join(rng.choice("01" if i else "012") for i in range(n - 1))
-    return [word[:i] for i in range(n)]
-
-
-def path_variants(n: int, count: int = 3, seed: int = 0) -> list[list[Vertex]]:
-    """At most `count` distinct n-vertex paths with different turn shapes:
-    the all-left ray, an alternating zigzag, a walk through the base, then
-    seeded random walks from the base. Short paths admit fewer shapes than
-    asked for, so drawing stops once none is left, and the draw attempts
-    are bounded."""
-    if count < 1:
-        raise ValueError(f"path count must be positive, got {count}")
+def path_variants(n: int) -> list[list[Vertex]]:
+    """The distinct n-vertex walks among the straight walk from the base,
+    the zigzag, the walk through the base and the walk along "1", at most
+    three in that order. Only n = 2 needs the last: there the zigzag is the
+    straight walk."""
     zig = [("01" * n)[:i] for i in range(n)]
     through = ["1", BASE, *("2" + "0" * i for i in range(n - 2))] if n >= 3 else straight_path(n, letter="2")
-
-    # Each distinct walk once, keyed by its vertices, in the order first met.
-    unique: dict[tuple[Vertex, ...], list[Vertex]] = {}
-    for walk in (straight_path(n), zig, through):
-        unique.setdefault(tuple(walk), walk)
-    # The n-vertex walks from the base, plus the walk through it from "1".
-    shapes = 1 if n < 2 else 3 * 2 ** (n - 2) + (n >= 3)
-    rng = random.Random(seed)
-    for _ in range(50 * count):
-        if len(unique) >= min(count, shapes):
-            break
-        walk = random_path(n, rng)
-        unique.setdefault(tuple(walk), walk)
-    return list(unique.values())[:count]
+    walks = (straight_path(n), zig, through, straight_path(n, letter="1"))
+    return [list(w) for w in dict.fromkeys(map(tuple, walks))][:3]
 
 
 def _vector_eq_check(label: str, lhs: TreeVector, rhs: TreeVector) -> Optional[str]:

@@ -385,8 +385,8 @@ def _fib_bounds(args) -> tuple[int, int]:
 
 
 # verify's options, keyed by their dest: the name of the suite parameter each sets
-_SUITE_OPTIONS = {"t_max": "--t", "lo": "--from", "hi": "--to", "bound": "--max", "paths": "--paths",
-                  "seed": "--seed", "cap": "--oracle-cap"}
+_SUITE_OPTIONS = {"t_max": "--t", "lo": "--from", "hi": "--to", "bound": "--max", "seed": "--seed",
+                  "cap": "--oracle-cap"}
 
 
 def _run_suite(args) -> suites.SuiteResult:
@@ -475,10 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="lo", type=int, default=None, metavar="START", help="first index (three-term)")
     p.add_argument("--to", dest="hi", type=int, default=None, metavar="END", help="last index (three-term)")
     p.add_argument("--max", dest="bound", type=int, default=None, metavar="MAX", help="box bound (pairs)")
-    p.add_argument("--paths", type=int, default=None, help="at most this many path shapes per step (cor42/cor43)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed for the random walks drawn after the three fixed path shapes; "
-                        "matters only with --paths above 3 (cor42/cor43)")
+    p.add_argument("--seed", type=int, default=None, help="ignored: the walks are fixed (cor42/cor43)")
     p.set_defaults(payload=lambda a: payload_verify(_run_suite(a)))
 
     p = sub.add_parser("oeis-check", parents=[common], help="check a generator against a b-file fixture")

@@ -74,21 +74,23 @@ def run_prop41(t_max: int = 6, *, cap: int = ORACLE_CAP) -> SuiteResult:
     ))
 
 
-def run_cor42(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACLE_CAP) -> SuiteResult:
+def run_cor42(t_max: int = 6, *, seed: int = 0, cap: int = ORACLE_CAP) -> SuiteResult:
+    """Cor. 4.2 on each step's fixed walks. `seed` is ignored: `--seed` parses."""
     families = _families(t_max, cap)
     return _run_reports("cor42", (
         (f"t={t} path={walk}", catident.check_cor42(t, walk, families))
         for t in range(1, t_max + 1)
-        for walk in path_variants(t + 1, paths, seed)
+        for walk in path_variants(t + 1)
     ))
 
 
-def run_cor43(t_max: int = 6, *, paths: int = 3, seed: int = 0, cap: int = ORACLE_CAP) -> SuiteResult:
+def run_cor43(t_max: int = 6, *, seed: int = 0, cap: int = ORACLE_CAP) -> SuiteResult:
+    """Cor. 4.3 on each step's fixed walks. `seed` is ignored: `--seed` parses."""
     families = _families(t_max + 1, cap)  # the far edge vector grows t_max + 1 waves
     return _run_reports("cor43", (
         (f"t={t} path={walk}", catident.check_cor43(t, walk, families))
         for t in range(0, t_max + 1)
-        for walk in path_variants(t + 3, paths, seed)
+        for walk in path_variants(t + 3)
     ))
 
 

@@ -121,8 +121,8 @@ def test_c5_sequence_identities():
     t0 = time.perf_counter()
     for name, result in [
         ("prop41", suites.run_prop41(6)),
-        ("cor42", suites.run_cor42(6, paths=3)),
-        ("cor43", suites.run_cor43(6, paths=3)),
+        ("cor42", suites.run_cor42(6)),
+        ("cor43", suites.run_cor43(6)),
     ]:
         assert result.ok, (name, result.failures)
         assert result.checked >= 3 * 6

@@ -8,7 +8,6 @@ from fibquiver.catident import (
     check_cor43,
     check_prop41,
     path_variants,
-    random_path,
     require_walk,
     _vector_eq_check,
     straight_path,
@@ -114,61 +113,76 @@ def test_cor43_scalar_examples():
         acc += F[2 * t + 2]
 
 
+def _walks_from_the_base(n):
+    """Every n-vertex non-backtracking walk from the base: such a walk only
+    moves outward, so it is the prefixes of one word."""
+    words = [""]
+    for i in range(n - 1):
+        words = [w + b for w in words for b in ("01" if i else "012")]
+    return [[w[:i] for i in range(n)] for w in words]
+
+
 def test_identities_hold_on_every_path_shape():
     for t in range(1, 6):
-        shapes = path_variants(t + 1, 4, seed=7)
-        assert len(shapes) >= 3
+        shapes = path_variants(t + 1)
+        assert len(shapes) == 3
         assert len({tuple(s) for s in shapes}) == len(shapes)
         for shape in shapes:
             assert check_cor42(t, shape, Families()) is None, (t, shape)
     for t in range(0, 5):
-        for shape in path_variants(t + 3, 4, seed=11):
+        for shape in path_variants(t + 3):
             assert check_cor43(t, shape, Families()) is None, (t, shape)
 
 
-def test_path_variants_returns_at_most_count_shapes():
-    assert path_variants(5, 1) == [straight_path(5)]
-    # 3 * 2**2 four-vertex walks from the base, plus the one through it.
-    shapes = path_variants(4, 100)
-    assert len({tuple(s) for s in shapes}) == len(shapes) == 13
-    with pytest.raises(ValueError):
-        path_variants(4, 0)
+def test_path_variants_are_the_fixed_walks():
+    assert path_variants(1) == [[""]]
+    # The zigzag is the straight walk, so the walk along "1" is the third.
+    assert path_variants(2) == [["", "0"], ["", "2"], ["", "1"]]
+    assert path_variants(3) == [["", "0", "00"], ["", "0", "01"], ["1", "", "2"]]
+    assert path_variants(6) == [
+        ["", "0", "00", "000", "0000", "00000"],
+        ["", "0", "01", "010", "0101", "01010"],
+        ["1", "", "2", "20", "200", "2000"],
+    ]
 
 
-def test_seed_draws_only_the_shapes_past_the_fixed_three():
-    # The first three shapes are fixed, so with count <= 3 every seed gives
-    # the same paths; past three, the seeded random walks differ.
-    for n in range(3, 16):
-        assert all(path_variants(n, 3, seed) == path_variants(n, 3, 0) for seed in range(50))
-    assert len({tuple(map(tuple, path_variants(8, 6, seed))) for seed in range(10)}) > 1
+def test_identities_hold_on_every_walk_from_the_base():
+    # Every term depends only on a vertex's projection class on the walk,
+    # so the fixed walks suffice; all walks from the base exercise the
+    # oracle's addressing on every turn shape.
+    assert [len(_walks_from_the_base(n)) for n in range(1, 5)] == [1, 3, 6, 12]
+    # 381 walks for Cor. 4.2 and 762 for Cor. 4.3.
+    grown = Families()
+    for t in range(1, 8):
+        for walk in _walks_from_the_base(t + 1):
+            assert check_cor42(t, walk, grown) is None, (t, walk)
+    grown = Families()
+    for t in range(0, 7):
+        for walk in _walks_from_the_base(t + 3):
+            assert check_cor43(t, walk, grown) is None, (t, walk)
+
+
+def test_the_fixed_walks_never_regrow_a_family(monkeypatch):
+    # Each table request asks a family for at least the waves it holds, so
+    # no family regrows from its start.
+    requests, regrown = [], []
+    real = Families._at
+
+    def recorded(self, key, start_of, t):
+        requests.append(key)
+        if key in self._grown and t < self._grown[key][1]:
+            regrown.append((key, t))
+        return real(self, key, start_of, t)
+
+    monkeypatch.setattr(Families, "_at", recorded)
+    assert suites.run_cor42(8).ok and suites.run_cor43(7).ok
+    assert requests and regrown == []
 
 
 def test_paths_can_turn_through_the_base():
     walk = ["1", BASE, "2", "20", "200"]
     assert check_cor42(4, walk, Families()) is None
     assert check_cor43(2, walk, Families()) is None
-
-
-def test_random_path_is_valid():
-    import random
-
-    rng = random.Random(3)
-    for _ in range(20):
-        walk = random_path(6, rng)
-        assert walk[0] == BASE
-        require_walk(walk, 6)  # validates adjacency and no backtracking
-
-
-def test_a_seed_draws_the_same_walks():
-    # Pinned from the neighbor-list walk that random_path replaced.
-    assert path_variants(6, 5, seed=7) == [
-        ["", "0", "00", "000", "0000", "00000"],
-        ["", "0", "01", "010", "0101", "01010"],
-        ["1", "", "2", "20", "200", "2000"],
-        ["", "1", "10", "101", "1010", "10100"],
-        ["", "2", "20", "201", "2010", "20100"],
-    ]
-    assert path_variants(2, 3, seed=123) == [["", "0"], ["", "2"], ["", "1"]]
 
 
 def test_a_broken_identity_is_named_in_the_verdict(monkeypatch):
