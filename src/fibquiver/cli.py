@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import inspect
 import json
 import math
 import os
@@ -390,9 +389,12 @@ _SUITE_OPTIONS = {"t_max": "--t", "lo": "--from", "hi": "--to", "bound": "--max"
 
 
 def _run_suite(args) -> suites.SuiteResult:
-    """Run the suite on the options given, refusing one it does not read."""
+    """Run the suite on the options given, refusing one it does not read.
+    The parameter names are read off the code of the function a
+    functools.wraps wrapper stands for, as the wrapper's own takes *args."""
     run = suites.SUITES[args.suite]
-    reads = inspect.signature(run).parameters
+    code = getattr(run, "__wrapped__", run).__code__
+    reads = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
     options = {}
     for name, flag in _SUITE_OPTIONS.items():
         if getattr(args, name) is not None:

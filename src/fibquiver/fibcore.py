@@ -10,7 +10,6 @@ arbitrary lattice point is such a pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 
@@ -107,8 +106,7 @@ class Witness(NamedTuple):
     negated: bool
 
 
-@dataclass(frozen=True)
-class PairClass:
+class PairClass(NamedTuple):
     kind: str
     witness: Optional[Witness] = None
 

@@ -14,10 +14,8 @@ self-consistency only; to cross-check, pass the published b-files with
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import BFileParseError, SequenceMismatch
 from .fibcore import fib
@@ -79,8 +77,7 @@ GENERATORS: dict[str, Callable[[], Callable[[int], int]]] = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     sequence: str
     checked: int
 
@@ -105,7 +102,7 @@ def default_fixture_path(sequence: str) -> Path:
     seq = sequence.upper()
     if not (seq.startswith("A") and seq[1:].isdigit()):
         raise ValueError(f"not a sequence id: {sequence!r}")
-    return Path(str(resources.files("fibquiver").joinpath("data", f"b{seq[1:].zfill(6)}.txt")))
+    return Path(__file__).with_name("data") / f"b{seq[1:].zfill(6)}.txt"
 
 
 def run_check(sequence: str, fixture: str | Path | None = None) -> CheckResult:

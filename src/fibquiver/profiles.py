@@ -18,7 +18,6 @@ them entry by entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Iterator, NamedTuple
 
@@ -36,8 +35,14 @@ RADIAL = ((0, 0), (0, 3), (1, 2))
 SIGNED = ((2, 1), (1, 2), (1, 2))
 
 
-@dataclass(frozen=True)
-class Profile:
+class _ProfileFields(NamedTuple):
+    weights: tuple
+    waves: int
+    lo: int
+    values: tuple[int, ...]
+
+
+class Profile(_ProfileFields):
     """Class values of a vector grown by reflection waves, on one class line.
 
     weights is RADIAL (grown from the base vertex) or SIGNED (grown from the
@@ -45,33 +50,31 @@ class Profile:
     radial table row and two per signed one. values[i] is the entry at every
     vertex of class lo + i; classes outside [lo, hi] are zero. After w waves
     the rim class w holds 1, the left end is nonzero, and lo >= -(w + 1),
-    with lo = 0 on the radial line, which ends at class 0.
+    with lo = 0 on the radial line, which ends at class 0. A profile is the
+    tuple of its four fields, so it is immutable, compared and hashed by value.
     """
 
-    weights: tuple
-    waves: int
-    lo: int
-    values: tuple[int, ...]
+    __slots__ = ()
+
+    def __new__(cls, weights: tuple, waves: int, lo: int, values: tuple[int, ...]) -> Profile:
+        p = super().__new__(cls, weights, waves, lo, values)
+        if waves < 0:
+            raise ValueError(f"the wave count must be non-negative, got {waves}")
+        if not values or values[0] == 0:
+            raise ValueError("the leftmost stored class must be nonzero")
+        if any(v < 0 for v in values):
+            raise ValueError(f"negative class value in {values}")
+        if p.hi != waves or values[-1] != 1:
+            raise ValueError(f"the last class must be the rim class {waves}, holding 1")
+        if lo < -(waves + 1) or (weights[1][0] == 0 and lo != 0):
+            raise ValueError(f"support [{lo}, {p.hi}] leaves the line after {waves} waves")
+        return p
 
     @classmethod
     def _trusted(cls, weights: tuple, waves: int, lo: int, values: tuple[int, ...]) -> Profile:
-        """A row that `step` built, valid by construction: __post_init__'s
-        checks, a scan of every cell among them, are skipped."""
-        p = cls.__new__(cls)
-        vars(p).update(weights=weights, waves=waves, lo=lo, values=values)
-        return p
-
-    def __post_init__(self):
-        if self.waves < 0:
-            raise ValueError(f"the wave count must be non-negative, got {self.waves}")
-        if not self.values or self.values[0] == 0:
-            raise ValueError("the leftmost stored class must be nonzero")
-        if any(v < 0 for v in self.values):
-            raise ValueError(f"negative class value in {self.values}")
-        if self.hi != self.waves or self.values[-1] != 1:
-            raise ValueError(f"the last class must be the rim class {self.waves}, holding 1")
-        if self.lo < -(self.waves + 1) or (self.weights[1][0] == 0 and self.lo != 0):
-            raise ValueError(f"support [{self.lo}, {self.hi}] leaves the line after {self.waves} waves")
+        """A row that `step` built, valid by construction: __new__'s checks,
+        a scan of every cell among them, are skipped."""
+        return tuple.__new__(cls, (weights, waves, lo, values))
 
     @property
     def hi(self) -> int:
@@ -219,8 +222,7 @@ class PartitionTerm(NamedTuple):
     product: int
 
 
-@dataclass(frozen=True)
-class PartitionReport:
+class PartitionReport(NamedTuple):
     """Itemized decomposition of a pair of odd-index Fibonacci numbers."""
 
     t: int

@@ -12,7 +12,7 @@ each vector family grows once per call, and no call reuses another's vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import catident, profiles, reflect
 from .catident import path_variants
@@ -32,8 +32,7 @@ from .tree import BASE
 MAX_REPORTED_FAILURES = 5
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     suite: str
     ok: bool
     checked: int
@@ -96,25 +95,30 @@ def run_cor43(t_max: int = 6, *, seed: int = 0, cap: int = ORACLE_CAP) -> SuiteR
 
 def run_oracle(t_max: int = 8, *, cap: int = ORACLE_CAP) -> SuiteResult:
     """Compressed profiles against the literal reflection oracle, both ways,
-    at every wave count 0..t_max on both lines."""
+    at every wave count 0..t_max on both lines, and the oracle's parity sums
+    against the profile's."""
     families = _families(t_max, cap)
     failures, checked = [], 0
     for t, prof in zip(range(t_max + 1), profiles.rows(profiles.radial_start())):
         vec = families.s_vec_at(t, BASE)
-        checked += 2
+        checked += 3
         if not profiles.expand(prof, cap=cap).equals(vec):
             failures.append(f"t={t}: expanded radial profile differs from the vertex vector")
         if profiles.compress_radial(vec, cap=cap) != prof:
             failures.append(f"t={t}: compressed vertex vector differs from the stepped profile")
+        if reflect.parity_sums(vec, t) != profiles.sums(prof):
+            failures.append(f"t={t}: vertex vector parity sums differ from the radial profile sums")
     signed = profiles.rows(profiles.u_start())  # the even wave counts
     for t in range(t_max + 1):
         prof = profiles.step(prof, 1) if t % 2 else next(signed)
         vec = families.r_vec_at(t, BASE, MARKED_NEIGHBOR)
-        checked += 2
+        checked += 3
         if not profiles.expand(prof, cap=cap).equals(vec):
             failures.append(f"t={t}: expanded signed profile differs from the edge vector")
         if profiles.compress_biradial(vec, cap=cap) != prof:
             failures.append(f"t={t}: compressed edge vector differs from the stepped profile")
+        if reflect.parity_sums(vec, t) != profiles.sums(prof):
+            failures.append(f"t={t}: edge vector parity sums differ from the signed profile sums")
     return _collect("oracle", failures, checked)
 
 

@@ -1,9 +1,11 @@
 """The command-line surface: formats, exit codes, and stream separation."""
 
 import contextlib
+import functools
 import inspect
 import io
 import json
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -336,8 +338,9 @@ def test_env_cap_reaches_only_suites_that_read_it(capsys, monkeypatch):
         (["oracle", "--t", "3"], profiles, "compress_radial",
          lambda real: lambda a, *, cap: profiles.step(real(a, cap=cap), 1)),  # one wave too many
         (["sums", "--t", "5"], profiles, "sums", lambda real: lambda p: tuple(v + 1 for v in real(p))),
+        (["oracle", "--t", "2"], reflect, "parity_sums", lambda real: lambda a, t: real(a, t)[::-1]),  # minus, plus swapped
     ],
-    ids=["pairs", "oracle", "sums"],
+    ids=["pairs", "oracle", "sums", "oracle-parity-sums"],
 )
 def test_a_failing_suite_still_counts_every_check(capsys, monkeypatch, argv, module, name, breaks):
     code, out, _ = run(capsys, "verify", *argv, "--format", "json")
@@ -584,10 +587,32 @@ def test_builders_are_looked_up_at_call_time(capsys, monkeypatch):
     assert seen == [(2, 5), "ascii"]
 
 
-def test_console_entry_point():
-    import subprocess
-    import sys
+def test_suite_options_are_read_through_a_wrapper(capsys, monkeypatch):
+    # A functools.wraps wrapper, as a tracer installs, takes *args and
+    # **kwargs; the options a suite reads are still its own.
+    def wrapped(run_suite):
+        @functools.wraps(run_suite)
+        def wrapper(*args, **kwargs):
+            return run_suite(*args, **kwargs)
+        return wrapper
 
+    for name, run_suite in suites.SUITES.items():
+        monkeypatch.setitem(suites.SUITES, name, wrapped(run_suite))
+    assert run(capsys, "verify", "prop41", "--t", "1") == (0, "prop41: ok (3 checks)\n", "")
+    assert run(capsys, "verify", "pairs", "--t", "3") == (2, "", "error: verify pairs does not read --t\n")
+    assert run(capsys, "verify", "cor42", "--t", "1", "--seed", "5")[0] == 0
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Every call is a fresh process and pays the import.
+    src = str(Path(cli.__file__).parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fibquiver.cli; fibquiver.cli.build_parser(); "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
+
+
+def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "fibquiver.cli", "fib", "7"],
         capture_output=True,

@@ -101,6 +101,16 @@ def test_radial_profile_validation():
         Profile(RADIAL, 1, 1, (1,))  # the radial line starts at class 0
 
 
+def test_a_profile_is_an_immutable_value():
+    p = radial_step(radial_start())
+    assert p == Profile(RADIAL, 1, 0, (1, 1)) and hash(p) == hash(Profile(RADIAL, 1, 0, (1, 1)))
+    assert p != Profile(SIGNED, 1, 0, (1, 1)) and len({p, radial_step(radial_start())}) == 1
+    assert repr(p) == "Profile(weights=((0, 0), (0, 3), (1, 2)), waves=1, lo=0, values=(1, 1))"
+    with pytest.raises(AttributeError):
+        p.waves = 2
+    assert not hasattr(p, "__dict__")
+
+
 def test_radial_sums_examples():
     assert radial_sums(Profile(RADIAL, 1, 0, (1, 1))) == (1, 3)
     assert radial_sums(Profile(RADIAL, 0, 0, (1,))) == (0, 1)
