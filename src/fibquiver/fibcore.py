@@ -61,7 +61,7 @@ def fib_range(lo: int, hi: int) -> list[int]:
     return out
 
 
-def euler_form(p: DimPair) -> int:
+def euler_form(p: tuple[int, int]) -> int:
     """q(x, y) = x^2 + y^2 - 3xy."""
     x, y = p
     return x * x + y * y - 3 * x * y
@@ -117,7 +117,7 @@ _LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
 _LOG2_SQRT5 = math.log2(5) / 2
 
 
-def _witness(p: DimPair, q: int) -> Witness:
+def _witness(p: tuple[int, int], q: int) -> Witness:
     """The index witness of a |q| = 1 point.
 
     Even-index pairs have exactly one witness, never negated. Odd-index
@@ -144,8 +144,10 @@ def _witness(p: DimPair, q: int) -> Witness:
     return Witness(i if abs(y) > abs(x) else -i, UP, x < 0)
 
 
-def classify_pair(p: DimPair) -> PairClass:
-    """Decide whether p lies on |q| = 1 and name the matching index pair.
+def classify_pair(p: tuple[int, int]) -> PairClass:
+    """Decide whether p, any (x, y) pair of ints (a DimPair or a plain
+    tuple, with the same verdict), lies on |q| = 1 and name the matching
+    index pair.
 
     Total: points off the two hyperbolas come back as the shared NON_PAIR.
     On the hyperbolas, the index is read off the size of the larger
@@ -176,11 +178,12 @@ def enumerate_pairs(bound: int) -> list[tuple[DimPair, PairClass]]:
         k, a, b = k + 1, b, a + b
     off = k + 4
     f = fib_range(-off, off)  # f(i) is f[i + off]
-    points: set[DimPair] = set()
+    points: set[tuple[int, int]] = set()  # plain tuples: a DimPair only per point listed
     for t in range(-k - 2, k + 3):
         x = f[t + off]
-        for y in (f[t + off + 2], f[t + off - 2]):
-            for cand in (DimPair(x, y), DimPair(-x, -y)):
-                if abs(cand.x) <= bound and abs(cand.y) <= bound:
-                    points.add(cand)
-    return [(pt, classify_pair(pt)) for pt in sorted(points)]
+        if abs(x) <= bound:
+            for y in (f[t + off + 2], f[t + off - 2]):
+                if abs(y) <= bound:
+                    points.add((x, y))
+                    points.add((-x, -y))
+    return [(DimPair(*pt), classify_pair(pt)) for pt in sorted(points)]

@@ -16,14 +16,21 @@ each run of classes with one weight pair as a slice, and `step` builds its
 rows through the validating `Profile` constructor; `payload_utable` builds
 the u_table payload as the plain dict that the package's json renderer writes
 from templates.
+
+`chebyshev_rows` is a third route for the class values, with no wave: a
+family's values after t waves are Chebyshev polynomials in the tree's
+adjacency applied to its start, read on a class line whose weights are
+counted off `tree.neighbors`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from math import comb
+from operator import mul
+from typing import Callable, Iterator
 
 from fibquiver import profiles, tree
-from fibquiver.reflect import TreeVector
+from fibquiver.reflect import MARKED_NEIGHBOR, TreeVector
 from fibquiver.tree import BASE, Vertex, neighbors
 
 
@@ -197,3 +204,90 @@ def payload_utable(t_max: int) -> dict:
             }
         )
     return {"schema_version": 1, "kind": "u_table", "t_max": t_max, "rows": rows}
+
+
+def chebyshev_u(t: int) -> dict[int, int]:
+    """The coefficient of each power of A in U_t(A) = sum_j (-1)^j C(t-j, j)
+    A^(t-2j), the Chebyshev polynomials with U_(t+1) = A U_t - U_(t-1) from
+    U_0 = 1; run backwards, that gives U_-1 = 0 and U_-2 = -1."""
+    if t == -2:
+        return {0: -1}
+    return {t - 2 * j: (-1) ** j * comb(t - j, j) for j in range(t // 2 + 1)}
+
+
+def radial_class(v: Vertex) -> int:
+    """The radial class of v: its distance from the base."""
+    return tree.distance(BASE, v)
+
+
+def signed_class(v: Vertex) -> int:
+    """The signed class of v: its distance d from the base, negated when v
+    lies behind the marked neighbor, that is, nearer to it than to the base."""
+    d = tree.distance(BASE, v)
+    return -d if tree.distance(MARKED_NEIGHBOR, v) < d else d
+
+
+def line_weights(class_of: Callable[[Vertex], int], radius: int) -> dict[int, tuple[int, int]]:
+    """(w(s, s-1), w(s, s+1)) for every class s of the line within radius of
+    the base, counted among the `tree.neighbors` of one vertex of the class."""
+    members: dict[int, Vertex] = {}
+    for d in range(radius + 1):
+        for v in ("1" * d, "0" * d):
+            members.setdefault(class_of(v), v)
+    weights = {}
+    for s, v in members.items():
+        around = [class_of(n) for n in neighbors(v)]
+        assert set(around) <= {s - 1, s + 1}, (s, around)
+        weights[s] = (around.count(s - 1), around.count(s + 1))
+    return weights
+
+
+def chebyshev_rows(class_of: Callable[[Vertex], int], start: tuple[Vertex, ...],
+                   t_max: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(lo, values) of a family's class values after t = 0..t_max waves, its
+    ends trimmed to nonzero classes, with no wave.
+
+    The family grows from unit(x) (start = (x,)) or edge_unit(x, y) (start =
+    (x, y)) around x. Call y_t the half that wave t wrote: a wave sets each
+    site to its neighbours' sum minus its old value y_(t-1), so y_(t+1) =
+    A y_t - y_(t-1), from y_0 = e_x and y_-1 = e_y (0 for a vertex). Hence
+    y_t = U_t(A) e_x - U_(t-1)(A) e_y, and the vector after t waves is
+    y_t + y_(t-1) = V_t(A) e_x - V_(t-1)(A) e_y with V_t = U_t + U_(t-1).
+    On the class line, (A v)(s) = w(s, s-1) v(s-1) + w(s, s+1) v(s+1), so
+    A^k e counts walks, class by class.
+    """
+    weights = line_weights(class_of, t_max + 2)  # past the reach of t_max waves
+    lo, n = min(weights), len(weights)
+    down = [weights[lo + i][0] for i in range(n)]
+    up = [weights[lo + i][1] for i in range(n)]
+
+    def walk_columns(v: Vertex) -> list[tuple[int, ...]]:
+        """For each class, A^k e_v at that class for k = 0..t_max."""
+        e = [0] * (n + 1)  # e[n] stays 0: class hi + 1, and class lo - 1 as e[-1]
+        e[class_of(v) - lo] = 1
+        walks = [e]
+        for _ in range(t_max):
+            e = [down[i] * e[i - 1] + up[i] * e[i + 1] for i in range(n)] + [0]
+            walks.append(e)
+        return list(zip(*walks))[:n]
+
+    def v_coeffs(t: int) -> list[int]:
+        """V_t's coefficients by power of A, 0..max(t, 0); V_-1 = -1."""
+        u, u_prev = chebyshev_u(t), chebyshev_u(t - 1)
+        return [u.get(k, 0) + u_prev.get(k, 0) for k in range(max(t, 0) + 1)]
+
+    def apply(coeffs: list[int], v: Vertex, columns: list[tuple[int, ...]]) -> list[int]:
+        """sum_k coeffs[k] A^k e_v, class by class. A walk from class c
+        reaches class s only in |s - c| steps or more, of the same parity."""
+        c = class_of(v) - lo
+        return [sum(map(mul, coeffs[abs(i - c)::2], col[abs(i - c)::2])) for i, col in enumerate(columns)]
+
+    ends = [(v, walk_columns(v)) for v in start]
+    out = []
+    for t in range(t_max + 1):
+        row = apply(v_coeffs(t), *ends[0])
+        if len(ends) > 1:
+            row = [a - b for a, b in zip(row, apply(v_coeffs(t - 1), *ends[1]))]
+        nonzero = [i for i, v in enumerate(row) if v]
+        out.append((lo + nonzero[0], tuple(row[nonzero[0]:nonzero[-1] + 1])))
+    return out

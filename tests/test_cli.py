@@ -358,6 +358,40 @@ def test_a_failing_suite_still_counts_every_check(capsys, monkeypatch, argv, mod
         assert lines[0] == "verify pairs: (-8, -3) classified NotAPair but q=1"
 
 
+@pytest.mark.parametrize(
+    "family,witness",
+    [
+        ("s_vec_at", "vertex vector is not constant on the radial classes: "
+                     "class 1: vertex '0' has entry 1 but vertex '1' has entry 2"),
+        ("r_vec_at", "edge vector is not constant on the signed classes: "
+                     "class 1: vertex '1' has entry 2 but vertex '2' has entry 1"),
+    ],
+    ids=["vertex", "edge"],
+)
+def test_a_vector_off_the_classes_fails_verify_oracle(capsys, monkeypatch, family, witness):
+    # One oracle entry raised by 1 leaves the vector not constant on its
+    # classes, so compress cannot build a profile: the routes disagree, which
+    # is a failure with the witness, not a refused input.
+    real = getattr(reflect.Families, family)
+
+    def bumped(self, t, *at):
+        a = real(self, t, *at)
+        if t != 2:
+            return a
+        entries = dict(a.items())
+        entries["1"] += 1
+        return reflect.TreeVector(entries)
+
+    code, out, _ = run(capsys, "verify", "oracle", "--t", "2", "--format", "json")
+    checked = json.loads(out)["checked"]
+    monkeypatch.setattr(reflect.Families, family, bumped)
+    code, out, err = run(capsys, "verify", "oracle", "--t", "2")
+    assert code == 1 and out.startswith(f"oracle: FAILED ({checked} checks)\n")
+    assert f"  counterexample: t=2: {witness}\n" in out
+    assert f"verify oracle: t=2: {witness}\n" in err
+    assert all(line.startswith("verify oracle: t=2: ") for line in err.splitlines())
+
+
 def test_a_broken_scalar_shadow_is_reported_by_name_alone(capsys, monkeypatch):
     real = catident.fib
     monkeypatch.setattr(catident, "fib", lambda n: real(n) + 1)

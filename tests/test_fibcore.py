@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibquiver import suites
 from fibquiver.fibcore import (
     DOWN,
     DimPair,
@@ -293,6 +294,47 @@ def test_descent_strictly_shrinks_the_norm():
         assert all(a > b for a, b in zip(norms, norms[1:]))
         last = path[-1]
         assert max(abs(last.x), abs(last.y)) <= 1
+
+
+@st.composite
+def near_pairs(draw):
+    """±[f(t), f(t±2)] with |t| <= 3000, moved by at most 2 in each coordinate
+    (not at all about a third of the time): exact pairs and near misses."""
+    x, y = fib_pair(draw(st.integers(-3000, 3000)), draw(st.sampled_from((UP, DOWN))))
+    sign = draw(st.sampled_from((1, -1)))
+    dx, dy = draw(st.one_of(st.just((0, 0)), st.tuples(st.integers(-2, 2), st.integers(-2, 2))))
+    return sign * x + dx, sign * y + dy
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(st.integers(-60, 60), st.integers(-60, 60)), near_pairs()))
+def test_a_plain_tuple_gets_the_dimpair_verdict(xy):
+    # Box scans hand classify_pair plain (x, y) tuples.
+    assert type(xy) is tuple
+    assert classify_pair(xy) == classify_pair(DimPair(*xy))
+
+
+@pytest.mark.parametrize("bound", [0, 3, 10])
+def test_a_box_scan_classifies_each_point_once(monkeypatch, bound):
+    # One call per point through the suites module global, which the
+    # benchmark counts and the CLI tests patch.
+    seen, real = [], suites.classify_pair
+    monkeypatch.setattr(suites, "classify_pair", lambda p: seen.append(p) or real(p))
+    assert suites.run_pairs(bound).ok
+    span = range(-bound, bound + 1)
+    assert len(seen) == (2 * bound + 1) ** 2
+    assert seen == [(x, y) for x in span for y in span]
+
+
+@pytest.mark.parametrize("bound", [0, 1, 10, 10**6, 10**15])
+def test_enumerate_pairs_lists_sorted_dimpairs(bound):
+    f = fib_by_addition(-90, 90)  # f(i) is f[i + 90]; |f(±75)| > 10**15
+    literal = {(f[t + 90], f[t + 90 + d]) for t in range(-88, 89) for d in (2, -2)}
+    want = {pt for x, y in literal for pt in ((x, y), (-x, -y)) if max(map(abs, pt)) <= bound}
+    got = enumerate_pairs(bound)
+    assert all(type(p) is DimPair for p, _ in got)
+    assert [tuple(p) for p, _ in got] == sorted(want)
+    assert all(verdict == classify_pair(p) for p, verdict in got)
 
 
 def test_enumerate_pairs_matches_box_scan():

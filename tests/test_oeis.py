@@ -12,6 +12,9 @@ from fibquiver.oeis import (
     parse_bfile,
     run_check,
 )
+from fibquiver.reflect import MARKED_NEIGHBOR
+from fibquiver.tree import BASE
+import reference
 
 
 def test_parse_basic():
@@ -91,6 +94,27 @@ def test_bundled_fixtures_pass():
     for seq in ("A000045", "A132262", "A147316"):
         result = run_check(seq)
         assert result.checked > 200, seq
+
+
+@pytest.mark.parametrize(
+    "sequence,class_of,start,waves_a_row",
+    [
+        ("A132262", reference.radial_class, (BASE,), 1),
+        ("A147316", reference.signed_class, (BASE, MARKED_NEIGHBOR), 2),
+    ],
+    ids=["A132262", "A147316"],
+)
+def test_bundled_triangles_equal_the_chebyshev_route(sequence, class_of, start, waves_a_row):
+    # The triangle fixtures were written by the generators they check; here
+    # every record is held to the wave-free Chebyshev route instead, rows read
+    # over their stored classes, ascending.
+    records = load_bfile(default_fixture_path(sequence))
+    assert [n for n, _ in records] == list(range(len(records)))
+    flat, waves = [], 0
+    while len(flat) < len(records):
+        waves += waves_a_row
+        flat = [v for _, values in reference.chebyshev_rows(class_of, start, waves)[::waves_a_row] for v in values]
+    assert [v for _, v in records] == flat[:len(records)]
 
 
 def test_bundled_fibonacci_fixture_values():

@@ -34,7 +34,7 @@ from fibquiver.profiles import (
     u_table,
     wave,
 )
-from fibquiver.reflect import TreeVector, edge_unit, r_vec, s_vec, unit
+from fibquiver.reflect import MARKED_NEIGHBOR, TreeVector, edge_unit, r_vec, s_vec, unit
 from fibquiver.tree import BASE, word
 import reference
 from reference import class_sizes, class_vertices
@@ -241,6 +241,31 @@ def test_stepped_rows_equal_the_validated_loop_route():
             assert got == want and min(got.values) >= 0, got.waves
             assert Profile(got.weights, got.waves, got.lo, got.values) == got
             want = reference.step(want, k)
+
+
+CHEBYSHEV_WAVES = 200
+
+
+def test_stepped_rows_equal_the_chebyshev_route():
+    # A third route with no wave: Chebyshev polynomials in the adjacency on
+    # class lines whose weights are counted off tree.neighbors, so a fault in
+    # wave, step or the weight tables shows. Both lines at every wave count,
+    # one wave at a time, and the signed table rows, two waves each.
+    radial = reference.chebyshev_rows(reference.radial_class, (BASE,), CHEBYSHEV_WAVES)
+    signed = reference.chebyshev_rows(reference.signed_class, (BASE, MARKED_NEIGHBOR), CHEBYSHEV_WAVES)
+    radial, signed = ([(t, lo, values) for t, (lo, values) in enumerate(line)] for line in (radial, signed))
+
+    def cells(stepped):
+        return [(p.waves, p.lo, p.values) for p in stepped]
+
+    for start, want in ((radial_start(), radial), (u_start(), signed)):
+        p, by_one = start, []
+        for _ in want:
+            by_one.append(p)
+            p = step(p, 1)
+        assert cells(by_one) == want
+    assert cells(islice(rows(radial_start()), CHEBYSHEV_WAVES + 1)) == radial
+    assert cells(u_table(CHEBYSHEV_WAVES // 2)) == signed[::2]
 
 
 def test_step_refuses_a_negative_wave_count():
