@@ -16,13 +16,14 @@ family once. A far end, asked for once per check, is grown outside the table.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Optional, Sequence
 
 from . import reflect
 from .errors import NotNeighbors
 from .fibcore import fib
 from .reflect import Families, TreeVector
-from .tree import BASE, Vertex, distance, neighbors
+from .tree import BASE, Vertex, code, distance, neighbors
 
 
 def require_walk(walk: Sequence[Vertex], n: int) -> tuple[Vertex, ...]:
@@ -65,11 +66,13 @@ def path_variants(n: int) -> list[list[Vertex]]:
     return [list(w) for w in dict.fromkeys(map(tuple, walks))][:3]
 
 
-def _vector_eq_check(label: str, lhs: TreeVector, rhs: TreeVector) -> Optional[str]:
+def _sum_check(label: str, lhs: TreeVector, terms: Sequence[TreeVector]) -> Optional[str]:
+    """None when lhs is the sum of the terms, else the first vertex, in code
+    order, where the two sides differ."""
+    rhs = reduce(TreeVector.add, terms)
     if lhs.equals(rhs):
         return None
-    diff = lhs.subtract(rhs)
-    v = diff.support()[0]
+    v = min((v for v in {*lhs.support(), *rhs.support()} if lhs.value(v) != rhs.value(v)), key=code)
     return f"{label} first differing vertex {v!r}: lhs {lhs.value(v)}, rhs {rhs.value(v)}"
 
 
@@ -92,16 +95,9 @@ def check_prop41(t: int, families: Families, *, y_letter: str = "0") -> Optional
     s_t = families.s_vec_at(t, x)
     r_t = families.r_vec_at(t, x, y)
     return (
-        _vector_eq_check(
-            "vertex-splits-into-neighbor-plus-edge",
-            s_t,
-            families.s_vec_at(t - 1, y).add(r_t),
-        )
-        or _vector_eq_check(
-            "edge-splits-into-neighbor-plus-turned-edge",
-            r_t,
-            families.s_vec_at(t - 1, y2).add(families.r_vec_at(t - 1, y3, x)),
-        )
+        _sum_check("vertex-splits-into-neighbor-plus-edge", s_t, [families.s_vec_at(t - 1, y), r_t])
+        or _sum_check("edge-splits-into-neighbor-plus-turned-edge", r_t,
+                      [families.s_vec_at(t - 1, y2), families.r_vec_at(t - 1, y3, x)])
         or _scalar_shadow(
             fib(2 * t + 2) == fib(2 * t) + fib(2 * t + 1)
             and fib(2 * t) == fib(2 * t - 2) + fib(2 * t - 1)
@@ -118,11 +114,9 @@ def check_cor42(t: int, walk: Sequence[Vertex], families: Families) -> Optional[
         raise ValueError(f"t must be positive, got {t}")
     xs = require_walk(walk, t + 1)
 
-    total = reflect.unit(xs[0])
-    for i in range(1, t + 1):
-        total = total.add(families.r_vec_at(i, xs[i], xs[i - 1]))
+    terms = [reflect.unit(xs[0])] + [families.r_vec_at(i, xs[i], xs[i - 1]) for i in range(1, t + 1)]
     return (
-        _vector_eq_check("filtration-sum", reflect.s_vec_at(t, xs[t], cap=families.cap), total)
+        _sum_check("filtration-sum", reflect.s_vec_at(t, xs[t], cap=families.cap), terms)
         or _scalar_shadow(fib(2 * t) == sum(fib(2 * i - 1) for i in range(1, t + 1)))
     )
 
@@ -137,11 +131,9 @@ def check_cor43(t: int, walk: Sequence[Vertex], families: Families) -> Optional[
         raise ValueError(f"t must be non-negative, got {t}")
     xs = require_walk(walk, t + 3)
 
-    total = reflect.edge_unit(xs[0], xs[1])
-    for i in range(t + 1):
-        z = third_neighbor(xs[i + 1], xs[i], xs[i + 2])
-        total = total.add(families.s_vec_at(i, z))
+    terms = [reflect.edge_unit(xs[0], xs[1])]
+    terms += [families.s_vec_at(i, third_neighbor(xs[i + 1], xs[i], xs[i + 2])) for i in range(t + 1)]
     return (
-        _vector_eq_check("side-branch-sum", reflect.r_vec_at(t + 1, xs[t + 1], xs[t + 2], cap=families.cap), total)
+        _sum_check("side-branch-sum", reflect.r_vec_at(t + 1, xs[t + 1], xs[t + 2], cap=families.cap), terms)
         or _scalar_shadow(fib(2 * t + 1) == 1 + sum(fib(2 * i) for i in range(1, t + 1)))
     )

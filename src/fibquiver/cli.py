@@ -501,7 +501,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    except SequenceMismatch as exc:
+    except (ArithmeticError, SequenceMismatch) as exc:  # a failed self-check, not a refused input
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

@@ -81,12 +81,6 @@ class TreeVector:
                 out.pop(v, None)
         return TreeVector._trusted(out)
 
-    def subtract(self, other: "TreeVector") -> "TreeVector":
-        return self.add(other.negate())
-
-    def negate(self) -> "TreeVector":
-        return TreeVector._trusted({v: -c for v, c in self._entries.items()})
-
     def equals(self, other: "TreeVector") -> bool:
         return self._entries == other._entries
 

@@ -93,16 +93,22 @@ def run_cor43(t_max: int = 6, *, seed: int = 0, cap: int = ORACLE_CAP) -> SuiteR
 
 
 def _disagreements(t, prof, vec, compress, vector, line, cap) -> list[str]:
-    """The failures of the three checks of one wave count on one line. A vector
-    not constant on the classes is a disagreement, not a refused input."""
+    """The failures of the three checks of one wave count on one line. A
+    profile or vector that the other route cannot take is a disagreement,
+    not a refused input."""
     out = []
-    if not profiles.expand(prof, cap=cap).equals(vec):
-        out.append(f"t={t}: expanded {line} profile differs from the {vector} vector")
+    try:
+        if not profiles.expand(prof, cap=cap).equals(vec):
+            out.append(f"t={t}: expanded {line} profile differs from the {vector} vector")
+    except ValueError as exc:
+        out.append(f"t={t}: stepped {line} profile does not expand: {exc}")
     try:
         if compress(vec, cap=cap) != prof:
             out.append(f"t={t}: compressed {vector} vector differs from the stepped profile")
     except NotSymmetric as exc:
         out.append(f"t={t}: {vector} vector is not constant on the {line} classes: {exc}")
+    except ValueError as exc:
+        out.append(f"t={t}: {vector} vector has no {line} profile: {exc}")
     if reflect.parity_sums(vec, t) != profiles.sums(prof):
         out.append(f"t={t}: {vector} vector parity sums differ from the {line} profile sums")
     return out
@@ -113,6 +119,8 @@ def run_oracle(t_max: int = 8, *, cap: int = ORACLE_CAP) -> SuiteResult:
     at every wave count 0..t_max on both lines, and the oracle's parity sums
     against the profile's."""
     families = _families(t_max, cap)
+    if t_max == 0 == cap:  # no wave, but the edge unit reaches class -1
+        raise OracleCapExceeded(1, cap)
     waves, failures = range(t_max + 1), []
     for t, prof in zip(waves, profiles.rows(profiles.radial_start())):
         failures += _disagreements(t, prof, families.s_vec_at(t, BASE), profiles.compress_radial,

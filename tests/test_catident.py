@@ -9,7 +9,7 @@ from fibquiver.catident import (
     check_prop41,
     path_variants,
     require_walk,
-    _vector_eq_check,
+    _sum_check,
     straight_path,
     third_neighbor,
 )
@@ -199,12 +199,16 @@ def test_a_broken_identity_is_named_in_the_verdict(monkeypatch):
 
 def test_a_failed_check_names_the_first_differing_vertex():
     # In (length, word) order "2" comes before "01", and "01" before "10".
-    rhs = TreeVector({"10": 5})
-    failure = _vector_eq_check("x", TreeVector({"10": 1, "01": 2, "2": 3}), rhs)
+    terms = [TreeVector({"10": 2}), TreeVector({"10": 3})]
+    failure = _sum_check("x", TreeVector({"10": 1, "01": 2, "2": 3}), terms)
     assert failure == "x first differing vertex '2': lhs 3, rhs 0"
-    failure = _vector_eq_check("x", TreeVector({"10": 1, "01": 2}), rhs)
+    failure = _sum_check("x", TreeVector({"10": 1, "01": 2}), terms)
     assert failure == "x first differing vertex '01': lhs 2, rhs 0"
-    assert _vector_eq_check("x", rhs, TreeVector({"10": 5})) is None
+    assert _sum_check("x", TreeVector({"10": 5}), terms) is None
+    # A vertex only the sum holds, and entries that cancel across the terms.
+    failure = _sum_check("x", TreeVector({"10": 5}), [*terms, TreeVector({"2": 1})])
+    assert failure == "x first differing vertex '2': lhs 0, rhs 1"
+    assert _sum_check("x", TreeVector({}), [TreeVector({"0": 1}), TreeVector({"0": -1})]) is None
 
 
 def test_caps_are_enforced():
@@ -236,7 +240,7 @@ def test_a_raised_cap_reaches_every_vector_a_check_grows():
 def test_pushdown_examples():
     assert DimPair(*parity_sums(s_vec(2), 2)) == DimPair(3, 8)
     assert DimPair(*parity_sums(r_vec(3), 3)) == DimPair(5, 13)
-    assert DimPair(*parity_sums(s_vec(0).subtract(s_vec(0)), 0)) == DimPair(0, 0)
+    assert DimPair(*parity_sums(s_vec(0).add(TreeVector({BASE: -1})), 0)) == DimPair(0, 0)
 
 
 def test_pushdown_lands_on_classified_pairs():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fibquiver import catident, cli, profiles, reflect, suites
+from fibquiver import catident, cli, fibcore, profiles, reflect, suites
 from fibquiver.fibcore import NON_PAIR, fib
 from fibquiver.cli import (
     main,
@@ -390,6 +390,87 @@ def test_a_vector_off_the_classes_fails_verify_oracle(capsys, monkeypatch, famil
     assert f"  counterexample: t=2: {witness}\n" in out
     assert f"verify oracle: t=2: {witness}\n" in err
     assert all(line.startswith("verify oracle: t=2: ") for line in err.splitlines())
+
+
+def _doubled_rim(a):
+    return reflect.TreeVector({v: c * 2 if len(v) == 2 else c for v, c in a.items()})
+
+
+@pytest.mark.parametrize(
+    "t,fault,refusal",
+    [
+        (2, _doubled_rim, "the last class must be the rim class 2, holding 1"),
+        (1, lambda a: reflect.TreeVector({}), "the zero vector has no profile"),
+    ],
+    ids=["doubled-rim", "emptied"],
+)
+def test_a_vector_with_no_profile_fails_verify_oracle(capsys, monkeypatch, t, fault, refusal):
+    # A vector constant on its classes that no profile fits: compress refuses
+    # it, and the routes disagree, a failure rather than a refused input.
+    real = reflect.Families.s_vec_at
+    code, out, _ = run(capsys, "verify", "oracle", "--t", "2", "--format", "json")
+    checked = json.loads(out)["checked"]
+
+    def faulty(self, k, x):
+        a = real(self, k, x)
+        return fault(a) if k == t else a
+
+    monkeypatch.setattr(reflect.Families, "s_vec_at", faulty)
+    code, out, err = run(capsys, "verify", "oracle", "--t", "2", "--format", "json")
+    assert code == 1 and json.loads(out)["checked"] == checked
+    failures = [
+        f"t={t}: expanded radial profile differs from the vertex vector",
+        f"t={t}: vertex vector has no radial profile: {refusal}",
+        f"t={t}: vertex vector parity sums differ from the radial profile sums",
+    ]
+    assert json.loads(out)["failures"] == failures
+    assert err == "".join(f"verify oracle: {failure}\n" for failure in failures)
+
+
+def test_a_stepped_profile_past_the_cap_fails_verify_oracle(capsys, monkeypatch):
+    # A stepped row one class wider than its wave count reaches past the cap,
+    # so expand refuses it: a fault of the profile route, not a refused input.
+    real = profiles.radial_step
+
+    def widened(p):
+        p = real(p)
+        return p._replace(values=(*p.values, 1)) if p.waves == 2 else p
+
+    monkeypatch.setattr(profiles, "radial_step", widened)
+    code, out, err = run(capsys, "verify", "oracle", "--t", "2", "--oracle-cap", "2")
+    assert code == 1 and out.startswith("oracle: FAILED (18 checks)\n")
+    assert err.splitlines()[0] == "verify oracle: t=2: stepped radial profile does not expand: step 3 exceeds the oracle cap 2"
+
+
+def test_the_oracle_with_no_wave_is_refused_at_cap_0(capsys):
+    # The edge unit already reaches class -1, so cap 0 is refused up front:
+    # not a disagreement between the routes.
+    code, out, err = run(capsys, "verify", "oracle", "--t", "0", "--oracle-cap", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: step 1 exceeds the oracle cap 0; raise it with --oracle-cap or FIBQUIVER_ORACLE_CAP\n"
+    assert run(capsys, "verify", "oracle", "--t", "0", "--oracle-cap", "1")[0] == 0
+
+
+def test_a_failed_self_check_exits_through_main(capsys, monkeypatch):
+    # The partition targets and the witness reconstruction check the
+    # program's own arithmetic: a failure is an error line and exit 1.
+    real_wave, real_witness = profiles.wave, fibcore._witness
+
+    def bumped_wave(row, lo, weights, parity):
+        real_wave(row, lo, weights, parity)
+        if len(row) > 12:
+            row[len(row) // 2] += 1
+
+    def witness_down(p, q):
+        w = real_witness(p, q)
+        return w._replace(direction=fibcore.DOWN) if max(map(abs, p)) > 100 else w
+
+    monkeypatch.setattr(profiles, "wave", bumped_wave)
+    assert run(capsys, "partition", "7") == (1, "", "error: partition terms do not reach their targets at t=7\n")
+    monkeypatch.setattr(fibcore, "_witness", witness_down)
+    assert run(capsys, "classify", "233", "610") == (
+        1, "", "error: witness reconstruction failed for DimPair(x=233, y=610)\n"
+    )
 
 
 def test_a_broken_scalar_shadow_is_reported_by_name_alone(capsys, monkeypatch):

@@ -1,0 +1,169 @@
+"""The mutant table: each route must catch the other's faults.
+
+Each mutant patches one fault into the program. The commands the table names
+for it run through `main` at their default ranges (the far oracle fault at
+the oracle cap, out of reach of the defaults), and each must exit non-zero:
+a failure (1) or a refused input (2), never an escaped exception. The
+named commands are the ones that catch the mutant, out of every `verify`
+suite, `oeis-check` on its three ids, `partition 7`, `svec 6` and `rvec 5`.
+
+One mutant is equivalent and not run: `TreeVector.add` keeping zero
+entries. Every term of the three identities is a non-negative vector, so no
+sum that a check forms cancels to a zero entry, and no other caller in the
+program adds vectors.
+"""
+
+import contextlib
+import inspect
+import io
+import textwrap
+
+import pytest
+
+from fibquiver import catident, cli, fibcore, oeis, profiles, reflect, suites
+
+MODULES = (fibcore, reflect, profiles, catident, suites, oeis, cli)
+
+
+def _replace(monkeypatch, module, name, fake):
+    """Bind fake in place of module.name wherever the program imported it."""
+    real = getattr(module, name)
+    for m in MODULES:
+        if getattr(m, name, None) is real:
+            monkeypatch.setattr(m, name, fake)
+
+
+def _wrap(module, name, wrapper):
+    """A mutant that calls wrapper(real, *args) in place of module.name."""
+    def patch(monkeypatch):
+        real = getattr(module, name)
+        _replace(monkeypatch, module, name, lambda *args: wrapper(real, *args))
+    return patch
+
+
+def _rewrite(module, name, old, new):
+    """A mutant that runs module.name's own source with `old` read as `new`."""
+    def patch(monkeypatch):
+        source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+        assert source.count(old) == 1, (name, old)
+        source = "from __future__ import annotations\n" + source.replace(old, new)
+        namespace = dict(vars(module))
+        exec(compile(source, module.__file__, "exec"), namespace)
+        _replace(monkeypatch, module, name, namespace[name])
+    return patch
+
+
+def _table(which, row):
+    """A mutant that replaces entry `which` (behind class 0, at it, ahead of
+    it) of the signed weight table by row."""
+    def patch(monkeypatch):
+        weights = list(profiles.SIGNED)
+        weights[which] = row
+        _replace(monkeypatch, profiles, "SIGNED", tuple(weights))
+    return patch
+
+
+def _bump_cell(real, p, k):
+    """step, with one cell + 1 in the middle of the row it returns."""
+    p = real(p, k)
+    values = list(p.values)
+    values[len(values) // 2] += 1
+    return p._replace(values=tuple(values))
+
+
+def _bump_far_entry(real, a, x, parity):
+    """big_sigma, with the entry at the last vertex in code order + 1 once
+    the support passes 3,000 vertices (10 waves and more)."""
+    a = real(a, x, parity)
+    if len(a._entries) <= 3000:
+        return a
+    entries = dict(a._entries)
+    entries[max(entries)] += 1
+    return reflect.TreeVector._trusted(entries)
+
+
+def _witness_flipped(real, p, q):
+    w = real(p, q)
+    if max(map(abs, p)) <= 100:
+        return w
+    return w._replace(direction=fibcore.DOWN if w.direction == fibcore.UP else fibcore.UP)
+
+
+def _swapped(real, *args):
+    minus, plus = real(*args)
+    return plus, minus
+
+
+MUTANTS = {
+    # ROADMAP item 11
+    "signed weights ahead of class 0 swapped": (
+        _table(2, (2, 1)),
+        ["verify oracle", "verify sums", "oeis-check A147316", "partition 7"],
+    ),
+    "wave parity flipped": (
+        _wrap(profiles, "wave", lambda real, row, lo, weights, parity: real(row, lo, weights, 1 - parity)),
+        ["oeis-check A132262", "oeis-check A147316", "partition 7"],
+    ),
+    "big_sigma without its base-region repair": (
+        _rewrite(reflect, "big_sigma", "((1, 6), (3, 2))", "()"),
+        ["verify oracle", "svec 6", "rvec 5"],
+    ),
+    "signed class codes split swapped": (
+        _wrap(profiles, "class_codes", lambda real, weights, s: real(weights, -s if weights[1][0] else s)),
+        ["verify oracle", "partition 7", "rvec 5"],
+    ),
+    "fib negated below -5": (
+        _wrap(fibcore, "fib", lambda real, n: -real(n) if n < -5 else real(n)),
+        ["verify three-term"],
+    ),
+    "witness direction flipped past 100": (_wrap(fibcore, "_witness", _witness_flipped), ["verify pairs"]),
+    "one cell + 1 in every row past 8 waves": (
+        _wrap(profiles, "step", lambda real, p, k: _bump_cell(real, p, k) if p.waves + k > 8 else real(p, k)),
+        ["verify sums", "oeis-check A132262", "oeis-check A147316", "partition 7"],
+    ),
+    "profile sums with minus and plus swapped": (
+        _wrap(profiles, "sums", _swapped),
+        ["verify oracle", "verify sums"],
+    ),
+    "oracle parity sums with minus and plus swapped": (_wrap(reflect, "parity_sums", _swapped), ["verify oracle"]),
+    "an oracle entry + 1 past 3,000 vertices": (
+        _wrap(reflect, "big_sigma", _bump_far_entry),
+        ["verify oracle --t 12", "verify prop41 --t 12", "verify cor42 --t 12"],
+    ),
+    # ROADMAP item 10
+    "signed weights behind class 0 swapped": (
+        _table(0, (1, 2)),
+        ["verify oracle", "verify sums", "oeis-check A147316", "partition 7"],
+    ),
+    "wave class-1 boundary moved": (
+        _rewrite(profiles, "wave", "(-lo, 1 - lo)", "(-lo, 2 - lo)"),
+        ["verify oracle", "verify sums", "oeis-check A132262"],
+    ),
+    "step padded by k, not k + 1": (
+        _rewrite(profiles, "step", "[0] * (k + 1)", "[0] * k"),
+        ["oeis-check A132262", "oeis-check A147316", "partition 7"],
+    ),
+    "one cell + 1 at 41 waves": (
+        _wrap(profiles, "step", lambda real, p, k: _bump_cell(real, p, k) if p.waves < 41 <= p.waves + k else real(p, k)),
+        ["verify sums"],
+    ),
+}
+
+
+def exit_code(argv):
+    """main's exit code on argv, its output dropped; an exception escapes."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+def test_every_named_command_passes_unmutated():
+    named = sorted({command for _, commands in MUTANTS.values() for command in commands})
+    assert {command: exit_code(command.split()) for command in named} == dict.fromkeys(named, 0)
+
+
+@pytest.mark.parametrize("name", MUTANTS)
+def test_every_named_command_fails_under_the_mutant(monkeypatch, name):
+    patch, commands = MUTANTS[name]
+    patch(monkeypatch)
+    codes = {command: exit_code(command.split()) for command in commands}
+    assert all(codes.values()), codes
