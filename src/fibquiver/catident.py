@@ -19,11 +19,11 @@ from __future__ import annotations
 from functools import reduce
 from typing import Optional, Sequence
 
-from . import reflect
+from . import reflect, tree
 from .errors import NotNeighbors
 from .fibcore import fib
 from .reflect import Families, TreeVector
-from .tree import BASE, Vertex, code, distance, neighbors
+from .tree import BASE, Vertex, distance, neighbors
 
 
 def require_walk(walk: Sequence[Vertex], n: int) -> tuple[Vertex, ...]:
@@ -68,12 +68,18 @@ def path_variants(n: int) -> list[list[Vertex]]:
 
 def _sum_check(label: str, lhs: TreeVector, terms: Sequence[TreeVector]) -> Optional[str]:
     """None when lhs is the sum of the terms, else the first vertex, in code
-    order, where the two sides differ."""
+    order, where the two sides differ. The sides are compared by code, so a
+    faulty vector holding a code that names no vertex is reported as such."""
     rhs = reduce(TreeVector.add, terms)
     if lhs.equals(rhs):
         return None
-    v = min((v for v in {*lhs.support(), *rhs.support()} if lhs.value(v) != rhs.value(v)), key=code)
-    return f"{label} first differing vertex {v!r}: lhs {lhs.value(v)}, rhs {rhs.value(v)}"
+    a, b = lhs._entries, rhs._entries
+    c = min(c for c in a.keys() | b.keys() if a.get(c, 0) != b.get(c, 0))
+    try:
+        where = f"vertex {tree.word(c)!r}"
+    except KeyError:
+        where = f"code {c}, which names no vertex"
+    return f"{label} first differing {where}: lhs {a.get(c, 0)}, rhs {b.get(c, 0)}"
 
 
 def _scalar_shadow(holds: bool) -> Optional[str]:

@@ -139,9 +139,17 @@ def payload_partition(t: int) -> dict:
     }
 
 
-def _payload_classes(kind: str, vec: reflect.TreeVector, prof: profiles.Profile) -> dict:
+def _payload_classes(kind: str, vec: reflect.TreeVector, compress, cap: int) -> dict:
     """[s, |C_s|, value] for every class within the vector's radius r: 0..r
-    on the radial line, -r..r on the signed line."""
+    on the radial line, -r..r on the signed line. The profile is compress on
+    the command's own oracle vector: past the cap that is a refusal, and any
+    other rejection a failed self-check."""
+    try:
+        prof = compress(vec, cap=cap)
+    except OracleCapExceeded:
+        raise
+    except ValueError as exc:
+        raise ArithmeticError(f"the oracle vector has no profile: {exc}") from exc
     r = max(-prof.lo, prof.hi)
     lo = -r if prof.weights == SIGNED else 0
     values = dict(zip(prof.support(), prof.values))
@@ -157,13 +165,11 @@ def _payload_classes(kind: str, vec: reflect.TreeVector, prof: profiles.Profile)
 
 
 def payload_svec(t: int, cap: int) -> dict:
-    vec = reflect.s_vec(t, cap=cap)
-    return _payload_classes("s_vector", vec, profiles.compress_radial(vec, cap=cap))
+    return _payload_classes("s_vector", reflect.s_vec(t, cap=cap), profiles.compress_radial, cap)
 
 
 def payload_rvec(t: int, cap: int) -> dict:
-    vec = reflect.r_vec(t, cap=cap)
-    return _payload_classes("r_vector", vec, profiles.compress_biradial(vec, cap=cap))
+    return _payload_classes("r_vector", reflect.r_vec(t, cap=cap), profiles.compress_biradial, cap)
 
 
 def payload_verify(result: suites.SuiteResult) -> dict:

@@ -31,15 +31,15 @@ NOT_A_PAIR = "NotAPair"
 def _fib2(n: int) -> tuple[int, int]:
     """(f(n), f(n+1)) for any integer n, by fast doubling (Knuth, TAOCP
     vol. 1, 1.2.8): f(2k) = f(k)(2f(k+1) - f(k)), f(2k+1) = f(k)^2 + f(k+1)^2."""
-    if n < 0:
-        # f(-m) = (-1)**(m+1) f(m), applied to f(n) = f(-(m+1)), f(n+1) = f(-m).
-        a, b = _fib2(-n - 1)
-        return (b, -a) if n % 2 else (-b, a)
     a, b = 0, 1
-    for bit in bin(n)[2:]:
+    for bit in bin(-n - 1 if n < 0 else n)[2:]:
         a, b = a * (2 * b - a), a * a + b * b
         if bit == "1":
             a, b = b, a + b
+    if n < 0:
+        # f(-m) = (-1)**(m+1) f(m), applied to f(n) = f(-(m+1)), f(n+1) = f(-m)
+        # with a, b = f(m), f(m+1) for m = -n - 1.
+        return (b, -a) if n % 2 else (-b, a)
     return a, b
 
 
@@ -127,17 +127,16 @@ def _witness(p: tuple[int, int], q: int) -> Witness:
     (all positive) give no literal representative.
     """
     x, y = p
-    parity = 0 if q == 1 else 1
-    # f(n) = round(phi**n / sqrt(5)) for n >= 0, so the larger coordinate
-    # is f(n) for the n below, and |x| is f(n) or f(n - 2) (near the seeds,
-    # f(i) for some i <= 3), at an index of the pair's parity.
-    n = round((math.log2(max(abs(x), abs(y))) + _LOG2_SQRT5) / _LOG2_PHI)
-    i = max(n - 3, 0)
-    a, b = _fib2(i)
-    while i <= n and (a != abs(x) or i % 2 != parity):
-        i, a, b = i + 1, b, a + b
-    # A missed window leaves a wrong i, which classify_pair's
-    # reconstruction check rejects.
+    ax = abs(x)
+    if ax > 1:
+        # f(i) = round(phi**i / sqrt(5)) for i >= 0, and f is strictly
+        # increasing from f(2) = 1, so |x| >= 2 is f(i) for one i alone.
+        i = round((math.log2(ax) + _LOG2_SQRT5) / _LOG2_PHI)
+    else:
+        # f(0) = 0 and f(1) = f(2) = 1: the pair's parity settles i.
+        i = 2 * ax if q == 1 else ax
+    # A wrong i (a float read-off gone astray) is rejected by
+    # classify_pair's reconstruction check.
     if q == 1:
         # f is strictly increasing on even indices.
         return Witness(i if x >= 0 else -i, UP if y > x else DOWN, False)
@@ -150,10 +149,11 @@ def classify_pair(p: tuple[int, int]) -> PairClass:
     index pair.
 
     Total: points off the two hyperbolas come back as the shared NON_PAIR.
-    On the hyperbolas, the index is read off the size of the larger
-    coordinate and checked by rebuilding p from it.
+    On the hyperbolas, the index is read off |x| and checked by rebuilding
+    p from it: one Fibonacci evaluation per pair.
     """
-    q = euler_form(p)
+    x, y = p
+    q = x * x + y * y - 3 * x * y
     if q not in (1, -1):
         return NON_PAIR
     w = _witness(p, q)

@@ -192,9 +192,12 @@ def sums(p: Profile) -> tuple[int, int]:
     weight tables, and |C_0| = 1.
     """
     behind, center, ahead = p.weights
-    pad = max(p.lo, 0)  # a profile may start past class 0
+    pad = max(p.lo, 0)  # a profile may start past class 0, or end behind it
     row = (0,) * pad + p.values
     zero = pad - p.lo  # the index of class 0 in row
+    row += (0,) * (zero + 1 - len(row))
+    if zero and not center[0]:
+        raise ArithmeticError(f"a profile row holds class {p.lo}, behind class 0, where its line ends")
     by_parity = [row[zero], 0]
     # (classes +-1, +-2, ... outward, |C_{+-1}|, the size ratio past it)
     sides = [(row[zero + 1:], center[1] // ahead[0], ahead[1] // ahead[0])]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibquiver import suites
+from fibquiver import fibcore, suites
 from fibquiver.fibcore import (
     DOWN,
     DimPair,
@@ -214,6 +214,40 @@ def test_witness_is_the_descents_choice_at_large_index(n, negative, direction, n
     if negated:
         p = DimPair(-p.x, -p.y)
     assert classify_pair(p).witness == witness_by_descent(p, {})
+
+
+@pytest.mark.parametrize("n", [10**5, 10**5 + 1, 10**5 + 2, 10**5 + 3, 250001])
+def test_witness_past_the_hypothesis_range(n):
+    # The index is read off |x| in floating point; far out, check it against
+    # the documented rule rather than a descent of n steps.
+    for t in (n, -n):
+        for direction in (UP, DOWN):
+            pair = fib_pair(t, direction)
+            if t % 2 == 0:
+                assert classify_pair(pair) == (EVEN_PAIR, Witness(t, direction, False)), (t, direction)
+                continue
+            # [f(t), f(t-2)] = [f(-t), f(-t+2)] for odd t: always "up",
+            # negated in the third quadrant, where odd values never lie.
+            up = t if direction == UP else -t
+            assert classify_pair(pair) == (ODD_PAIR, Witness(up, UP, False)), (t, direction)
+            negated = DimPair(-pair.x, -pair.y)
+            assert classify_pair(negated) == (ODD_PAIR, Witness(up, UP, True)), (t, direction)
+
+
+def test_one_fibonacci_evaluation_per_pair(monkeypatch):
+    pairs = [fib_pair(t, d) for t in range(-60, 61) for d in (UP, DOWN)]
+    pairs += [DimPair(-x, -y) for x, y in pairs]
+    box = [(x, y) for x in range(-40, 41) for y in range(-40, 41)]
+    others = [p for p in box if abs(euler_form(p)) != 1]
+    calls, real = [], fibcore._fib2
+    monkeypatch.setattr(fibcore, "_fib2", lambda n: calls.append(n) or real(n))
+    for p in pairs:
+        before = len(calls)
+        assert classify_pair(p).kind != NOT_A_PAIR
+        assert len(calls) == before + 1, p
+    for p in others:
+        assert classify_pair(p) is NON_PAIR
+    assert len(calls) == len(pairs)
 
 
 def test_non_pairs_share_one_verdict():

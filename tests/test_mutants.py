@@ -1,11 +1,12 @@
 """The mutant table: each route must catch the other's faults.
 
 Each mutant patches one fault into the program. The commands the table names
-for it run through `main` at their default ranges (the far oracle fault at
-the oracle cap, out of reach of the defaults), and each must exit non-zero:
-a failure (1) or a refused input (2), never an escaped exception. The
-named commands are the ones that catch the mutant, out of every `verify`
-suite, `oeis-check` on its three ids, `partition 7`, `svec 6` and `rvec 5`.
+for it run through `main` at their default ranges or at a named `--t` (the
+far oracle fault at the oracle cap, out of reach of the defaults), and each
+must exit non-zero: a failure (1) or a refused input (2), never an escaped
+exception. The named commands are the ones that catch the mutant, out of
+every `verify` suite, `oeis-check` on its three ids, `partition 7`, `svec 6`
+and `rvec 5`.
 
 One mutant is equivalent and not run: `TreeVector.add` keeping zero
 entries. Every term of the three identities is a non-negative vector, so no
@@ -102,11 +103,11 @@ MUTANTS = {
     ),
     "wave parity flipped": (
         _wrap(profiles, "wave", lambda real, row, lo, weights, parity: real(row, lo, weights, 1 - parity)),
-        ["oeis-check A132262", "oeis-check A147316", "partition 7"],
+        ["verify oracle", "verify sums", "oeis-check A132262", "oeis-check A147316", "partition 7"],
     ),
     "big_sigma without its base-region repair": (
         _rewrite(reflect, "big_sigma", "((1, 6), (3, 2))", "()"),
-        ["verify oracle", "svec 6", "rvec 5"],
+        ["verify oracle", "verify prop41 --t 1", "verify cor43 --t 1", "svec 6", "rvec 5"],
     ),
     "signed class codes split swapped": (
         _wrap(profiles, "class_codes", lambda real, weights, s: real(weights, -s if weights[1][0] else s)),
@@ -117,6 +118,7 @@ MUTANTS = {
         ["verify three-term"],
     ),
     "witness direction flipped past 100": (_wrap(fibcore, "_witness", _witness_flipped), ["verify pairs"]),
+    "witness index read two too high": (_rewrite(fibcore, "_witness", "/ _LOG2_PHI)", "/ _LOG2_PHI) + 2"), ["verify pairs"]),
     "one cell + 1 in every row past 8 waves": (
         _wrap(profiles, "step", lambda real, p, k: _bump_cell(real, p, k) if p.waves + k > 8 else real(p, k)),
         ["verify sums", "oeis-check A132262", "oeis-check A147316", "partition 7"],
@@ -141,7 +143,7 @@ MUTANTS = {
     ),
     "step padded by k, not k + 1": (
         _rewrite(profiles, "step", "[0] * (k + 1)", "[0] * k"),
-        ["oeis-check A132262", "oeis-check A147316", "partition 7"],
+        ["verify oracle", "verify sums", "oeis-check A132262", "oeis-check A147316", "partition 7"],
     ),
     "one cell + 1 at 41 waves": (
         _wrap(profiles, "step", lambda real, p, k: _bump_cell(real, p, k) if p.waves < 41 <= p.waves + k else real(p, k)),
@@ -150,20 +152,39 @@ MUTANTS = {
 }
 
 
-def exit_code(argv):
-    """main's exit code on argv, its output dropped; an exception escapes."""
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return cli.main(argv)
+def run(argv):
+    """main's exit code, stdout and stderr on argv; an exception escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_every_named_command_passes_unmutated():
     named = sorted({command for _, commands in MUTANTS.values() for command in commands})
-    assert {command: exit_code(command.split()) for command in named} == dict.fromkeys(named, 0)
+    assert {command: run(command.split())[0] for command in named} == dict.fromkeys(named, 0)
 
 
 @pytest.mark.parametrize("name", MUTANTS)
 def test_every_named_command_fails_under_the_mutant(monkeypatch, name):
     patch, commands = MUTANTS[name]
     patch(monkeypatch)
-    codes = {command: exit_code(command.split()) for command in commands}
+    codes = {command: run(command.split())[0] for command in commands}
     assert all(codes.values()), codes
+
+
+@pytest.mark.parametrize(
+    "name,command",
+    [
+        ("big_sigma without its base-region repair", "svec 6"),
+        ("big_sigma without its base-region repair", "rvec 5"),
+        ("signed class codes split swapped", "rvec 5"),
+    ],
+)
+def test_an_oracle_vector_with_no_profile_is_a_failed_self_check(monkeypatch, name, command):
+    # The command compresses its own oracle vector: a rejection there is a
+    # fault of the program (exit 1), not a refused input (exit 2).
+    MUTANTS[name][0](monkeypatch)
+    code, out, err = run(command.split())
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the oracle vector has no profile: ") and err.count("\n") == 1, err

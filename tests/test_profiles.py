@@ -158,6 +158,19 @@ def test_sums_of_profiles_starting_past_class_0():
         assert u_sums(prof) == _sized_sums(prof), prof
 
 
+def test_sums_of_rows_ending_behind_class_0():
+    # A valid profile always reaches its rim class, so only a faulty step
+    # builds such a row; `sums` pads it up to class 0 instead of failing.
+    for prof in (Profile._trusted(SIGNED, 3, -4, (1, 2)), Profile._trusted(SIGNED, 2, -1, (7,))):
+        assert u_sums(prof) == _sized_sums(prof), prof
+
+
+def test_sums_name_a_radial_row_behind_class_0():
+    # The radial line ends at class 0, so no weight ratio leads behind it.
+    with pytest.raises(ArithmeticError, match="holds class -1, behind class 0, where its line ends"):
+        radial_sums(Profile._trusted(RADIAL, 2, -1, (1, 2, 1)))
+
+
 def test_u_sums_match_fib_at_scale():
     u = u_start()
     p = radial_start()
