@@ -20,33 +20,26 @@ from functools import reduce
 from typing import Optional, Sequence
 
 from . import reflect, tree
-from .errors import NotNeighbors
 from .fibcore import fib
 from .reflect import Families, TreeVector
 from .tree import BASE, Vertex, distance, neighbors
 
 
 def require_walk(walk: Sequence[Vertex], n: int) -> tuple[Vertex, ...]:
-    """The walk as a tuple, once it is known to have n vertices, each a
-    neighbor of the last, and never to step straight back."""
+    """The walk as a tuple, once it is known to have n vertices, each a word
+    and a neighbor of the last, and never to step straight back."""
     walk = tuple(walk)
     if len(walk) != n:
         raise ValueError(f"need {n} walk vertices, got {len(walk)}")
+    for v in walk:
+        tree.code(v)
     for a, b in zip(walk, walk[1:]):
         if distance(a, b) != 1:
-            raise NotNeighbors(f"path vertices {a!r}, {b!r} are not neighbors")
+            raise ValueError(f"path vertices {a!r}, {b!r} are not neighbors")
     for a, b, c in zip(walk, walk[1:], walk[2:]):
         if a == c:
             raise ValueError(f"path backtracks at {b!r}")
     return walk
-
-
-def third_neighbor(v: Vertex, a: Vertex, b: Vertex) -> Vertex:
-    """The neighbor of v distinct from both a and b."""
-    rest = [n for n in neighbors(v) if n not in (a, b)]
-    if len(rest) != 1:
-        raise ValueError(f"{a!r}, {b!r} are not two distinct neighbors of {v!r}")
-    return rest[0]
 
 
 def straight_path(n: int, letter: str = "0") -> list[Vertex]:
@@ -96,7 +89,10 @@ def check_prop41(t: int, families: Families, *, y_letter: str = "0") -> Optional
         raise ValueError(f"t must be positive, got {t}")
     x = BASE
     y = y_letter
-    y2, y3 = [n for n in neighbors(x) if n != y]
+    letters = neighbors(x)
+    if y not in letters:
+        raise ValueError(f"y_letter must be one of {letters}, got {y!r}")
+    y2, y3 = [n for n in letters if n != y]
 
     s_t = families.s_vec_at(t, x)
     r_t = families.r_vec_at(t, x, y)
@@ -137,8 +133,9 @@ def check_cor43(t: int, walk: Sequence[Vertex], families: Families) -> Optional[
         raise ValueError(f"t must be non-negative, got {t}")
     xs = require_walk(walk, t + 3)
 
-    terms = [reflect.edge_unit(xs[0], xs[1])]
-    terms += [families.s_vec_at(i, third_neighbor(xs[i + 1], xs[i], xs[i + 2])) for i in range(t + 1)]
+    # z_i is the one neighbor of x_{i+1} outside (x_i, x_{i+2}).
+    zs = [next(z for z in neighbors(xs[i + 1]) if z not in (xs[i], xs[i + 2])) for i in range(t + 1)]
+    terms = [reflect.edge_unit(xs[0], xs[1])] + [families.s_vec_at(i, z) for i, z in enumerate(zs)]
     return (
         _sum_check("side-branch-sum", reflect.r_vec_at(t + 1, xs[t + 1], xs[t + 2], cap=families.cap), terms)
         or _scalar_shadow(fib(2 * t + 1) == 1 + sum(fib(2 * i) for i in range(1, t + 1)))

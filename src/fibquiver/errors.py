@@ -1,10 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types, each one of the two kinds that set the exit
+status: a ValueError is a refused input (exit 2), an ArithmeticError a
+failed check (exit 1)."""
 
 import sys
-
-
-class NotNeighbors(ValueError):
-    """The operation requires two adjacent tree vertices."""
 
 
 class OracleCapExceeded(ValueError):
@@ -32,11 +30,7 @@ class NotSymmetric(ValueError):
         self.witness = ((v1, val1), (v2, val2))
 
 
-class BFileParseError(ValueError):
-    """Malformed b-file content."""
-
-
-class SequenceMismatch(Exception):
+class SequenceMismatch(ArithmeticError):
     """A generated sequence value disagrees with the fixture."""
 
     def __init__(self, n, expected, actual):

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .errors import BFileParseError, SequenceMismatch
+from .errors import SequenceMismatch
 from .fibcore import fib
 from .profiles import Profile, radial_start, rows, u_start
 
@@ -32,24 +32,20 @@ def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise BFileParseError(f"line {lineno}: expected 'index value', got {raw!r}")
+            raise ValueError(f"line {lineno}: expected 'index value', got {raw!r}")
         try:
             n, value = int(parts[0]), int(parts[1])
         except ValueError:
             limit, digits = sys.get_int_max_str_digits(), [f.lstrip("+-") for f in parts]
             if limit and all(d.isdigit() for d in digits) and max(map(len, digits)) > limit:
-                raise BFileParseError(f"line {lineno}: a field has more than {limit} digits, Python's int -> str "
-                                      f"limit; raise it with PYTHONINTMAXSTRDIGITS (0 lifts it)") from None
-            raise BFileParseError(f"line {lineno}: non-integer field in {raw!r}") from None
+                raise ValueError(f"line {lineno}: a field has more than {limit} digits, Python's int -> str "
+                                 f"limit; raise it with PYTHONINTMAXSTRDIGITS (0 lifts it)") from None
+            raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from None
         if last_n is not None and n <= last_n:
-            raise BFileParseError(f"line {lineno}: index {n} not greater than previous {last_n}")
+            raise ValueError(f"line {lineno}: index {n} not greater than previous {last_n}")
         records.append((n, value))
         last_n = n
     return tuple(records)
-
-
-def load_bfile(path: str | Path) -> tuple[tuple[int, int], ...]:
-    return parse_bfile(Path(path).read_text())
 
 
 def _flat_rows(start: Profile) -> Callable[[int], int]:
@@ -105,12 +101,10 @@ def default_fixture_path(sequence: str) -> Path:
     return Path(__file__).with_name("data") / f"b{seq[1:].zfill(6)}.txt"
 
 
-def run_check(sequence: str, fixture: str | Path | None = None) -> CheckResult:
-    """Check the sequence's generator against the fixture (bundled by
-    default)."""
+def run_check(sequence: str, fixture: str | Path) -> CheckResult:
+    """Check the sequence's generator against the b-file at fixture."""
     make = GENERATORS.get(sequence.upper())
     if make is None:
         raise ValueError(f"no generator configured for {sequence!r}")
     gen = make()
-    path = Path(fixture) if fixture is not None else default_fixture_path(sequence)
-    return check_bfile(sequence.upper(), load_bfile(path), gen)
+    return check_bfile(sequence.upper(), parse_bfile(Path(fixture).read_text()), gen)

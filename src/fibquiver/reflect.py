@@ -4,8 +4,8 @@ A TreeVector is a finite-support map from vertices to integers. Inside the
 oracle its vertices are the tree module's int codes; the constructor, unit,
 edge_unit, value, support, items, repr and every error message speak words,
 translated once at that boundary. Addresses and values are checked only where
-callers hand them in: the TreeVector constructor, unit, edge_unit, and the
-center of big_sigma.
+callers hand them in, each address by tree.code: the TreeVector constructor,
+unit, edge_unit, and the center of big_sigma.
 The reflection at a vertex replaces that one coordinate by the sum over its
 three neighbors minus itself; a reflection wave applies this simultaneously
 at every vertex whose distance from a center has a fixed parity (no two such
@@ -23,7 +23,7 @@ from itertools import compress
 from typing import Iterator, Optional
 
 from . import tree
-from .errors import NotNeighbors, OracleCapExceeded
+from .errors import OracleCapExceeded
 from .tree import BASE, Vertex, distance
 
 # Past this many reflection waves the support (3 * 2**t vertices) stops being
@@ -112,9 +112,10 @@ def unit(x: Vertex) -> TreeVector:
 
 def edge_unit(x: Vertex, y: Vertex) -> TreeVector:
     """Entry 1 at both endpoints of an edge."""
+    vec = TreeVector({x: 1, y: 1})
     if distance(x, y) != 1:
-        raise NotNeighbors(f"{x!r} and {y!r} are at distance {distance(x, y)}, not 1")
-    return TreeVector({x: 1, y: 1})
+        raise ValueError(f"{x!r} and {y!r} are at distance {distance(x, y)}, not 1")
+    return vec
 
 
 def big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:
@@ -131,8 +132,9 @@ def big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    # The sites' code length mod 2: d(x, y) = |x| + |y| (mod 2), |y| = bit_length - 2.
-    bit = (len(tree.require_vertex(x)) + (parity == "odd")) % 2
+    # The sites' code length mod 2: d(x, y) = |x| + |y| (mod 2), and a code's
+    # bit length is its depth plus 2.
+    bit = (tree.code(x).bit_length() + (parity == "odd")) % 2
     sums: dict[int, int] = {}
     get = sums.get
     for c, v in a._entries.items():

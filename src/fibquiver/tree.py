@@ -11,7 +11,8 @@ its neighbors "0", "1" and "2" are 4, 5 and 6, and child b of code c is
 2c + b. The code is the word read in binary behind a three-bit head, so a
 vertex at depth d has c.bit_length() == d + 2, and sorting codes sorts words
 by (length, word). `code` and `word` translate between the two at every
-public boundary, where vertices are words.
+public boundary, where vertices are words; `code` is the one parser of a
+word, and it refuses anything that is not a canonical one.
 
 Everything here is a pure function on immutable values.
 """
@@ -23,30 +24,17 @@ Vertex = str
 BASE: Vertex = ""
 
 
-def is_valid_vertex(v: object) -> bool:
-    if not isinstance(v, str):
-        return False
-    if v == BASE:
-        return True
-    if v[0] not in "012":
-        return False
-    return all(c in "01" for c in v[1:])
-
-
-def require_vertex(v: object) -> Vertex:
-    if not is_valid_vertex(v):
-        raise ValueError(f"not a canonical vertex address: {v!r}")
-    return v  # type: ignore[return-value]
-
-
 _HEADS = {"0": "100", "1": "101", "2": "110"}
 _LETTERS = {head: letter for letter, head in _HEADS.items()}
 
 
 def code(v: object) -> int:
     """The int code of a canonical word; anything else is refused."""
-    require_vertex(v)
-    return int(_HEADS[v[0]] + v[1:], 2) if v else 2  # type: ignore[index]
+    if v == BASE:
+        return 2
+    if isinstance(v, str) and v[0] in _HEADS and not v[1:].lstrip("01"):
+        return int(_HEADS[v[0]] + v[1:], 2)
+    raise ValueError(f"not a canonical vertex address: {v!r}")
 
 
 def word(c: int) -> Vertex:

@@ -102,7 +102,7 @@ def big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:
     neighbors and reads their entries."""
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    tree.require_vertex(x)
+    tree.code(x)
     bit = (len(x) + (parity == "odd")) % 2  # the sites' |y| mod 2: d(x, y) = |x| + |y| (mod 2)
     entries = dict(a.items())
     get = entries.get
@@ -124,7 +124,8 @@ def code_big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:
     each parent found on its own."""
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    bit = (len(tree.require_vertex(x)) + (parity == "odd")) % 2
+    tree.code(x)
+    bit = (len(x) + (parity == "odd")) % 2
     new: dict[int, int] = {}
     sums: dict[int, int] = {}
     get = sums.get

@@ -220,7 +220,7 @@ def test_c8_cli_contract():
         cli.payload_svec(4, 12),
         cli.payload_rvec(4, 12),
         cli.payload_verify(suites.run_three_term(-10, 10)),
-        cli.payload_oeis(cli.oeis.run_check("A000045"), fixture),
+        cli.payload_oeis(cli.oeis.run_check("A000045", fixture), fixture),
     ]
     for payload in payloads:
         assert json.loads(cli.emit(payload, "json")) == payload

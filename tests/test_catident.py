@@ -11,9 +11,8 @@ from fibquiver.catident import (
     require_walk,
     _sum_check,
     straight_path,
-    third_neighbor,
 )
-from fibquiver.errors import NotNeighbors, OracleCapExceeded
+from fibquiver.errors import OracleCapExceeded
 from fibquiver.fibcore import DimPair, classify_pair, fib, fib_range
 from fibquiver.reflect import Families, TreeVector, edge_unit, parity_sums, r_vec, r_vec_at, s_vec, s_vec_at, unit
 from fibquiver.tree import BASE
@@ -35,7 +34,7 @@ def _record_waves(monkeypatch):
 def test_walk_validation():
     assert require_walk(["0", BASE, "1"], 3) == ("0", BASE, "1")
     assert require_walk((BASE, "0", "00"), 3) == (BASE, "0", "00")
-    with pytest.raises(NotNeighbors):
+    with pytest.raises(ValueError, match="path vertices '', '00' are not neighbors"):
         require_walk((BASE, "00"), 2)
     with pytest.raises(ValueError, match="backtracks at ''"):
         require_walk(("00", "0", BASE, "0", "01"), 5)  # in the middle
@@ -44,7 +43,7 @@ def test_walk_validation():
     with pytest.raises(ValueError, match="need 4 walk vertices, got 3"):
         require_walk((BASE, "0", "00"), 4)
     # The checks validate the walks they are given.
-    with pytest.raises(NotNeighbors):
+    with pytest.raises(ValueError, match="are not neighbors"):
         check_cor42(1, (BASE, "00"), Families())
     with pytest.raises(ValueError, match="backtracks"):
         check_cor43(0, ("0", BASE, "0"), Families())
@@ -52,11 +51,27 @@ def test_walk_validation():
         check_cor43(0, (BASE, "0"), Families())
 
 
-def test_third_neighbor():
-    assert third_neighbor(BASE, "0", "1") == "2"
-    assert third_neighbor("0", BASE, "00") == "01"
-    with pytest.raises(ValueError):
-        third_neighbor(BASE, "0", "0")
+@pytest.mark.parametrize(
+    "call,bad",
+    [
+        (lambda: require_walk([None, "0"], 2), None),
+        (lambda: require_walk(["3", "30"], 2), "3"),  # "3" and "30" are one letter apart, but name no vertex
+        (lambda: check_cor42(1, [3, 4], Families()), 3),
+        (lambda: check_cor43(0, ["0", BASE, "1x"], Families()), "1x"),
+    ],
+    ids=["None", "letter 3", "int", "cor43 far end"],
+)
+def test_a_walk_vertex_that_is_not_a_word_is_refused_by_name(call, bad):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == f"not a canonical vertex address: {bad!r}"
+
+
+def test_prop41_refuses_a_letter_that_is_not_a_base_neighbor():
+    for letter in ("3", BASE, "00"):
+        with pytest.raises(ValueError) as exc:
+            check_prop41(1, Families(), y_letter=letter)
+        assert str(exc.value) == f"y_letter must be one of ['0', '1', '2'], got {letter!r}"
 
 
 def test_prop41_smallest_step_by_hand():
@@ -99,7 +114,7 @@ def test_cor43_smallest_step():
     walk = straight_path(3)
     assert check_cor43(0, walk, Families()) is None
     lhs = r_vec_at(1, walk[1], walk[2])
-    rhs = edge_unit(walk[0], walk[1]).add(s_vec_at(0, third_neighbor(walk[1], walk[0], walk[2])))
+    rhs = edge_unit(walk[0], walk[1]).add(s_vec_at(0, "01"))  # z_0: the neighbor of "0" off the walk
     assert lhs.equals(rhs)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fibquiver import catident, cli, fibcore, profiles, reflect, suites
+from fibquiver import catident, cli, errors, fibcore, profiles, reflect, suites
 from fibquiver.fibcore import NON_PAIR, fib
 from fibquiver.cli import (
     main,
@@ -522,6 +522,22 @@ def test_oeis_check_parse_error(capsys, tmp_path):
     assert code == 2 and "error" in err
 
 
+def test_oeis_check_refuses_a_fixture_whose_indices_do_not_increase(capsys, tmp_path):
+    repeated = tmp_path / "repeated.txt"
+    repeated.write_text("0 0\n0 1\n")
+    code, out, err = run(capsys, "oeis-check", "A000045", "--fixture", str(repeated))
+    assert (code, out, err) == (2, "", "error: line 2: index 0 not greater than previous 0\n")
+
+
+def test_every_error_class_is_a_refused_input_or_a_failed_check():
+    # main sets the exit status from these two bases alone: a ValueError
+    # exits 2, an ArithmeticError 1.
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and c.__module__ == errors.__name__]
+    assert classes
+    for c in classes:
+        assert issubclass(c, ValueError) != issubclass(c, ArithmeticError), c
+
+
 def test_oeis_check_names_a_fixture_value_past_the_digit_limit(capsys, tmp_path):
     big = tmp_path / "big.txt"
     with int_digit_limit(0):
@@ -571,7 +587,7 @@ def test_json_round_trip_all_payloads(capsys):
         payload_svec(3, 12),
         payload_rvec(3, 12),
         payload_verify(suites.run_three_term(-5, 5)),
-        payload_oeis(cli.oeis.run_check("A000045"), fixture),
+        payload_oeis(cli.oeis.run_check("A000045", fixture), fixture),
     ]
     for payload in payloads:
         assert json.loads(cli.emit(payload, "json")) == payload

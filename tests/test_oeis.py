@@ -2,13 +2,12 @@
 
 import pytest
 
-from fibquiver.errors import BFileParseError, SequenceMismatch
+from fibquiver.errors import SequenceMismatch
 from fibquiver.fibcore import fib
 from fibquiver.oeis import (
     GENERATORS,
     check_bfile,
     default_fixture_path,
-    load_bfile,
     parse_bfile,
     run_check,
 )
@@ -34,13 +33,13 @@ def test_parse_allows_negative_indices_and_values():
 
 
 def test_parse_rejects_malformed_lines():
-    with pytest.raises(BFileParseError, match="line 1"):
+    with pytest.raises(ValueError, match="line 1"):
         parse_bfile("1 2 3\n")
-    with pytest.raises(BFileParseError, match="non-integer"):
+    with pytest.raises(ValueError, match="non-integer"):
         parse_bfile("0 zero\n")
-    with pytest.raises(BFileParseError, match="not greater"):
+    with pytest.raises(ValueError, match="not greater"):
         parse_bfile("3 2\n3 2\n")
-    with pytest.raises(BFileParseError, match="not greater"):
+    with pytest.raises(ValueError, match="not greater"):
         parse_bfile("3 2\n1 1\n")
 
 
@@ -92,7 +91,7 @@ def test_bundled_fixture_paths():
 
 def test_bundled_fixtures_pass():
     for seq in ("A000045", "A132262", "A147316"):
-        result = run_check(seq)
+        result = run_check(seq, default_fixture_path(seq))
         assert result.checked > 200, seq
 
 
@@ -108,7 +107,7 @@ def test_bundled_triangles_equal_the_chebyshev_route(sequence, class_of, start, 
     # The triangle fixtures were written by the generators they check; here
     # every record is held to the wave-free Chebyshev route instead, rows read
     # over their stored classes, ascending.
-    records = load_bfile(default_fixture_path(sequence))
+    records = parse_bfile(default_fixture_path(sequence).read_text())
     assert [n for n, _ in records] == list(range(len(records)))
     flat, waves = [], 0
     while len(flat) < len(records):
@@ -118,7 +117,7 @@ def test_bundled_triangles_equal_the_chebyshev_route(sequence, class_of, start, 
 
 
 def test_bundled_fibonacci_fixture_values():
-    bf = load_bfile(default_fixture_path("A000045"))
+    bf = parse_bfile(default_fixture_path("A000045").read_text())
     assert bf[0] == (0, 0)
     assert bf[10] == (10, 55)
     assert bf[-1][0] == 500
@@ -126,7 +125,7 @@ def test_bundled_fibonacci_fixture_values():
 
 def test_run_check_unknown_sequence():
     with pytest.raises(ValueError, match="no generator configured for 'A999999'"):
-        run_check("A999999")
+        run_check("A999999", default_fixture_path("A999999"))
 
 
 def test_run_check_with_custom_fixture(tmp_path):

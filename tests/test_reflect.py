@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fibquiver import reflect
-from fibquiver.errors import NotNeighbors, OracleCapExceeded
+from fibquiver.errors import OracleCapExceeded
 from fibquiver.fibcore import fib
 from fibquiver.reflect import (
     Families,
@@ -21,7 +21,7 @@ from fibquiver.reflect import (
     s_vec_at,
     unit,
 )
-from fibquiver.tree import BASE, distance, is_valid_vertex, neighbors
+from fibquiver.tree import BASE, code, distance, neighbors, word
 import reference
 from reference import ball, sigma
 
@@ -50,7 +50,7 @@ def test_unit_and_edge_unit():
     assert entries(e) == {BASE: 1, "0": 1}
     assert sum(c for _, c in e.items()) == 2
     assert len(e.support()) == 2
-    with pytest.raises(NotNeighbors):
+    with pytest.raises(ValueError, match="'' and '00' are at distance 2, not 1"):
         edge_unit(BASE, "00")
 
 
@@ -151,7 +151,7 @@ def test_items_are_sized_and_speak_words(a):
     pairs = list(a.items())
     assert len(a.items()) == len(pairs) == len(a.support())
     assert sorted(v for v, _ in pairs) == sorted(a.support())
-    assert all(is_valid_vertex(v) and c != 0 for v, c in pairs)
+    assert all(word(code(v)) == v and c != 0 for v, c in pairs)
 
 
 @given(small_vectors)
@@ -170,7 +170,7 @@ def test_every_result_key_is_canonical(a, b, x, parity, t):
     results = [a.add(b), a.add(negation(b)), big_sigma(a, x, parity), s_vec_at(t, x)]
     results += [r_vec_at(t, x, y) for y in neighbors(x)]
     for vec in results:
-        assert all(is_valid_vertex(v) for v, _ in vec.items())
+        assert all(word(code(v)) == v for v, _ in vec.items())
 
 
 @pytest.mark.parametrize(
@@ -186,6 +186,14 @@ def test_every_result_key_is_canonical(a, b, x, parity, t):
 def test_non_canonical_addresses_are_refused(build):
     with pytest.raises(ValueError, match="not a canonical vertex address"):
         build()
+
+
+def test_a_non_word_edge_end_is_refused_by_name_before_its_distance_is_taken():
+    for build in (lambda: edge_unit(None, "0"), lambda: Families().r_vec_at(1, None, "0")):
+        with pytest.raises(ValueError, match="^not a canonical vertex address: None$"):
+            build()
+    with pytest.raises(ValueError, match="^not a canonical vertex address: 3$"):
+        edge_unit("0", 3)
 
 
 @pytest.mark.parametrize("value", [1.5, True])
@@ -283,7 +291,7 @@ def test_a_family_grows_on_from_its_latest_vector():
         Families(cap=3).s_vec_at(4, "0")
     with pytest.raises(ValueError):
         families.r_vec_at(-1, BASE, "1")
-    with pytest.raises(NotNeighbors):
+    with pytest.raises(ValueError, match="are at distance 2, not 1"):
         families.r_vec_at(1, BASE, "00")
 
 

@@ -1,12 +1,14 @@
 """Tree addressing, vertex codes, metric, bounded enumeration and the
 side-count formula."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fibquiver.profiles import RADIAL, SIGNED
-from fibquiver.tree import BASE, code, distance, is_valid_vertex, neighbors, word
+from fibquiver.tree import BASE, code, distance, neighbors, word
 from reference import ball, class_sizes, layers
 
 vertices = st.one_of(
@@ -18,12 +20,25 @@ vertices = st.one_of(
 
 
 def test_vertex_validity():
-    assert is_valid_vertex("")
-    assert is_valid_vertex("2")
-    assert is_valid_vertex("201")
-    assert not is_valid_vertex("02x")
-    assert not is_valid_vertex("12")  # later letters must be 0 or 1
-    assert not is_valid_vertex(3)
+    # code is the one parser of a word: canonical words round-trip through
+    # word, and anything else is refused by name, whatever its type.
+    for v in ("", "0", "1", "2", "201", "0110", "21"):
+        assert word(code(v)) == v
+    for bad in ("02x", "12", "3", "0 1", "0\n", 3, None, b"0"):
+        with pytest.raises(ValueError) as exc:
+            code(bad)
+        assert str(exc.value) == f"not a canonical vertex address: {bad!r}"
+
+
+@given(st.text(alphabet="0123 x", max_size=6))
+def test_code_accepts_exactly_the_canonical_words(v):
+    canonical = re.fullmatch("([012][01]*)?", v) is not None
+    try:
+        code(v)
+    except ValueError:
+        assert not canonical, v
+    else:
+        assert canonical, v
 
 
 def test_neighbors_examples():
