@@ -11,8 +11,10 @@ whose "kind" keys an entry of RENDERERS; that entry gives the kind's csv
 header, its csv lines and its ascii lines. Payloads hold json-safe values
 (ints, strings, lists), and json is the dict itself, with one exception:
 the u_table payload carries the stepped `Profile` rows with their sums, so
-no per-cell list is built, and its json is written from string templates,
-byte for byte what json.dumps(indent=2) gives for the dict of [s, v] lists.
+no per-cell list is built. Each of its rows is written in every format by
+one %-template, the row's slice of a per-class list of cell templates, so
+no string is made per cell; its json is byte for byte what
+json.dumps(indent=2) gives for the dict of [s, v] lists.
 Each subparser sets `payload`, a function of the parsed arguments, and
 `main` alone builds, renders and prints it and picks the exit status.
 
@@ -29,7 +31,6 @@ import json
 import math
 import os
 import sys
-from itertools import accumulate
 
 from . import oeis, profiles, reflect, suites
 from .errors import OracleCapExceeded
@@ -232,16 +233,20 @@ def _ascii_pairs(payload: dict) -> list[str]:
 
 
 def _csv_utable(payload: dict) -> list[str]:
-    """One block of lines per row."""
-    return ["\n".join([f"{t},{s},{v}" for s, v in zip(row.support(), row.values)])
-            for t, (row, _, _) in enumerate(payload["rows"])]
+    """One block of lines per row, from one %-template: the row's slice of
+    the per-class templates "s,%d", each line led by "t,"."""
+    rows = payload["rows"]
+    lo = min(row.lo for row, _, _ in rows)
+    cells = [f"{s},%d" for s in range(lo, max(row.hi for row, _, _ in rows) + 1)]
+    return [f"{t}," + (f"\n{t},".join(cells[row.lo - lo:row.hi - lo + 1]) % row.values)
+            for t, (row, _, _) in enumerate(rows)]
 
 
 def _ascii_utable(payload: dict) -> list[str]:
-    """One column per class lo..hi, as wide as its widest cell. Each row's
-    values cover one run of classes, so a row is its cells between blank
-    ends. Cells are non-negative, so a column's widest cell is its largest
-    and each cell is converted to a string once."""
+    """One column per class lo..hi, as wide as its widest cell. Cells are
+    non-negative, so a column's widest cell is its largest. A row is one
+    %-template: its own columns' "%<width>d" cells between blank columns,
+    then its sums."""
     rows = payload["rows"]
     lo = min(row.lo for row, _, _ in rows)
     labels = range(lo, max(row.hi for row, _, _ in rows) + 1)
@@ -250,25 +255,28 @@ def _ascii_utable(payload: dict) -> list[str]:
         first, end = row.lo - lo, row.hi - lo + 1
         top[first:end] = [x if x > v else v for x, v in zip(top[first:end], row.values)]
     widths = [max(len(str(s)), len(str(x))) for s, x in zip(labels, top)]
-    before = [0, *accumulate(w + 1 for w in widths)]  # before[k]: columns 0..k-1, each with its separator
+    cells, blanks = [f"%{w}d" for w in widths], [" " * w for w in widths]
     head = "t\\s | " + " ".join(str(s).rjust(w) for s, w in zip(labels, widths))
     out = [head, "-" * len(head)]
     for t, (row, minus, plus) in enumerate(rows):
         first, end = row.lo - lo, row.hi - lo + 1
-        cells = " ".join(map(str.rjust, map(str, row.values), widths[first:end]))
-        out.append(f"{t:>3} | {' ' * before[first]}{cells}{' ' * (before[-1] - before[end])}   [{minus}, {plus}]")
+        template = " ".join(blanks[:first] + cells[first:end] + blanks[end:])
+        out.append(f"{t:>3} | {template}   [%d, %d]" % (*row.values, minus, plus))
     return out
 
 
 def _json_utable(payload: dict) -> str:
     """json.dumps(<the payload with one [s, v] list per cell>, indent=2),
-    written from templates: every field is an int, so each cell is one
-    int -> str."""
+    written from templates: every field is an int, so a row's cells are one
+    %-template, the row's slice of the per-class [s, %d] templates."""
+    rows = payload["rows"]
+    lo = min(row.lo for row, _, _ in rows)
+    cells = [f"\n        [\n          {s},\n          %d\n        ]"
+             for s in range(lo, max(row.hi for row, _, _ in rows) + 1)]
     blocks = []
-    for t, (row, minus, plus) in enumerate(payload["rows"]):
-        cells = ",".join([f"\n        [\n          {s},\n          {v}\n        ]"
-                          for s, v in zip(row.support(), row.values)])
-        blocks.append(f'\n    {{\n      "t": {t},\n      "values": [{cells}\n      ],\n'
+    for t, (row, minus, plus) in enumerate(rows):
+        values = ",".join(cells[row.lo - lo:row.hi - lo + 1]) % row.values
+        blocks.append(f'\n    {{\n      "t": {t},\n      "values": [{values}\n      ],\n'
                       f'      "minus": {minus},\n      "plus": {plus}\n    }}')
     return (f'{{\n  "schema_version": {payload["schema_version"]},\n  "kind": "u_table",\n'
             f'  "t_max": {payload["t_max"]},\n  "rows": [{",".join(blocks)}\n  ]\n}}\n')

@@ -92,7 +92,8 @@ def wave(row: list[int], lo: int, weights: tuple, parity: int) -> None:
     classes: row[0] and row[-1] are zero sentinels, read but never written,
     so the caller pads the row past the wave's reach. Same-parity classes
     are never adjacent, so each run of classes with one weight pair (behind
-    class 0, class 0, ahead of it) is updated as one slice.
+    class 0, class 0, ahead of it) is updated as one slice. The (1, 2) and
+    (2, 1) runs, every run but the radial line's first two, step by shifts.
     """
     last = len(row) - 1
     # The runs are [1, c0), [c0, c1) and [c1, last), with c0 and c1 the
@@ -100,9 +101,13 @@ def wave(row: list[int], lo: int, weights: tuple, parity: int) -> None:
     c0, c1 = (min(max(i, 1), last) for i in (-lo, 1 - lo))
     for a, b, (left, right) in zip((1, c0, c1), (c0, c1, last), weights):
         a += (parity - lo - a) % 2
-        row[a:b:2] = [
-            left * x - y + right * z for x, y, z in zip(row[a - 1:b - 1:2], row[a:b:2], row[a + 1:b + 1:2])
-        ]
+        run = zip(row[a - 1:b - 1:2], row[a:b:2], row[a + 1:b + 1:2])
+        if (left, right) == (1, 2):
+            row[a:b:2] = [x - y + (z << 1) for x, y, z in run]
+        elif (left, right) == (2, 1):
+            row[a:b:2] = [(x << 1) - y + z for x, y, z in run]
+        else:
+            row[a:b:2] = [left * x - y + right * z for x, y, z in run]
 
 
 def step(p: Profile, k: int) -> Profile:

@@ -143,7 +143,7 @@ def run_sums(t_max: int = 300) -> SuiteResult:
             failures.append(f"signed sums at index {t}: {profiles.sums(u)}")
         if profiles.sums(p) != (fib(2 * t), fib(2 * t + 2)):
             failures.append(f"radial sums at step {t}: {profiles.sums(p)}")
-        if any(v < 0 for v in u.values) or any(v < 0 for v in p.values):
+        if min(u.values) < 0 or min(p.values) < 0:
             failures.append(f"negative profile entry at step {t}")
     return _collect("sums", failures, checked)
 

@@ -633,10 +633,11 @@ def _reference_ascii_utable(payload: dict) -> list[str]:
 @given(st.integers(0, 120))
 @example(0)
 @example(120)
+@example(200)  # the size of the benchmark's tail job
 def test_utable_rendering_matches_the_reference_routes(t_max):
-    # The golden fixtures pin t = 4 only, where every column is 1-2
-    # characters wide; these tables have columns of many widths. The
-    # renderers read the stepped rows, the references the [s, v] lists.
+    # The golden fixtures pin t = 4 and t = 12 only; these tables have
+    # columns of many more widths. The renderers read the stepped rows, the
+    # references the [s, v] lists.
     payload, want = payload_utable(t_max), reference.payload_utable(t_max)
     rows = [[row["t"], s, v] for row in want["rows"] for s, v in row["values"]]
     assert cli.emit(payload, "csv") == _reference_csv("t,s,value", rows)
@@ -658,6 +659,7 @@ GOLDEN = {
     "classify": ["classify", "-1", "-2"],
     "pairs": ["pairs", "10"],
     "utable": ["utable", "4"],
+    "utable12": ["utable", "12"],  # ascii columns 2 to 8 characters wide, sums up to 10 digits
     "partition": ["partition", "2"],
     "svec": ["svec", "3"],
     "rvec": ["rvec", "4"],

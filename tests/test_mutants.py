@@ -149,6 +149,16 @@ MUTANTS = {
         _wrap(profiles, "step", lambda real, p, k: _bump_cell(real, p, k) if p.waves < 41 <= p.waves + k else real(p, k)),
         ["verify sums"],
     ),
+    # the wave's shift kernels: (1, 2) runs ahead of class 0 on both lines
+    # and at class 0 on the signed one, (2, 1) behind class 0 on the signed one
+    "wave (1, 2) run doubles x, not z": (
+        _rewrite(profiles, "wave", "x - y + (z << 1)", "(x << 1) - y + z"),
+        ["verify oracle", "verify sums", "oeis-check A132262", "oeis-check A147316", "partition 7"],
+    ),
+    "wave (2, 1) run shifts by 2": (
+        _rewrite(profiles, "wave", "(x << 1) - y + z", "(x << 2) - y + z"),
+        ["verify oracle", "verify sums", "oeis-check A147316", "partition 7"],
+    ),
 }
 
 
