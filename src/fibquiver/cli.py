@@ -10,11 +10,11 @@ Each output kind is declared once. A `payload_*` builder returns a dict
 whose "kind" keys an entry of RENDERERS; that entry gives the kind's csv
 header, its csv lines and its ascii lines. Payloads hold json-safe values
 (ints, strings, lists), and json is the dict itself, with one exception:
-the u_table payload carries the stepped `Profile` rows with their sums, so
-no per-cell list is built. Each of its rows is written in every format by
-one %-template, the row's slice of a per-class list of cell templates, so
-no string is made per cell; its json is byte for byte what
-json.dumps(indent=2) gives for the dict of [s, v] lists.
+the u_table payload carries the stepped `Profile` rows with their sums, and
+`emit` writes its text whole, with no string per cell. Its ascii table is
+one %-template, its rows' "%<width>d" cells between "%<n>s" blank runs; csv
+and json, for which one table template was no faster, take one per row.
+Its json is byte for byte json.dumps(indent=2) of the dict of [s, v] lists.
 Each subparser sets `payload`, a function of the parsed arguments, and
 `main` alone builds, renders and prints it and picks the exit status.
 
@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+from itertools import accumulate
 
 from . import oeis, profiles, reflect, suites
 from .errors import OracleCapExceeded
@@ -232,21 +233,23 @@ def _ascii_pairs(payload: dict) -> list[str]:
     return lines
 
 
-def _csv_utable(payload: dict) -> list[str]:
+def _csv_utable(payload: dict) -> str:
     """One block of lines per row, from one %-template: the row's slice of
     the per-class templates "s,%d", each line led by "t,"."""
     rows = payload["rows"]
     lo = min(row.lo for row, _, _ in rows)
     cells = [f"{s},%d" for s in range(lo, max(row.hi for row, _, _ in rows) + 1)]
-    return [f"{t}," + (f"\n{t},".join(cells[row.lo - lo:row.hi - lo + 1]) % row.values)
-            for t, (row, _, _) in enumerate(rows)]
+    blocks = (f"{t}," + (f"\n{t},".join(cells[row.lo - lo:row.hi - lo + 1]) % row.values)
+              for t, (row, _, _) in enumerate(rows))
+    return "\n".join(["t,s,value", *blocks, ""])
 
 
-def _ascii_utable(payload: dict) -> list[str]:
+def _ascii_utable(payload: dict) -> str:
     """One column per class lo..hi, as wide as its widest cell. Cells are
-    non-negative, so a column's widest cell is its largest. A row is one
-    %-template: its own columns' "%<width>d" cells between blank columns,
-    then its sums."""
+    non-negative, so a column's widest cell is its largest. The whole text
+    is one %-template: the header, then per row its own columns' slice of
+    the joined "%<width>d" cells between two "%<n>s" blank runs filled from
+    "" arguments, then its sums. So no line string is made, and no join."""
     rows = payload["rows"]
     lo = min(row.lo for row, _, _ in rows)
     labels = range(lo, max(row.hi for row, _, _ in rows) + 1)
@@ -255,14 +258,16 @@ def _ascii_utable(payload: dict) -> list[str]:
         first, end = row.lo - lo, row.hi - lo + 1
         top[first:end] = [x if x > v else v for x, v in zip(top[first:end], row.values)]
     widths = [max(len(str(s)), len(str(x))) for s, x in zip(labels, top)]
-    cells, blanks = [f"%{w}d" for w in widths], [" " * w for w in widths]
     head = "t\\s | " + " ".join(str(s).rjust(w) for s, w in zip(labels, widths))
-    out = [head, "-" * len(head)]
+    # at[i]: where column i's template starts in cells; col[i]: where its text starts in a row
+    cells, at = " ".join(f"%{w}d" for w in widths), [0, *accumulate(len(str(w)) + 3 for w in widths)]
+    col = [0, *accumulate(w + 1 for w in widths)]
+    parts, args = [f"{head}\n{'-' * len(head)}\n"], []
     for t, (row, minus, plus) in enumerate(rows):
         first, end = row.lo - lo, row.hi - lo + 1
-        template = " ".join(blanks[:first] + cells[first:end] + blanks[end:])
-        out.append(f"{t:>3} | {template}   [%d, %d]" % (*row.values, minus, plus))
-    return out
+        parts.append(f"{t:>3} | %{col[first]}s{cells[at[first]:at[end] - 1]}%{col[-1] - col[end]}s   [%d, %d]\n")
+        args += ("", *row.values, "", minus, plus)
+    return "".join(parts) % tuple(args)
 
 
 def _json_utable(payload: dict) -> str:
@@ -327,8 +332,8 @@ def _ascii_oeis(payload: dict) -> list[str]:
     return [f"{payload['sequence']}: {payload['checked']} values match {payload['fixture']}"]
 
 
-# payload kind -> (csv header, csv lines, ascii lines); a csv "line" may hold
-# several, as u_table's row blocks do
+# payload kind -> (csv header, csv lines, ascii lines), for the line-based
+# kinds; u_table is not one: `emit` writes its text whole, from templates
 RENDERERS = {
     "fib_range": (
         "t,value", lambda p: map(_csv_line, p["values"]), lambda p: [",".join(str(v) for _, v in p["values"])]
@@ -341,7 +346,6 @@ RENDERERS = {
     "pairs": (
         "x,y,kind,t,direction,negated", lambda p: [_csv_line(_pair_row(r)) for r in p["pairs"]], _ascii_pairs
     ),
-    "u_table": ("t,s,value", _csv_utable, _ascii_utable),
     "partition_report": (
         "side,s,weight,value,product",
         lambda p: [_csv_line([side, *term]) for side in ("minus", "plus") for term in p[side]["terms"]],
@@ -359,17 +363,17 @@ RENDERERS = {
 
 
 def emit(payload: dict, fmt: str) -> str:
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    if payload["kind"] == "u_table":  # its text is written whole from its rows
+        return {"json": _json_utable, "csv": _csv_utable, "ascii": _ascii_utable}[fmt](payload)
     if fmt == "json":
-        if payload["kind"] == "u_table":
-            return _json_utable(payload)
         return json.dumps(payload, indent=2) + "\n"
     header, csv_lines, ascii_lines = RENDERERS[payload["kind"]]
     # A last empty line ends the text with "\n" without copying the whole text.
     if fmt == "csv":
         return "\n".join([header, *csv_lines(payload), ""])
-    if fmt == "ascii":
-        return "\n".join([*ascii_lines(payload), ""])
-    raise ValueError(f"unknown format {fmt!r}")
+    return "\n".join([*ascii_lines(payload), ""])
 
 
 # ----------------------------------------------------------------------
@@ -377,15 +381,20 @@ def emit(payload: dict, fmt: str) -> str:
 # ----------------------------------------------------------------------
 
 def _resolve_cap(args) -> int:
-    if args.cap is not None:
-        return args.cap
-    env = os.environ.get(ENV_CAP)
-    if env is not None:
+    """The oracle cap: --oracle-cap, else FIBQUIVER_ORACLE_CAP, else the
+    default. A negative cap is refused by the name it was given under."""
+    cap, source = args.cap, "--oracle-cap"
+    if cap is None:
+        env = os.environ.get(ENV_CAP)
+        if env is None:
+            return ORACLE_CAP
         try:
-            return int(env)
+            cap, source = int(env), ENV_CAP
         except ValueError:
             raise ValueError(f"{ENV_CAP} must be an integer, got {env!r}") from None
-    return ORACLE_CAP
+    if cap < 0:
+        raise ValueError(f"{source} must be non-negative, got {cap}")
+    return cap
 
 
 def _fib_bounds(args) -> tuple[int, int]:

@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -236,6 +237,17 @@ def test_oracle_cap_flag_and_env(capsys, monkeypatch):
     monkeypatch.setenv("FIBQUIVER_ORACLE_CAP", "not-a-number")
     code, _, err = run(capsys, "svec", "3")
     assert code == 2 and "FIBQUIVER_ORACLE_CAP" in err
+
+
+@pytest.mark.parametrize("argv", [["svec", "0"], ["rvec", "1"], ["verify", "oracle", "--t", "0"]])
+def test_a_negative_oracle_cap_is_refused_by_name(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, *argv, "--oracle-cap", "-1")
+    assert (code, out, err) == (2, "", "error: --oracle-cap must be non-negative, got -1\n")
+    monkeypatch.setenv("FIBQUIVER_ORACLE_CAP", "-3")
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: FIBQUIVER_ORACLE_CAP must be non-negative, got -3\n")
+    # The flag takes precedence over the variable, and a cap of 0 is allowed.
+    assert run(capsys, "svec", "0", "--oracle-cap", "0")[0] == 0
 
 
 @pytest.mark.parametrize(
@@ -643,6 +655,19 @@ def test_utable_rendering_matches_the_reference_routes(t_max):
     assert cli.emit(payload, "csv") == _reference_csv("t,s,value", rows)
     assert cli.emit(payload, "ascii") == "\n".join(_reference_ascii_utable(want)) + "\n"
     assert cli.emit(payload, "json") == json.dumps(want, indent=2) + "\n"
+
+
+def test_the_ascii_utable_is_written_without_a_second_copy():
+    # The whole table is one %-template, so the peak is the text plus the
+    # template and its arguments; lines joined into the text would hold it twice.
+    payload = payload_utable(200)
+    tracemalloc.start()
+    try:
+        text = cli.emit(payload, "ascii")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * len(text), (peak, len(text))
 
 
 def test_csv_ends_with_single_newline(capsys):
