@@ -16,7 +16,11 @@ one %-template, its rows' "%<width>d" cells between "%<n>s" blank runs; csv
 and json, for which one table template was no faster, take one per row.
 Its json is byte for byte json.dumps(indent=2) of the dict of [s, v] lists.
 Each subparser sets `payload`, a function of the parsed arguments, and
-`main` alone builds, renders and prints it and picks the exit status.
+`main` alone builds, renders and prints it and picks the exit status. A
+command line that starts with a command's name is parsed by that command's
+subparser alone, and what it leaves over is refused by the whole parser,
+as parse_args refuses it; any other command line goes to the whole parser.
+A stdout closed before the text is written is one `error:` line, exit 2.
 
 A command takes only the options it reads, for verify those in the suite's
 signature; any other exits 2. svec, rvec and verify respect an oracle cap,
@@ -461,6 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Fibonacci vectors on the 3-regular tree: tables, pair classification and identity checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # name -> subparser: `main` parses a command line with its own
 
     p = sub.add_parser("fib", parents=[common], help="Fibonacci numbers over any integer index range")
     p.add_argument("t", nargs="?", type=int, default=None, help="single index")
@@ -511,13 +516,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)` apart from `command`, with the same
+    usage errors: a command's own subparser parses the rest of its line."""
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def _drop_stdout() -> None:
+    """Point stdout's fd at os.devnull, so the exit flush of what it still
+    holds writes nowhere; a stdout with no fd (a StringIO) is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # io.UnsupportedOperation
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     """Build the payload, render it and print it; the exit status is 0
-    exactly when the payload is ok (payloads without a verdict always are)."""
-    args = build_parser().parse_args(argv)
+    exactly when the payload is ok (payloads without a verdict always are).
+    A stdout closed before the text is written is an error, exit 2."""
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         payload = args.payload(args)
-        text = emit(payload, args.format)
+        sys.stdout.write(emit(payload, args.format))
+        sys.stdout.flush()
     except OracleCapExceeded as exc:
         print(
             f"error: {exc}; raise it with --oracle-cap or {ENV_CAP}",
@@ -528,9 +560,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:
+        if isinstance(exc, BrokenPipeError):  # the reader of stdout is gone
+            _drop_stdout()
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(text, end="")
     for failure in payload.get("failures", ()):
         print(f"verify {payload['suite']}: {failure}", file=sys.stderr)
     return 0 if payload.get("ok", True) else 1

@@ -73,7 +73,7 @@ def fib_pair(t: int, direction: str = UP) -> DimPair:
         raise ValueError(f"direction must be 'up' or 'down', got {direction!r}")
     a, b = _fib2(t)
     # f(t+2) = f(t) + f(t+1) and f(t-2) = f(t) - f(t-1) = 2f(t) - f(t+1).
-    return DimPair(a, a + b if direction == UP else 2 * a - b)
+    return tuple.__new__(DimPair, (a, a + b if direction == UP else 2 * a - b))
 
 
 def sigma_plus(p: DimPair) -> DimPair:
@@ -139,8 +139,8 @@ def _witness(p: tuple[int, int], q: int) -> Witness:
     # classify_pair's reconstruction check.
     if q == 1:
         # f is strictly increasing on even indices.
-        return Witness(i if x >= 0 else -i, UP if y > x else DOWN, False)
-    return Witness(i if abs(y) > abs(x) else -i, UP, x < 0)
+        return tuple.__new__(Witness, (i if x >= 0 else -i, UP if y > x else DOWN, False))
+    return tuple.__new__(Witness, (i if abs(y) > abs(x) else -i, UP, x < 0))
 
 
 def classify_pair(p: tuple[int, int]) -> PairClass:
@@ -150,19 +150,17 @@ def classify_pair(p: tuple[int, int]) -> PairClass:
 
     Total: points off the two hyperbolas come back as the shared NON_PAIR.
     On the hyperbolas, the index is read off |x| and checked by rebuilding
-    p from it: one Fibonacci evaluation per pair.
+    p from it: one Fibonacci evaluation per pair. The verdict types are
+    built by tuple.__new__, as their own __new__ would build them.
     """
     x, y = p
     q = x * x + y * y - 3 * x * y
     if q not in (1, -1):
         return NON_PAIR
     w = _witness(p, q)
-    expected = fib_pair(w.t, w.direction)
-    if w.negated:
-        expected = DimPair(-expected.x, -expected.y)
-    if expected != p:
+    if fib_pair(w.t, w.direction) != ((-x, -y) if w.negated else (x, y)):
         raise ArithmeticError(f"witness reconstruction failed for {p}")
-    return PairClass(EVEN_PAIR if q == 1 else ODD_PAIR, w)
+    return tuple.__new__(PairClass, (EVEN_PAIR if q == 1 else ODD_PAIR, w))
 
 
 def enumerate_pairs(bound: int) -> list[tuple[DimPair, PairClass]]:
@@ -186,4 +184,4 @@ def enumerate_pairs(bound: int) -> list[tuple[DimPair, PairClass]]:
                 if abs(y) <= bound:
                     points.add((x, y))
                     points.add((-x, -y))
-    return [(DimPair(*pt), classify_pair(pt)) for pt in sorted(points)]
+    return [(tuple.__new__(DimPair, pt), classify_pair(pt)) for pt in sorted(points)]

@@ -17,6 +17,11 @@ rows through the validating `Profile` constructor; `payload_utable` builds
 the u_table payload as the plain dict that the package's json renderer writes
 from templates.
 
+`classify_pair` is the package's earlier pair classifier: its verdicts go
+through the NamedTuple constructors, and the rebuilt pair is negated as a
+`DimPair` and compared with the point, where the package compares the
+rebuilt pair with the point's negation as a plain tuple.
+
 `chebyshev_rows` is a third route for the class values, with no wave: a
 family's values after t waves are Chebyshev polynomials in the tree's
 adjacency applied to its start, read on a class line whose weights are
@@ -25,11 +30,13 @@ counted off `tree.neighbors`.
 
 from __future__ import annotations
 
+import math
 from math import comb
 from operator import mul
 from typing import Callable, Iterator
 
 from fibquiver import profiles, tree
+from fibquiver.fibcore import DOWN, EVEN_PAIR, NON_PAIR, ODD_PAIR, UP, DimPair, PairClass, Witness, fib
 from fibquiver.reflect import MARKED_NEIGHBOR, TreeVector
 from fibquiver.tree import BASE, Vertex, neighbors
 
@@ -205,6 +212,37 @@ def payload_utable(t_max: int) -> dict:
             }
         )
     return {"schema_version": 1, "kind": "u_table", "t_max": t_max, "rows": rows}
+
+
+def witness(p: tuple[int, int], q: int) -> Witness:
+    """The index witness of a |q| = 1 point, read off |x| as the package
+    reads it, built by the Witness constructor."""
+    x, y = p
+    ax = abs(x)
+    if ax > 1:
+        i = round((math.log2(ax) + math.log2(5) / 2) / math.log2((1 + math.sqrt(5)) / 2))
+    else:
+        i = 2 * ax if q == 1 else ax
+    if q == 1:
+        return Witness(i if x >= 0 else -i, UP if y > x else DOWN, False)
+    return Witness(i if abs(y) > abs(x) else -i, UP, x < 0)
+
+
+def classify_pair(p: tuple[int, int]) -> PairClass:
+    """The verdict on p: the witness's pair [f(t), f(t +- 2)] is rebuilt as
+    a DimPair, negated as a DimPair when the witness says so, and compared
+    with p."""
+    x, y = p
+    q = x * x + y * y - 3 * x * y
+    if q not in (1, -1):
+        return NON_PAIR
+    w = witness(p, q)
+    expected = DimPair(fib(w.t), fib(w.t + 2 if w.direction == UP else w.t - 2))
+    if w.negated:
+        expected = DimPair(-expected.x, -expected.y)
+    if expected != p:
+        raise ArithmeticError(f"witness reconstruction failed for {p}")
+    return PairClass(EVEN_PAIR if q == 1 else ODD_PAIR, w)
 
 
 def chebyshev_u(t: int) -> dict[int, int]:

@@ -780,6 +780,98 @@ def test_console_entry_point():
     assert proc.stdout == "13\n"
 
 
+# main parses a command line that starts with a command's name with that
+# command's subparser alone; each must parse as the whole parser parses it.
+PARSED = [
+    ["classify", "--", "-3", "-8"],
+    ["classify", "2", "5", "--format", "json"],
+    ["fib", "--from", "-5", "--to", "3"],
+    ["fib", "--from=-5", "--to=3", "--format=csv"],
+    ["fib", "5"],
+    ["pairs", "10"],
+    ["utable", "4", "--form", "csv"],  # an abbreviated option
+    ["partition", "2"],
+    ["svec", "3", "--oracle-cap", "4"],
+    ["rvec", "3", "--oracle-cap", "4"],
+    ["verify", "pairs", "--max", "3"],
+    ["verify", "oracle", "--t", "3", "--oracle-cap", "4"],
+    ["verify", "prop41", "--t-max", "3", "--oracle-cap", "13"],
+    ["verify", "cor42", "--t", "3", "--oracle-cap", "5", "--seed", "5"],
+    ["verify", "cor43", "--oracle-cap", "13"],
+    ["verify", "three-term", "--from", "-3", "--to", "4"],
+    ["oeis-check", "A000045", "--fixture", "b.txt"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSED, ids=" ".join)
+def test_a_command_line_parses_as_the_whole_parser_parses_it(argv):
+    whole = vars(cli.build_parser().parse_args(argv))
+    assert whole.pop("command") == argv[0]
+    assert vars(cli._parse(argv)) == whole
+
+
+def _whole_parser_run(capsys, argv):
+    """(exit code, stdout, stderr) of the whole parser's parse_args(argv)."""
+    try:
+        cli.build_parser().parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["nosuch"],
+        ["--format", "csv", "fib", "5"],
+        ["fib", "5", "--bogus"],
+        ["fib", "5", "extra", "--bogus"],
+        ["fib", "-h"],
+        ["fib", "x"],
+        ["classify", "2"],
+        ["utable", "4", "--format", "xml"],
+        ["verify", "nosuch"],
+        ["svec", "3", "--oracle-cap", "many"],
+    ],
+    ids=lambda argv: " ".join(argv) or "(empty)",
+)
+def test_usage_errors_and_help_are_the_whole_parsers(capsys, argv):
+    assert run(capsys, *argv) == _whole_parser_run(capsys, argv)
+
+
+def test_an_unrecognized_argument_is_refused_by_the_whole_parser(capsys):
+    code, out, err = run(capsys, "fib", "5", "--bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: fibquiver [-h]\n")
+    assert err.endswith("\nfibquiver: error: unrecognized arguments: --bogus\n")
+
+
+def test_a_closed_stdout_is_one_error_line():
+    # The 944 KB text outgrows the pipe, so its write meets the closed end.
+    argv = [sys.executable, "-m", "fibquiver.cli", "fib", "--from", "0", "--to", "3000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+    assert proc.returncode == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
+def test_a_closed_stdout_without_an_fd_is_left_alone(capsys, monkeypatch):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    stdout = Closed()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["fib", "5"]) == 2
+    assert sys.stdout is stdout and not stdout.closed
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
 # Random command lines over every subcommand. Indices stay within 40, and
 # within 6 for the brute-force commands, so each run is fast.
 NUMBER = st.integers(-40, 40).map(str)

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibquiver import fibcore, suites
+
+import reference
 from fibquiver.fibcore import (
     DOWN,
     DimPair,
@@ -13,6 +15,7 @@ from fibquiver.fibcore import (
     NOT_A_PAIR,
     ODD_PAIR,
     UP,
+    PairClass,
     Witness,
     check_three_term,
     classify_pair,
@@ -391,3 +394,28 @@ def test_classifier_accepts_every_literal_pair(t):
         got = classify_pair(p)
         want = EVEN_PAIR if t % 2 == 0 else ODD_PAIR
         assert got.kind == want
+
+
+def test_verdicts_match_the_earlier_classifier():
+    # Every literal and negated pair to |t| = 3000 in both directions, and
+    # the 50-box, against the NamedTuple-built route of tests/reference.py.
+    points = [fib_pair(t, d) for t in range(-3000, 3001) for d in (UP, DOWN)]
+    points += [(-x, -y) for x, y in points]
+    points += [(x, y) for x in range(-50, 51) for y in range(-50, 51)]
+    for p in points:
+        got, want = classify_pair(p), reference.classify_pair(p)
+        assert got == want and type(got.witness) is type(want.witness), p
+
+
+def test_verdicts_keep_their_namedtuple_types():
+    got = classify_pair((2, 5))
+    assert type(got) is PairClass and type(got.witness) is Witness
+    assert (got.kind, got.witness.t, got.witness.direction, got.witness.negated) == (ODD_PAIR, 3, UP, False)
+    assert type(fib_pair(7, DOWN)) is DimPair and fib_pair(7, DOWN).y == 5
+    listed = enumerate_pairs(10**15)
+    assert {type(p) for p, _ in listed} == {DimPair}
+    assert {type(v) for _, v in listed} == {PairClass}
+    assert {type(v.witness) for _, v in listed} == {Witness}
+    # the witness mutants of tests/test_mutants.py rebuild a witness this way
+    flipped = got.witness._replace(direction=DOWN)
+    assert type(flipped) is Witness and flipped == Witness(3, DOWN, False)

@@ -119,6 +119,10 @@ MUTANTS = {
     ),
     "witness direction flipped past 100": (_wrap(fibcore, "_witness", _witness_flipped), ["verify pairs"]),
     "witness index read two too high": (_rewrite(fibcore, "_witness", "/ _LOG2_PHI)", "/ _LOG2_PHI) + 2"), ["verify pairs"]),
+    "pair rebuild ignores the negation": (
+        _rewrite(fibcore, "classify_pair", "(-x, -y) if w.negated else (x, y)", "(x, y)"),
+        ["verify pairs"],
+    ),
     "one cell + 1 in every row past 8 waves": (
         _wrap(profiles, "step", lambda real, p, k: _bump_cell(real, p, k) if p.waves + k > 8 else real(p, k)),
         ["verify sums", "oeis-check A132262", "oeis-check A147316", "partition 7"],
