@@ -1,8 +1,13 @@
 """Exact-sequence style identities, checked as tree-vector equalities.
 
-Every check here verifies that one oracle-built vector equals a sum of
-smaller oracle-built vectors, entry by entry in exact integers, plus the
-scalar Fibonacci identity that the vector identity shadows.
+Each identity is stated once, as data: a label, an lhs term and the terms
+whose sum it must equal. A term is ("s", i, x) for s_i(x), the vector grown
+from unit(x) by i reflection waves, or ("r", i, x, y) for r_i(x, y), grown
+from edge_unit(x, y). One evaluator checks every statement: the lhs vector
+must equal the sum of the term vectors, entry by entry in exact integers,
+and then push down to the 3-Kronecker quiver as the paper's pair: its parity
+sums measured from its center must be (f(2i), f(2i+2)) for s_i, or
+(f(2i-1), f(2i+1)) for r_i, as `classify_pair` reads them.
 
 A path is a plain walk, a sequence of vertices each a neighbor of the last
 that never steps straight back: x_0 .. x_t for Cor. 4.2, and x_{-1} ..
@@ -20,8 +25,7 @@ from functools import reduce
 from typing import Optional, Sequence
 
 from . import reflect, tree
-from .fibcore import fib
-from .reflect import Families, TreeVector
+from .fibcore import EVEN_PAIR, ODD_PAIR, UP, classify_pair
 from .tree import BASE, Vertex, distance, neighbors
 
 
@@ -59,11 +63,11 @@ def path_variants(n: int) -> list[list[Vertex]]:
     return [list(w) for w in dict.fromkeys(map(tuple, walks))][:3]
 
 
-def _sum_check(label: str, lhs: TreeVector, terms: Sequence[TreeVector]) -> Optional[str]:
+def _sum_check(label: str, lhs: reflect.TreeVector, terms: Sequence[reflect.TreeVector]) -> Optional[str]:
     """None when lhs is the sum of the terms, else the first vertex, in code
     order, where the two sides differ. The sides are compared by code, so a
     faulty vector holding a code that names no vertex is reported as such."""
-    rhs = reduce(TreeVector.add, terms)
+    rhs = reduce(reflect.TreeVector.add, terms)
     if lhs.equals(rhs):
         return None
     a, b = lhs._entries, rhs._entries
@@ -75,68 +79,72 @@ def _sum_check(label: str, lhs: TreeVector, terms: Sequence[TreeVector]) -> Opti
     return f"{label} first differing {where}: lhs {a.get(c, 0)}, rhs {b.get(c, 0)}"
 
 
-def _scalar_shadow(holds: bool) -> Optional[str]:
-    return None if holds else "scalar-shadow"
+def _vector(term: tuple, families: reflect.Families, far: bool = False) -> reflect.TreeVector:
+    """A term's vector, drawn from the table, or, for a walk's far end, which
+    is asked for once, grown outside it."""
+    if far:
+        return (reflect.s_vec_at if term[0] == "s" else reflect.r_vec_at)(*term[1:], cap=families.cap)
+    return families.s_vec_at(*term[1:]) if term[0] == "s" else families.r_vec_at(*term[1:])
 
 
-def check_prop41(t: int, families: Families, *, y_letter: str = "0") -> Optional[str]:
+def _check(families: reflect.Families, statements: Sequence[tuple], *, far: bool = False) -> Optional[str]:
+    """None when every (label, lhs, terms) statement holds, else the first
+    failure's text. Each lhs is checked against the sum of its terms, then,
+    once all sums hold, pushed down: its parity sums measured from its
+    center must be the pair the classifier reads as (f(2i), f(2i+2)) for an
+    lhs s_i, or (f(2i-1), f(2i+1)) for an lhs r_i; a pair the table already
+    holds as read so is not classified again. With `far`, each lhs is a
+    walk's far end."""
+    vecs = [_vector(lhs, families, far) for _, lhs, _ in statements]
+    for (label, _, terms), vec in zip(statements, vecs):
+        failure = _sum_check(label, vec, [_vector(term, families) for term in terms])
+        if failure:
+            return failure
+    for (label, (kind, i, x, *_), _), vec in zip(statements, vecs):
+        want, n = (EVEN_PAIR, 2 * i) if kind == "s" else (ODD_PAIR, 2 * i - 1)
+        p = reflect.parity_sums(vec, i + len(x))
+        if (n, p) not in families.pairs and classify_pair(p) != (want, (n, UP, False)):
+            return f"{label} push-down {p} is not the {want} (f({n}), f({n + 2}))"
+        families.pairs.add((n, p))
+    return None
+
+
+def check_prop41(t: int, families: reflect.Families, *, y_letter: str = "0") -> Optional[str]:
     """Two peeling identities at the base vertex x with marked neighbor y:
-    the step-t vertex vector is the step-(t-1) vector at y plus the step-t
-    edge vector, and the edge vector peels into the step-(t-1) vector at a
-    second neighbor plus the step-(t-1) edge vector entering from the third.
-    """
+    s_t(x) = s_{t-1}(y) + r_t(x, y), and r_t(x, y) = s_{t-1}(y2) +
+    r_{t-1}(y3, x) for the other two neighbors y2, y3 of x."""
     if t < 1:
         raise ValueError(f"t must be positive, got {t}")
-    x = BASE
-    y = y_letter
+    x, y = BASE, y_letter
     letters = neighbors(x)
     if y not in letters:
         raise ValueError(f"y_letter must be one of {letters}, got {y!r}")
     y2, y3 = [n for n in letters if n != y]
-
-    s_t = families.s_vec_at(t, x)
-    r_t = families.r_vec_at(t, x, y)
-    return (
-        _sum_check("vertex-splits-into-neighbor-plus-edge", s_t, [families.s_vec_at(t - 1, y), r_t])
-        or _sum_check("edge-splits-into-neighbor-plus-turned-edge", r_t,
-                      [families.s_vec_at(t - 1, y2), families.r_vec_at(t - 1, y3, x)])
-        or _scalar_shadow(
-            fib(2 * t + 2) == fib(2 * t) + fib(2 * t + 1)
-            and fib(2 * t) == fib(2 * t - 2) + fib(2 * t - 1)
-        )
-    )
+    return _check(families, [
+        ("vertex-splits-into-neighbor-plus-edge", ("s", t, x), [("s", t - 1, y), ("r", t, x, y)]),
+        ("edge-splits-into-neighbor-plus-turned-edge", ("r", t, x, y), [("s", t - 1, y2), ("r", t - 1, y3, x)]),
+    ])
 
 
-def check_cor42(t: int, walk: Sequence[Vertex], families: Families) -> Optional[str]:
-    """Filtration identity along a walk x_0 .. x_t: the step-t vector at the
-    far end equals the unit at the start plus the edge vectors picked up one
-    step at a time. Scalar shadow: f(2t) is the sum of the first t odd-index
-    Fibonacci numbers."""
+def check_cor42(t: int, walk: Sequence[Vertex], families: reflect.Families) -> Optional[str]:
+    """Filtration identity along a walk x_0 .. x_t: s_t(x_t) = s_0(x_0) +
+    the sum of r_i(x_i, x_{i-1}) over i = 1 .. t."""
     if t < 1:
         raise ValueError(f"t must be positive, got {t}")
     xs = require_walk(walk, t + 1)
-
-    terms = [reflect.unit(xs[0])] + [families.r_vec_at(i, xs[i], xs[i - 1]) for i in range(1, t + 1)]
-    return (
-        _sum_check("filtration-sum", reflect.s_vec_at(t, xs[t], cap=families.cap), terms)
-        or _scalar_shadow(fib(2 * t) == sum(fib(2 * i - 1) for i in range(1, t + 1)))
-    )
+    terms = [("s", 0, xs[0])] + [("r", i, xs[i], xs[i - 1]) for i in range(1, t + 1)]
+    return _check(families, [("filtration-sum", ("s", t, xs[t]), terms)], far=True)
 
 
-def check_cor43(t: int, walk: Sequence[Vertex], families: Families) -> Optional[str]:
+def check_cor43(t: int, walk: Sequence[Vertex], families: reflect.Families) -> Optional[str]:
     """Side-branch identity along an anchored walk x_{-1} .. x_{t+1}, given
-    as its t+3 vertices: the step-(t+1) edge vector at the far end equals the
-    starting edge vector plus one vertex vector grown at each side branch
-    z_i. Scalar shadow: f(2t+1) = 1 + sum of the first t even-index
-    Fibonacci numbers."""
+    as its t+3 vertices: r_{t+1}(x_t, x_{t+1}) = r_0(x_{-1}, x_0) + the sum
+    of s_i(z_i) over i = 0 .. t, z_i the side branch at x_i."""
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     xs = require_walk(walk, t + 3)
 
     # z_i is the one neighbor of x_{i+1} outside (x_i, x_{i+2}).
     zs = [next(z for z in neighbors(xs[i + 1]) if z not in (xs[i], xs[i + 2])) for i in range(t + 1)]
-    terms = [reflect.edge_unit(xs[0], xs[1])] + [families.s_vec_at(i, z) for i, z in enumerate(zs)]
-    return (
-        _sum_check("side-branch-sum", reflect.r_vec_at(t + 1, xs[t + 1], xs[t + 2], cap=families.cap), terms)
-        or _scalar_shadow(fib(2 * t + 1) == 1 + sum(fib(2 * i) for i in range(1, t + 1)))
-    )
+    terms = [("r", 0, xs[0], xs[1])] + [("s", i, z) for i, z in enumerate(zs)]
+    return _check(families, [("side-branch-sum", ("r", t + 1, xs[t + 1], xs[t + 2]), terms)], far=True)

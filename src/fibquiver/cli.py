@@ -39,7 +39,7 @@ from itertools import accumulate
 
 from . import oeis, profiles, reflect, suites
 from .errors import OracleCapExceeded
-from .fibcore import DimPair, classify_pair, enumerate_pairs, fib, fib_range
+from .fibcore import classify_pair, enumerate_pairs, fib, fib_range
 from .profiles import SIGNED, class_size
 from .reflect import ORACLE_CAP
 
@@ -86,15 +86,16 @@ def payload_fib(lo: int, hi: int) -> dict:
     }
 
 
-def _pair_fields(p: DimPair, verdict) -> dict:
+def _pair_fields(p: tuple[int, int], verdict) -> dict:
     """A point's fields: x, y, pair_kind, then its witness's t, direction and
     negated, each None off the pairs."""
+    x, y = p
     t, direction, negated = verdict.witness or (None, None, None)
-    return {"x": p.x, "y": p.y, "pair_kind": verdict.kind, "t": t, "direction": direction, "negated": negated}
+    return {"x": x, "y": y, "pair_kind": verdict.kind, "t": t, "direction": direction, "negated": negated}
 
 
 def payload_classify(x: int, y: int) -> dict:
-    p = DimPair(x, y)
+    p = (x, y)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "pair_class",

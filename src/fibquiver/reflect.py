@@ -19,7 +19,6 @@ module is the compressed counterpart that this one validates.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Iterator, Optional
 
 from . import tree
@@ -107,12 +106,12 @@ class _Items:
 
 def unit(x: Vertex) -> TreeVector:
     """The vector with entry 1 at x and 0 elsewhere."""
-    return TreeVector({x: 1})
+    return TreeVector._trusted({tree.code(x): 1})
 
 
 def edge_unit(x: Vertex, y: Vertex) -> TreeVector:
     """Entry 1 at both endpoints of an edge."""
-    vec = TreeVector({x: 1, y: 1})
+    vec = TreeVector._trusted({tree.code(x): 1, tree.code(y): 1})
     if distance(x, y) != 1:
         raise ValueError(f"{x!r} and {y!r} are at distance {distance(x, y)}, not 1")
     return vec
@@ -168,18 +167,23 @@ class Families:
     alternating reflection waves, the first reflecting the odd-distance
     shell. It is keyed by its start's words, (x,) for unit(x) and (x, y) for
     edge_unit(x, y), so a repeat request builds no start vector and checks
-    no address again. Only the latest vector is kept: a later wave count
-    grows on from it, an earlier one regrows from the start. A table belongs
-    to the call that made it and is dropped with it: kept across calls, it
-    would make a repeated call cheaper than a fresh process could ever be.
+    no address again. Past its start, only a family's latest vector is kept:
+    a later wave count grows on from it, an earlier one regrows from the
+    start. `pairs` holds the push-downs that a caller has read as Fibonacci
+    pairs during the call, as (index, pair), so that none is classified
+    twice. A table belongs to the call that made it and is dropped with it:
+    kept across calls, it would make a repeated call cheaper than a fresh
+    process could ever be.
     """
 
-    __slots__ = ("cap", "_grown")
+    __slots__ = ("cap", "_starts", "_grown", "pairs")
 
     def __init__(self, cap: int = ORACLE_CAP):
         self.cap = cap
-        # key -> (start, waves, the start after that many waves)
-        self._grown: dict[tuple[Vertex, ...], tuple[TreeVector, int, TreeVector]] = {}
+        self.pairs: set[tuple[int, tuple[int, int]]] = set()
+        self._starts: dict[tuple[Vertex, ...], TreeVector] = {}
+        # key -> (waves, the start after that many waves), for waves > 0
+        self._grown: dict[tuple[Vertex, ...], tuple[int, TreeVector]] = {}
 
     def s_vec_at(self, t: int, center: Vertex) -> TreeVector:
         return self._at((center,), unit, t)
@@ -188,20 +192,22 @@ class Families:
         return self._at((x, y), edge_unit, t)
 
     def _at(self, key: tuple[Vertex, ...], start_of, t: int) -> TreeVector:
-        if key in self._grown:
-            start, waves, a = self._grown[key]
-        else:
-            start = a = start_of(*key)
-            waves = 0
+        start = self._starts.get(key)
+        if start is None:
+            start = self._starts[key] = start_of(*key)
         if t < 0:
             raise ValueError(f"t must be non-negative, got {t}")
         if t > self.cap:
             raise OracleCapExceeded(t, self.cap)
+        waves, a = self._grown.get(key, (0, start))
+        if t == waves:
+            return a
         if t < waves:
             waves, a = 0, start
         for i in range(waves, t):
             a = big_sigma(a, key[0], "even" if i % 2 else "odd")
-        self._grown[key] = (start, t, a)
+        if t:
+            self._grown[key] = (t, a)
         return a
 
 
@@ -228,8 +234,11 @@ def r_vec(t: int, *, cap: int = ORACLE_CAP) -> TreeVector:
 def parity_sums(a: TreeVector, t: int) -> tuple[int, int]:
     """(minus, plus): entry sums over the vertices whose distance from the
     base is incongruent / congruent to t mod 2."""
-    entries = a._entries
+    odd = even = 0
     # A code's bit length is its depth plus 2: odd exactly at odd depths.
-    odd = sum(compress(entries.values(), map((1).__and__, map(int.bit_length, entries))))
-    even = sum(entries.values()) - odd
+    for c, v in a._entries.items():
+        if c.bit_length() & 1:
+            odd += v
+        else:
+            even += v
     return (even, odd) if t % 2 else (odd, even)

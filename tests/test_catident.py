@@ -15,7 +15,8 @@ from fibquiver.catident import (
 from fibquiver.errors import OracleCapExceeded
 from fibquiver.fibcore import DimPair, classify_pair, fib, fib_range
 from fibquiver.reflect import Families, TreeVector, edge_unit, parity_sums, r_vec, r_vec_at, s_vec, s_vec_at, unit
-from fibquiver.tree import BASE
+from fibquiver.tree import BASE, neighbors
+from test_mutants import MUTANTS, SCALED
 
 
 def _record_waves(monkeypatch):
@@ -185,7 +186,7 @@ def test_the_fixed_walks_never_regrow_a_family(monkeypatch):
 
     def recorded(self, key, start_of, t):
         requests.append(key)
-        if key in self._grown and t < self._grown[key][1]:
+        if key in self._grown and t < self._grown[key][0]:
             regrown.append((key, t))
         return real(self, key, start_of, t)
 
@@ -203,13 +204,24 @@ def test_paths_can_turn_through_the_base():
 def test_a_broken_identity_is_named_in_the_verdict(monkeypatch):
     walk = ("1", BASE, "2", "20")
     assert check_cor42(3, walk, Families()) is None
-    # One more on every Fibonacci number breaks each scalar shadow, with no
-    # detail to follow the identity's name.
-    real = catident.fib
-    monkeypatch.setattr(catident, "fib", lambda n: real(n) + 1)
-    assert check_cor42(3, walk, Families()) == "scalar-shadow"
-    assert check_cor43(2, straight_path(5), Families()) == "scalar-shadow"
-    assert check_prop41(2, Families(), y_letter="1") == "scalar-shadow"
+    # Under the scaled reflection Cor. 4.2 still holds entry by entry, so
+    # only its push-down names the fault: the pair it reached, and the one
+    # it should have.
+    MUTANTS[SCALED][0](monkeypatch)
+    assert check_cor42(1, (BASE, "0"), Families()) == "filtration-sum push-down (1, 6) is not the EvenPair (f(2), f(4))"
+    assert check_cor42(3, walk, Families()) == "filtration-sum push-down (35, 204) is not the EvenPair (f(6), f(8))"
+    # A vector identity that fails is named before any push-down is read.
+    assert check_cor43(2, straight_path(5), Families()) == "side-branch-sum first differing vertex '': lhs 8, rhs 1"
+
+
+def test_a_push_down_read_from_the_wrong_side_is_named_with_its_pair(monkeypatch):
+    # With the parity sums swapped every vector identity holds, and each
+    # kind of lhs names the pair it should have pushed down to.
+    MUTANTS["oracle parity sums with minus and plus swapped"][0](monkeypatch)
+    assert check_prop41(2, Families(), y_letter="1") == (
+        "vertex-splits-into-neighbor-plus-edge push-down (8, 3) is not the EvenPair (f(4), f(6))"
+    )
+    assert check_cor43(2, straight_path(5), Families()) == "side-branch-sum push-down (13, 5) is not the OddPair (f(5), f(7))"
 
 
 def test_a_failed_check_names_the_first_differing_vertex():
@@ -269,6 +281,16 @@ def test_pushdown_examples():
     assert DimPair(*parity_sums(s_vec(0).add(TreeVector({BASE: -1})), 0)) == DimPair(0, 0)
 
 
+@pytest.mark.parametrize("x", [BASE, "0", "01", "011"])
+def test_every_family_pushes_down_to_its_pair_measured_from_its_center(x):
+    # The push-down rule of the identity checks, at centers of depths 0..3:
+    # from a center at odd depth the base's two parity classes swap.
+    for i in range(9):
+        assert parity_sums(s_vec_at(i, x), i + len(x)) == (fib(2 * i), fib(2 * i + 2))
+        for y in neighbors(x):
+            assert parity_sums(r_vec_at(i, x, y), i + len(x)) == (fib(2 * i - 1), fib(2 * i + 1))
+
+
 def test_pushdown_lands_on_classified_pairs():
     for t in range(9):
         assert classify_pair(DimPair(*parity_sums(s_vec(t), t))).kind == "EvenPair"
@@ -290,11 +312,13 @@ def test_a_suite_grows_each_family_once(monkeypatch, run, most):
     assert waves == first
 
 
-@pytest.mark.parametrize("run,kept,count", [(lambda: suites.run_cor42(6), 2, 18), (lambda: suites.run_cor43(6), 1, 21)])
+@pytest.mark.parametrize("run,kept,count", [(lambda: suites.run_cor42(6), 2, 18), (lambda: suites.run_cor43(6), 1, 18)])
 def test_a_suite_table_keeps_only_the_families_a_later_check_extends(monkeypatch, run, kept, count):
     # Each walk's far end is asked for once, so it is grown outside the
-    # table: cor42 keeps only its 18 edge families, keyed (x, y), and cor43
-    # only its 21 vertex families, keyed (x,). Kept too, they made 35 and 42.
+    # table, and a family is kept grown only past its start: cor42 keeps
+    # only its 18 edge families, keyed (x, y), and cor43 only the 18 vertex
+    # families, keyed (x,), that some check asks for past 0 waves. Kept too,
+    # the far ends made 35 and 42, and the starts made cor43's 21.
     tables = []
     real = reflect.Families
     monkeypatch.setattr(reflect, "Families", lambda *args: tables.append(real(*args)) or tables[-1])
@@ -331,3 +355,24 @@ def test_one_table_per_suite_keeps_every_verdict(monkeypatch, suite):
     failures = [f"{label}: {failure}" for label, failure in cases if failure is not None]
     assert failures and not result.ok
     assert result.failures == failures[: suites.MAX_REPORTED_FAILURES]
+
+
+def test_a_call_classifies_each_pushed_down_pair_once(monkeypatch):
+    # prop41(6) pushes 36 lhs down onto 12 pairs, and cor42(6) 18 far ends
+    # onto 6; a pair read once is not classified again in the same call.
+    calls = []
+    real = catident.classify_pair
+    monkeypatch.setattr(catident, "classify_pair", lambda p: calls.append(p) or real(p))
+    assert suites.run_prop41(6).ok
+    assert sorted(calls) == sorted([(fib(2 * i), fib(2 * i + 2)) for i in range(1, 7)]
+                                   + [(fib(2 * i - 1), fib(2 * i + 1)) for i in range(1, 7)])
+    calls.clear()
+    assert suites.run_cor42(6).ok
+    assert sorted(calls) == [(fib(2 * i), fib(2 * i + 2)) for i in range(1, 7)]
+    # A pair that is not read as its Fibonacci pair is classified, and
+    # named, in every check that pushes it down.
+    MUTANTS["oracle parity sums with minus and plus swapped"][0](monkeypatch)
+    fresh = [f"t={t} y={y!r}: {check_prop41(t, Families(), y_letter=y)}" for t in (1, 2) for y in "012"]
+    result = suites.run_prop41(2)
+    assert not result.ok and result.failures == fresh[: suites.MAX_REPORTED_FAILURES]
+    assert all(" push-down " in failure for failure in fresh)

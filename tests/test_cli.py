@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fibquiver import catident, cli, errors, fibcore, profiles, reflect, suites
+from fibquiver import cli, errors, fibcore, profiles, reflect, suites
 from fibquiver.fibcore import NON_PAIR, fib
 from fibquiver.cli import (
     main,
@@ -31,6 +31,7 @@ from fibquiver.cli import (
 )
 
 import reference
+from test_mutants import MUTANTS, SCALED
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -481,21 +482,24 @@ def test_a_failed_self_check_exits_through_main(capsys, monkeypatch):
     assert run(capsys, "partition", "7") == (1, "", "error: partition terms do not reach their targets at t=7\n")
     monkeypatch.setattr(fibcore, "_witness", witness_down)
     assert run(capsys, "classify", "233", "610") == (
-        1, "", "error: witness reconstruction failed for DimPair(x=233, y=610)\n"
+        1, "", "error: witness reconstruction failed for (233, 610)\n"
     )
 
 
-def test_a_broken_scalar_shadow_is_reported_by_name_alone(capsys, monkeypatch):
-    real = catident.fib
-    monkeypatch.setattr(catident, "fib", lambda n: real(n) + 1)
+def test_a_broken_push_down_is_reported_after_its_label(capsys, monkeypatch):
+    # The scaled reflection keeps Cor. 4.2 as a vector identity; the
+    # push-down of each far end is what fails, on stdout and stderr alike.
+    MUTANTS[SCALED][0](monkeypatch)
     code, out, err = run(capsys, "verify", "cor42", "--t", "4")
     assert code == 1
+    first = "t=1 path=['', '0']: filtration-sum push-down (1, 6) is not the EvenPair (f(2), f(4))"
     shown = [line for line in out.splitlines() if line.startswith("  counterexample: ")]
-    assert shown and all(line.endswith(": scalar-shadow") for line in shown)
-    assert err and all(line.endswith(": scalar-shadow") for line in err.splitlines())
+    assert shown[0] == f"  counterexample: {first}"
+    assert err.splitlines()[0] == f"verify cor42: {first}"
+    assert all(" push-down " in line for line in shown + err.splitlines())
     code, out, _ = run(capsys, "verify", "cor42", "--t", "4", "--format", "json")
     failures = json.loads(out)["failures"]
-    assert code == 1 and failures and all(f.endswith(": scalar-shadow") for f in failures)
+    assert code == 1 and failures[0] == first and all(" push-down " in f for f in failures)
 
 
 def test_verify_json_payload(capsys):

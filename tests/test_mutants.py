@@ -5,8 +5,9 @@ for it run through `main` at their default ranges or at a named `--t` (the
 far oracle fault at the oracle cap, out of reach of the defaults), and each
 must exit non-zero: a failure (1) or a refused input (2), never an escaped
 exception. The named commands are the ones that catch the mutant, out of
-every `verify` suite, `oeis-check` on its three ids, `partition 7`, `svec 6`
-and `rvec 5`.
+every `verify` suite, `oeis-check` on its three ids, `partition 7`, `svec 6`,
+`rvec 5`, `pairs 100` and `classify -- -89 -233` (a third-quadrant odd pair
+past 100, so that every classifier mutant reaches it).
 
 One mutant is equivalent and not run: `TreeVector.add` keeping zero
 entries. Every term of the three identities is a non-negative vector, so no
@@ -95,6 +96,9 @@ def _swapped(real, *args):
     return plus, minus
 
 
+CLASSIFY = "classify -- -89 -233"
+SCALED = "scaled reflection: a site becomes twice its neighbors' sum minus itself"
+
 MUTANTS = {
     # ROADMAP item 11
     "signed weights ahead of class 0 swapped": (
@@ -117,11 +121,18 @@ MUTANTS = {
         _wrap(fibcore, "fib", lambda real, n: -real(n) if n < -5 else real(n)),
         ["verify three-term"],
     ),
-    "witness direction flipped past 100": (_wrap(fibcore, "_witness", _witness_flipped), ["verify pairs"]),
-    "witness index read two too high": (_rewrite(fibcore, "_witness", "/ _LOG2_PHI)", "/ _LOG2_PHI) + 2"), ["verify pairs"]),
+    # the identity suites read each push-down through the classifier
+    "witness direction flipped past 100": (
+        _wrap(fibcore, "_witness", _witness_flipped),
+        ["verify prop41", "verify cor42", "verify cor43", "verify pairs", CLASSIFY],
+    ),
+    "witness index read two too high": (
+        _rewrite(fibcore, "_witness", "/ _LOG2_PHI)", "/ _LOG2_PHI) + 2"),
+        ["verify prop41", "verify cor42", "verify cor43", "verify pairs", "pairs 100", CLASSIFY],
+    ),
     "pair rebuild ignores the negation": (
         _rewrite(fibcore, "classify_pair", "(-x, -y) if w.negated else (x, y)", "(x, y)"),
-        ["verify pairs"],
+        ["verify pairs", "pairs 100", CLASSIFY],
     ),
     "one cell + 1 in every row past 8 waves": (
         _wrap(profiles, "step", lambda real, p, k: _bump_cell(real, p, k) if p.waves + k > 8 else real(p, k)),
@@ -131,7 +142,16 @@ MUTANTS = {
         _wrap(profiles, "sums", _swapped),
         ["verify oracle", "verify sums"],
     ),
-    "oracle parity sums with minus and plus swapped": (_wrap(reflect, "parity_sums", _swapped), ["verify oracle"]),
+    "oracle parity sums with minus and plus swapped": (
+        _wrap(reflect, "parity_sums", _swapped),
+        ["verify oracle", "verify prop41", "verify cor42", "verify cor43"],
+    ),
+    SCALED: (
+        # every entry off the sites counts twice in its neighbors' sums
+        _rewrite(reflect, "big_sigma", "for c, v in a._entries.items():",
+                 "for c, v in ((c, v if c.bit_length() % 2 == bit else 2 * v) for c, v in a._entries.items()):"),
+        ["verify oracle", "verify prop41", "verify cor42", "verify cor43", "svec 6", "rvec 5"],
+    ),
     "an oracle entry + 1 past 3,000 vertices": (
         _wrap(reflect, "big_sigma", _bump_far_entry),
         ["verify oracle --t 12", "verify prop41 --t 12", "verify cor42 --t 12"],

@@ -295,6 +295,18 @@ def test_a_family_grows_on_from_its_latest_vector():
         families.r_vec_at(1, BASE, "00")
 
 
+def test_a_table_builds_each_start_once_and_keeps_only_grown_vectors():
+    families = Families()
+    start = families.s_vec_at(0, "0")
+    assert start.equals(unit("0"))
+    assert families.s_vec_at(0, "0") is start
+    assert families.r_vec_at(0, BASE, "1").equals(edge_unit(BASE, "1"))
+    assert families._grown == {}  # no family grown past its start yet
+    s3 = families.s_vec_at(3, "0")
+    assert families.s_vec_at(0, "0") is start
+    assert families.s_vec_at(3, "0") is s3  # asking for the start kept the grown vector
+
+
 def test_no_grown_vector_outlives_its_call(monkeypatch):
     waves = []
     real = reflect.big_sigma
