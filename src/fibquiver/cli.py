@@ -8,13 +8,16 @@ requested checks pass.
 
 Each output kind is declared once. A `payload_*` builder returns a dict
 whose "kind" keys an entry of RENDERERS; that entry gives the kind's csv
-header, its csv lines and its ascii lines. Payloads hold json-safe values
-(ints, strings, lists), and json is the dict itself, with one exception:
-the u_table payload carries the stepped `Profile` rows with their sums, and
-`emit` writes its text whole, with no string per cell. Its ascii table is
-one %-template, its rows' "%<width>d" cells between "%<n>s" blank runs; csv
-and json, for which one table template was no faster, take one per row.
-Its json is byte for byte json.dumps(indent=2) of the dict of [s, v] lists.
+header, its csv lines and its ascii lines. Every payload opens with the same
+two keys, schema_version and kind, written by `_envelope`. Payloads hold
+json-safe values (ints, strings, lists), and json is the dict itself, with
+one exception: the u_table payload's rows are the stepped `Profile` rows
+alone, and `emit` writes its text whole, with no string per cell. The ascii
+and json writers take each row's sums as they write it; csv prints none.
+Its ascii table is one %-template, its rows' "%<width>d" cells between
+"%<n>s" blank runs; csv and json, for which one table template was no
+faster, take one per row. Its json is byte for byte json.dumps(indent=2)
+of the dict of [s, v] lists.
 Each subparser sets `payload`, a function of the parsed arguments, and
 `main` alone builds, renders and prints it and picks the exit status. A
 command line that starts with a command's name is parsed by that command's
@@ -38,7 +41,7 @@ import sys
 from itertools import accumulate
 
 from . import oeis, profiles, reflect, suites
-from .errors import OracleCapExceeded
+from .errors import OracleCapExceeded, digit_limit_error
 from .fibcore import classify_pair, enumerate_pairs, fib, fib_range
 from .profiles import SIGNED, class_size
 from .reflect import ORACLE_CAP
@@ -52,6 +55,11 @@ _LOG10_PHI = math.log10((1 + math.sqrt(5)) / 2)
 # ----------------------------------------------------------------------
 # payload builders: dicts of json-safe values, u_table's rows apart
 # ----------------------------------------------------------------------
+
+def _envelope(kind: str, fields: dict) -> dict:
+    """A payload: schema_version, then kind, then the kind's own fields."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **fields}
+
 
 def _check_digit_limit(t: int) -> None:
     """Refuse f(t) whose decimal form is past Python's int -> str limit, at
@@ -67,23 +75,14 @@ def _check_digit_limit(t: int) -> None:
     if limit == 0 or abs(t) < (limit - 8) / _LOG10_PHI:
         return
     if abs(t) > (limit + 8) / _LOG10_PHI or abs(fib(t)) >= 10**limit:
-        raise ValueError(
-            f"f({t}) has more than {limit} digits, Python's int -> str limit; "
-            f"raise it with PYTHONINTMAXSTRDIGITS (0 lifts it)"
-        )
+        raise digit_limit_error(f"f({t})", limit)
 
 
 def payload_fib(lo: int, hi: int) -> dict:
     if lo <= hi:
         _check_digit_limit(max(lo, hi, key=abs))
     values = fib_range(lo, hi)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "fib_range",
-        "from": lo,
-        "to": hi,
-        "values": [[lo + i, v] for i, v in enumerate(values)],
-    }
+    return _envelope("fib_range", {"from": lo, "to": hi, "values": [[lo + i, v] for i, v in enumerate(values)]})
 
 
 def _pair_fields(p: tuple[int, int], verdict) -> dict:
@@ -96,34 +95,22 @@ def _pair_fields(p: tuple[int, int], verdict) -> dict:
 
 def payload_classify(x: int, y: int) -> dict:
     p = (x, y)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "pair_class",
-        **_pair_fields(p, classify_pair(p)),
-    }
+    return _envelope("pair_class", _pair_fields(p, classify_pair(p)))
 
 
 def payload_pairs(bound: int) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "pairs",
-        "bound": bound,
-        "pairs": [_pair_fields(p, verdict) for p, verdict in enumerate_pairs(bound)],
-    }
+    pairs = [_pair_fields(p, verdict) for p, verdict in enumerate_pairs(bound)]
+    return _envelope("pairs", {"bound": bound, "pairs": pairs})
 
 
 def payload_utable(t_max: int) -> dict:
-    """Rows 0..t_max as (row, minus, plus): row t is the stepped `Profile`,
-    read by the renderers as it is. Each cell is a term of one of its row's
-    sums, so the largest number printed is the last plus sum f(4t_max + 1)."""
+    """Rows 0..t_max: row t is the stepped `Profile`, read by the writers as
+    it is, and the ascii and json writers take its sums as they write it.
+    Each cell is a term of one of its row's sums, so the largest number
+    printed is the last plus sum f(4t_max + 1)."""
     if t_max >= 0:  # a negative t_max is refused by the table itself
         _check_digit_limit(4 * t_max + 1)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "u_table",
-        "t_max": t_max,
-        "rows": [(row, *profiles.sums(row)) for row in profiles.u_table(t_max)],
-    }
+    return _envelope("u_table", {"t_max": t_max, "rows": profiles.u_table(t_max)})
 
 
 def payload_partition(t: int) -> dict:
@@ -137,13 +124,9 @@ def payload_partition(t: int) -> dict:
             "terms": [[x.cls, x.weight, x.value, x.product] for x in terms],
         }
 
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "partition_report",
-        "t": t,
-        "minus": side(rep.terms_minus, rep.target_minus),
-        "plus": side(rep.terms_plus, rep.target_plus),
-    }
+    return _envelope("partition_report", {
+        "t": t, "minus": side(rep.terms_minus, rep.target_minus), "plus": side(rep.terms_plus, rep.target_plus)
+    })
 
 
 def _payload_classes(kind: str, vec: reflect.TreeVector, compress, cap: int) -> dict:
@@ -161,14 +144,8 @@ def _payload_classes(kind: str, vec: reflect.TreeVector, compress, cap: int) -> 
     lo = -r if prof.weights == SIGNED else 0
     values = dict(zip(prof.support(), prof.values))
     minus, plus = reflect.parity_sums(vec, prof.waves)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": kind,
-        "t": prof.waves,
-        "classes": [[s, class_size(prof.weights, s), values.get(s, 0)] for s in range(lo, r + 1)],
-        "minus": minus,
-        "plus": plus,
-    }
+    classes = [[s, class_size(prof.weights, s), values.get(s, 0)] for s in range(lo, r + 1)]
+    return _envelope(kind, {"t": prof.waves, "classes": classes, "minus": minus, "plus": plus})
 
 
 def payload_svec(t: int, cap: int) -> dict:
@@ -180,27 +157,17 @@ def payload_rvec(t: int, cap: int) -> dict:
 
 
 def payload_verify(result: suites.SuiteResult) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "verify",
-        "suite": result.suite,
-        "ok": result.ok,
-        "checked": result.checked,
-        "failures": list(result.failures),
-    }
+    return _envelope("verify", {
+        "suite": result.suite, "ok": result.ok, "checked": result.checked, "failures": list(result.failures)
+    })
 
 
 def payload_oeis(result: oeis.CheckResult, fixture: str) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "oeis_check",
-        "sequence": result.sequence,
-        "fixture": fixture,
-        "checked": result.checked,
+    return _envelope("oeis_check", {
+        "sequence": result.sequence, "fixture": fixture, "checked": result.checked,
         # Both kept for schema_version 1: a mismatch or an empty fixture is refused.
-        "ok": True,
-        "warning": None,
-    }
+        "ok": True, "warning": None,
+    })
 
 
 # ----------------------------------------------------------------------
@@ -242,10 +209,10 @@ def _csv_utable(payload: dict) -> str:
     """One block of lines per row, from one %-template: the row's slice of
     the per-class templates "s,%d", each line led by "t,"."""
     rows = payload["rows"]
-    lo = min(row.lo for row, _, _ in rows)
-    cells = [f"{s},%d" for s in range(lo, max(row.hi for row, _, _ in rows) + 1)]
+    lo = min(row.lo for row in rows)
+    cells = [f"{s},%d" for s in range(lo, max(row.hi for row in rows) + 1)]
     blocks = (f"{t}," + (f"\n{t},".join(cells[row.lo - lo:row.hi - lo + 1]) % row.values)
-              for t, (row, _, _) in enumerate(rows))
+              for t, row in enumerate(rows))
     return "\n".join(["t,s,value", *blocks, ""])
 
 
@@ -256,10 +223,10 @@ def _ascii_utable(payload: dict) -> str:
     the joined "%<width>d" cells between two "%<n>s" blank runs filled from
     "" arguments, then its sums. So no line string is made, and no join."""
     rows = payload["rows"]
-    lo = min(row.lo for row, _, _ in rows)
-    labels = range(lo, max(row.hi for row, _, _ in rows) + 1)
+    lo = min(row.lo for row in rows)
+    labels = range(lo, max(row.hi for row in rows) + 1)
     top = [0] * len(labels)
-    for row, _, _ in rows:
+    for row in rows:
         first, end = row.lo - lo, row.hi - lo + 1
         top[first:end] = [x if x > v else v for x, v in zip(top[first:end], row.values)]
     widths = [max(len(str(s)), len(str(x))) for s, x in zip(labels, top)]
@@ -268,10 +235,10 @@ def _ascii_utable(payload: dict) -> str:
     cells, at = " ".join(f"%{w}d" for w in widths), [0, *accumulate(len(str(w)) + 3 for w in widths)]
     col = [0, *accumulate(w + 1 for w in widths)]
     parts, args = [f"{head}\n{'-' * len(head)}\n"], []
-    for t, (row, minus, plus) in enumerate(rows):
+    for t, row in enumerate(rows):
         first, end = row.lo - lo, row.hi - lo + 1
         parts.append(f"{t:>3} | %{col[first]}s{cells[at[first]:at[end] - 1]}%{col[-1] - col[end]}s   [%d, %d]\n")
-        args += ("", *row.values, "", minus, plus)
+        args += ("", *row.values, "", *profiles.sums(row))
     return "".join(parts) % tuple(args)
 
 
@@ -280,12 +247,13 @@ def _json_utable(payload: dict) -> str:
     written from templates: every field is an int, so a row's cells are one
     %-template, the row's slice of the per-class [s, %d] templates."""
     rows = payload["rows"]
-    lo = min(row.lo for row, _, _ in rows)
+    lo = min(row.lo for row in rows)
     cells = [f"\n        [\n          {s},\n          %d\n        ]"
-             for s in range(lo, max(row.hi for row, _, _ in rows) + 1)]
+             for s in range(lo, max(row.hi for row in rows) + 1)]
     blocks = []
-    for t, (row, minus, plus) in enumerate(rows):
+    for t, row in enumerate(rows):
         values = ",".join(cells[row.lo - lo:row.hi - lo + 1]) % row.values
+        minus, plus = profiles.sums(row)
         blocks.append(f'\n    {{\n      "t": {t},\n      "values": [{values}\n      ],\n'
                       f'      "minus": {minus},\n      "plus": {plus}\n    }}')
     return (f'{{\n  "schema_version": {payload["schema_version"]},\n  "kind": "u_table",\n'

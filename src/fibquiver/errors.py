@@ -5,6 +5,12 @@ failed check (exit 1)."""
 import sys
 
 
+def digit_limit_error(what: str, limit: int) -> ValueError:
+    """The refusal of `what`, a number of more than `limit` decimal digits."""
+    return ValueError(f"{what} has more than {limit} digits, Python's int -> str limit; "
+                      f"raise it with PYTHONINTMAXSTRDIGITS (0 lifts it)")
+
+
 class OracleCapExceeded(ValueError):
     """A brute-force tree computation was requested beyond the step cap."""
 

@@ -170,7 +170,7 @@ def enumerate_pairs(bound: int) -> list[tuple[DimPair, PairClass]]:
     literal pair [f(t), f(t+-2)] or the negation of one.
     """
     if bound < 0:
-        raise ValueError("bound must be non-negative")
+        raise ValueError(f"bound must be non-negative, got {bound}")
     k, a, b = 2, 1, 2
     while a <= bound:
         k, a, b = k + 1, b, a + b

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
-from .errors import SequenceMismatch
+from .errors import SequenceMismatch, digit_limit_error
 from .fibcore import fib
 from .profiles import Profile, radial_start, rows, u_start
 
@@ -38,8 +38,7 @@ def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:
         except ValueError:
             limit, digits = sys.get_int_max_str_digits(), [f.lstrip("+-") for f in parts]
             if limit and all(d.isdigit() for d in digits) and max(map(len, digits)) > limit:
-                raise ValueError(f"line {lineno}: a field has more than {limit} digits, Python's int -> str "
-                                 f"limit; raise it with PYTHONINTMAXSTRDIGITS (0 lifts it)") from None
+                raise digit_limit_error(f"line {lineno}: a field", limit) from None
             raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from None
         if last_n is not None and n <= last_n:
             raise ValueError(f"line {lineno}: index {n} not greater than previous {last_n}")

@@ -141,9 +141,10 @@ def test_utable_past_the_digit_limit_is_refused_before_rendering(capsys, monkeyp
         # The boundary is exact: table 765 is not refused, and every number
         # it prints is at most its last plus sum, which has 640 digits.
         rows = payload_utable(765)["rows"]
-        pluses = [plus for _, _, plus in rows]
+        sums = [profiles.sums(row) for row in rows]
+        pluses = [plus for _, plus in sums]
         assert pluses == sorted(pluses) and len(str(pluses[-1])) == 640
-        assert all(max(row.values) <= plus and minus <= plus for row, minus, plus in rows)
+        assert all(max(row.values) <= plus and minus <= plus for row, (minus, plus) in zip(rows, sums))
         for t_max, f in (("766", "f(3065)"), ("842", "f(3369)")):
             _, _, err = run(capsys, "partition", t_max)
             assert err == f"error: {f} {hint}"
@@ -221,6 +222,7 @@ def test_negative_indices_are_usage_errors(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "", argv
         assert err.startswith("error:") and "non-negative" in err
+    assert run(capsys, "pairs", "-1") == (2, "", "error: bound must be non-negative, got -1\n")
 
 
 def test_oracle_cap_flag_and_env(capsys, monkeypatch):
@@ -605,9 +607,11 @@ def test_json_round_trip_all_payloads(capsys):
         payload_verify(suites.run_three_term(-5, 5)),
         payload_oeis(cli.oeis.run_check("A000045", fixture), fixture),
     ]
+    for payload in payloads + [payload_utable(3)]:
+        assert list(payload)[:2] == ["schema_version", "kind"], payload["kind"]
+        assert payload["schema_version"] == 1
     for payload in payloads:
         assert json.loads(cli.emit(payload, "json")) == payload
-        assert payload["schema_version"] == 1
     # The u_table payload carries its rows; its json is the reference dict.
     assert json.loads(cli.emit(payload_utable(3), "json")) == reference.payload_utable(3)
 
@@ -659,6 +663,25 @@ def test_utable_rendering_matches_the_reference_routes(t_max):
     assert cli.emit(payload, "csv") == _reference_csv("t,s,value", rows)
     assert cli.emit(payload, "ascii") == "\n".join(_reference_ascii_utable(want)) + "\n"
     assert cli.emit(payload, "json") == json.dumps(want, indent=2) + "\n"
+
+
+def test_the_utable_rows_are_summed_only_by_the_writers_that_print_sums(capsys, monkeypatch):
+    # The payload's rows are the stepped table as it is; csv prints no sums
+    # and reads none, and ascii and json read each row's sums once.
+    _, want, _ = run(capsys, "utable", "40", "--format", "csv")
+    real, summed = profiles.sums, []
+
+    def refused(row):
+        raise AssertionError("the csv table read a row's sums")
+
+    monkeypatch.setattr(profiles, "sums", refused)
+    assert run(capsys, "utable", "40", "--format", "csv") == (0, want, "")
+    monkeypatch.setattr(profiles, "sums", lambda row: summed.append(row) or real(row))
+    for fmt in ("ascii", "json"):
+        summed.clear()
+        assert run(capsys, "utable", "40", "--format", fmt)[0] == 0
+        assert summed == profiles.u_table(40), fmt
+    assert payload_utable(40)["rows"] == profiles.u_table(40)
 
 
 def test_the_ascii_utable_is_written_without_a_second_copy():
