@@ -6,8 +6,8 @@ from unit(x) by i reflection waves, or ("r", i, x, y) for r_i(x, y), grown
 from edge_unit(x, y). One evaluator checks every statement: the lhs vector
 must equal the sum of the term vectors, entry by entry in exact integers,
 and then push down to the 3-Kronecker quiver as the paper's pair: its parity
-sums measured from its center must be (f(2i), f(2i+2)) for s_i, or
-(f(2i-1), f(2i+1)) for r_i, as `classify_pair` reads them.
+sums measured from its center must be the pair `fibcore.family_index` names,
+as `classify_pair` reads it.
 
 A path is a plain walk, a sequence of vertices each a neighbor of the last
 that never steps straight back: x_0 .. x_t for Cor. 4.2, and x_{-1} ..
@@ -25,7 +25,7 @@ from functools import reduce
 from typing import Optional, Sequence
 
 from . import reflect, tree
-from .fibcore import EVEN_PAIR, ODD_PAIR, UP, classify_pair
+from .fibcore import EVEN_PAIR, ODD_PAIR, UP, classify_pair, family_index
 from .tree import BASE, Vertex, distance, neighbors
 
 
@@ -91,18 +91,17 @@ def _check(families: reflect.Families, statements: Sequence[tuple], *, far: bool
     """None when every (label, lhs, terms) statement holds, else the first
     failure's text. Each lhs is checked against the sum of its terms, then,
     once all sums hold, pushed down: its parity sums measured from its
-    center must be the pair the classifier reads as (f(2i), f(2i+2)) for an
-    lhs s_i, or (f(2i-1), f(2i+1)) for an lhs r_i; a pair the table already
-    holds as read so is not classified again. With `far`, each lhs is a
-    walk's far end."""
+    center must be read by the classifier as the pair of `family_index`; a
+    pair the table already holds as read so is not classified again. With
+    `far`, each lhs is a walk's far end."""
     vecs = [_vector(lhs, families, far) for _, lhs, _ in statements]
     for (label, _, terms), vec in zip(statements, vecs):
         failure = _sum_check(label, vec, [_vector(term, families) for term in terms])
         if failure:
             return failure
     for (label, (kind, i, x, *_), _), vec in zip(statements, vecs):
-        want, n = (EVEN_PAIR, 2 * i) if kind == "s" else (ODD_PAIR, 2 * i - 1)
-        p = reflect.parity_sums(vec, i + len(x))
+        n, p = family_index(i, kind == "r"), reflect.parity_sums(vec, i + len(x))
+        want = ODD_PAIR if n % 2 else EVEN_PAIR
         if (n, p) not in families.pairs and classify_pair(p) != (want, (n, UP, False)):
             return f"{label} push-down {p} is not the {want} (f({n}), f({n + 2}))"
         families.pairs.add((n, p))

@@ -42,7 +42,7 @@ from itertools import accumulate
 
 from . import oeis, profiles, reflect, suites
 from .errors import OracleCapExceeded, digit_limit_error
-from .fibcore import classify_pair, enumerate_pairs, fib, fib_range
+from .fibcore import classify_pair, enumerate_pairs, family_index, fib, fib_range
 from .profiles import SIGNED, class_size
 from .reflect import ORACLE_CAP
 
@@ -64,8 +64,8 @@ def _envelope(kind: str, fields: dict) -> dict:
 def _check_digit_limit(t: int) -> None:
     """Refuse f(t) whose decimal form is past Python's int -> str limit, at
     the exact boundary (f(20577) prints, f(20578) does not, at 4300 digits).
-    `fib` checks its largest index; `partition` and `utable` check f(4t + 1),
-    the largest number they print, before stepping a row.
+    `fib` checks its largest index; `partition` and `utable` check their
+    last row's plus target, the largest number they print, before stepping.
 
     f(t) has about |t| log10(phi) digits, so an index clearly past the
     limit is refused without computing f(t); near the limit f(t) is cheap
@@ -107,15 +107,15 @@ def payload_utable(t_max: int) -> dict:
     """Rows 0..t_max: row t is the stepped `Profile`, read by the writers as
     it is, and the ascii and json writers take its sums as they write it.
     Each cell is a term of one of its row's sums, so the largest number
-    printed is the last plus sum f(4t_max + 1)."""
+    printed is the last row's plus sum."""
     if t_max >= 0:  # a negative t_max is refused by the table itself
-        _check_digit_limit(4 * t_max + 1)
+        _check_digit_limit(family_index(2 * t_max, edge=True) + 2)
     return _envelope("u_table", {"t_max": t_max, "rows": profiles.u_table(t_max)})
 
 
 def payload_partition(t: int) -> dict:
     if t >= 0:  # a negative t is refused by the profile itself
-        _check_digit_limit(4 * t + 1)  # f(4t + 1), the plus target, is the largest number printed
+        _check_digit_limit(family_index(2 * t, edge=True) + 2)  # the plus target is the largest number printed
     rep = profiles.partition_report(t)
 
     def side(terms, target):
@@ -443,17 +443,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(payload=lambda a: payload_fib(*_fib_bounds(a)))
 
     p = sub.add_parser("pairs", parents=[common], help="all Fibonacci pairs in a coordinate box")
-    p.add_argument("max", type=int, help="list pairs with |x|, |y| <= max")
-    p.set_defaults(payload=lambda a: payload_pairs(a.max))
+    p.add_argument("bound", type=int, help="list pairs with |x|, |y| <= bound")
+    p.set_defaults(payload=lambda a: payload_pairs(a.bound))
 
     p = sub.add_parser("classify", parents=[common], help="classify one lattice point")
     p.add_argument("x", type=int)
     p.add_argument("y", type=int)
     p.set_defaults(payload=lambda a: payload_classify(a.x, a.y))
 
-    p = sub.add_parser("utable", parents=[common], help="signed-class table rows 0..t_max")
-    p.add_argument("t_max", type=int)
-    p.set_defaults(payload=lambda a: payload_utable(a.t_max))
+    p = sub.add_parser("utable", parents=[common], help="signed-class table rows 0..t")
+    p.add_argument("t", type=int)
+    p.set_defaults(payload=lambda a: payload_utable(a.t))
 
     p = sub.add_parser("partition", parents=[common], help="itemized odd-index partition at one step")
     p.add_argument("t", type=int)

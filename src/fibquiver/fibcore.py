@@ -76,6 +76,13 @@ def fib_pair(t: int, direction: str = UP) -> DimPair:
     return tuple.__new__(DimPair, (a, a + b if direction == UP else 2 * a - b))
 
 
+def family_index(waves: int, edge: bool) -> int:
+    """The push-down rule: a family grown by w reflection waves pushes down
+    to fib_pair(n), n = 2w - edge. From a vertex that is [f(2w), f(2w+2)],
+    an EvenPair; from an edge [f(2w-1), f(2w+1)], an OddPair."""
+    return 2 * waves - edge
+
+
 def sigma_plus(p: DimPair) -> DimPair:
     """(x, y) -> (3x - y, x). Inverse of sigma_minus; preserves q."""
     x, y = p

@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple
 
 from . import tree
 from .errors import NotSymmetric, OracleCapExceeded
-from .fibcore import fib
+from .fibcore import family_index, fib_pair
 from .reflect import ORACLE_CAP, TreeVector
 
 # Quotient weights (w(s, s-1), w(s, s+1)) for classes s < 0, s == 0, s > 0.
@@ -188,8 +188,7 @@ def sums(p: Profile) -> tuple[int, int]:
     """(minus, plus) class values weighted by class sizes.
 
     Classes congruent to the wave count mod 2 feed plus, the others minus:
-    f(2t), f(2t+2) for the radial row t (t waves), f(4t-1), f(4t+1) for the
-    signed row t (2t waves).
+    the pair of `fibcore.family_index` for the row's waves and line.
 
     Each side of class 0 is summed by Horner's rule from the rim inward, one
     parity at a time, so no class size is formed: one class outward
@@ -241,10 +240,10 @@ class PartitionReport(NamedTuple):
 
 
 def partition_report(t: int) -> PartitionReport:
-    """Decompose f(4t-1) and f(4t+1) as weighted sums over the index-t
-    profile, one term per nonzero class."""
+    """Decompose the index-t profile's push-down pair (`family_index`) as
+    weighted sums over its classes, one term per nonzero class."""
     u = u_profile(t)
-    target_minus, target_plus = fib(4 * t - 1), fib(4 * t + 1)
+    target_minus, target_plus = fib_pair(family_index(u.waves, edge=True))
     minus, plus = [], []
     for s, v in zip(u.support(), u.values):
         if v:

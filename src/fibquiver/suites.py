@@ -23,7 +23,9 @@ from .fibcore import (
     ODD_PAIR,
     check_three_term,
     classify_pair,
+    family_index,
     fib,
+    fib_pair,
 )
 from .reflect import MARKED_NEIGHBOR, ORACLE_CAP
 from .tree import BASE
@@ -139,10 +141,9 @@ def run_sums(t_max: int = 300) -> SuiteResult:
     signed, radial = profiles.rows(profiles.u_start()), profiles.rows(profiles.radial_start())
     for t, u, p in zip(range(t_max + 1), signed, radial):
         checked += 2
-        if profiles.sums(u) != (fib(4 * t - 1), fib(4 * t + 1)):
-            failures.append(f"signed sums at index {t}: {profiles.sums(u)}")
-        if profiles.sums(p) != (fib(2 * t), fib(2 * t + 2)):
-            failures.append(f"radial sums at step {t}: {profiles.sums(p)}")
+        for row, name in ((u, "signed sums at index"), (p, "radial sums at step")):
+            if profiles.sums(row) != fib_pair(family_index(row.waves, row.weights == profiles.SIGNED)):
+                failures.append(f"{name} {t}: {profiles.sums(row)}")
         if min(u.values) < 0 or min(p.values) < 0:
             failures.append(f"negative profile entry at step {t}")
     return _collect("sums", failures, checked)

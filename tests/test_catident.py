@@ -13,7 +13,7 @@ from fibquiver.catident import (
     straight_path,
 )
 from fibquiver.errors import OracleCapExceeded
-from fibquiver.fibcore import DimPair, classify_pair, fib, fib_range
+from fibquiver.fibcore import DimPair, classify_pair, family_index, fib, fib_pair, fib_range
 from fibquiver.reflect import Families, TreeVector, edge_unit, parity_sums, r_vec, r_vec_at, s_vec, s_vec_at, unit
 from fibquiver.tree import BASE, neighbors
 from test_mutants import MUTANTS, SCALED
@@ -284,11 +284,14 @@ def test_pushdown_examples():
 @pytest.mark.parametrize("x", [BASE, "0", "01", "011"])
 def test_every_family_pushes_down_to_its_pair_measured_from_its_center(x):
     # The push-down rule of the identity checks, at centers of depths 0..3:
-    # from a center at odd depth the base's two parity classes swap.
+    # from a center at odd depth the base's two parity classes swap. The
+    # literal pairs are the oracle; `family_index` must name the same ones.
     for i in range(9):
         assert parity_sums(s_vec_at(i, x), i + len(x)) == (fib(2 * i), fib(2 * i + 2))
+        assert fib_pair(family_index(i, False)) == (fib(2 * i), fib(2 * i + 2))
         for y in neighbors(x):
             assert parity_sums(r_vec_at(i, x, y), i + len(x)) == (fib(2 * i - 1), fib(2 * i + 1))
+        assert fib_pair(family_index(i, True)) == (fib(2 * i - 1), fib(2 * i + 1))
 
 
 def test_pushdown_lands_on_classified_pairs():

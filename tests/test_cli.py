@@ -223,6 +223,12 @@ def test_negative_indices_are_usage_errors(capsys):
         assert code == 2 and out == "", argv
         assert err.startswith("error:") and "non-negative" in err
     assert run(capsys, "pairs", "-1") == (2, "", "error: bound must be non-negative, got -1\n")
+    # The refusal names the positional that the command's usage line shows.
+    for command in ("pairs", "utable", "partition"):
+        _, _, err = run(capsys, command, "-1")
+        name = err.removeprefix("error: ").split(" must be non-negative")[0]
+        usage = cli.build_parser().commands[command].format_usage()
+        assert usage.split()[-1] == name, (command, usage, err)
 
 
 def test_oracle_cap_flag_and_env(capsys, monkeypatch):

@@ -183,6 +183,11 @@ MUTANTS = {
         _rewrite(profiles, "wave", "(x << 1) - y + z", "(x << 2) - y + z"),
         ["verify oracle", "verify sums", "oeis-check A147316", "partition 7"],
     ),
+    # every route that states a push-down target reads it from one rule
+    "push-down rule one wave late": (
+        _rewrite(fibcore, "family_index", "2 * waves - edge", "2 * (waves + 1) - edge"),
+        ["verify sums", "verify prop41", "verify cor42", "verify cor43", "partition 7"],
+    ),
 }
 
 
