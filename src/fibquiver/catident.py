@@ -70,13 +70,14 @@ def _sum_check(label: str, lhs: reflect.TreeVector, terms: Sequence[reflect.Tree
     rhs = reduce(reflect.TreeVector.add, terms)
     if lhs.equals(rhs):
         return None
-    a, b = lhs._entries, rhs._entries
-    c = min(c for c in a.keys() | b.keys() if a.get(c, 0) != b.get(c, 0))
+    # Class by class, so that an entry held in the wrong class still differs.
+    c, x, y = min((c, a.get(c, 0), b.get(c, 0)) for a, b in zip(lhs._classes, rhs._classes)
+                  for c in a.keys() | b.keys() if a.get(c, 0) != b.get(c, 0))
     try:
         where = f"vertex {tree.word(c)!r}"
     except KeyError:
         where = f"code {c}, which names no vertex"
-    return f"{label} first differing {where}: lhs {a.get(c, 0)}, rhs {b.get(c, 0)}"
+    return f"{label} first differing {where}: lhs {x}, rhs {y}"
 
 
 def _vector(term: tuple, families: reflect.Families, far: bool = False) -> reflect.TreeVector:

@@ -129,17 +129,20 @@ def payload_partition(t: int) -> dict:
     })
 
 
-def _payload_classes(kind: str, vec: reflect.TreeVector, compress, cap: int) -> dict:
+def _payload_classes(kind: str, t: int, vec: reflect.TreeVector, compress, cap: int) -> dict:
     """[s, |C_s|, value] for every class within the vector's radius r: 0..r
     on the radial line, -r..r on the signed line. The profile is compress on
-    the command's own oracle vector: past the cap that is a refusal, and any
-    other rejection a failed self-check."""
+    the command's own oracle vector, grown by t waves: past the cap that is
+    a refusal, and any other rejection, or a profile of another wave count,
+    a failed self-check."""
     try:
         prof = compress(vec, cap=cap)
     except OracleCapExceeded:
         raise
     except ValueError as exc:
         raise ArithmeticError(f"the oracle vector has no profile: {exc}") from exc
+    if prof.waves != t:
+        raise ArithmeticError(f"the oracle vector grown by {t} waves has the profile of {prof.waves}")
     r = max(-prof.lo, prof.hi)
     lo = -r if prof.weights == SIGNED else 0
     values = dict(zip(prof.support(), prof.values))
@@ -149,11 +152,11 @@ def _payload_classes(kind: str, vec: reflect.TreeVector, compress, cap: int) -> 
 
 
 def payload_svec(t: int, cap: int) -> dict:
-    return _payload_classes("s_vector", reflect.s_vec(t, cap=cap), profiles.compress_radial, cap)
+    return _payload_classes("s_vector", t, reflect.s_vec(t, cap=cap), profiles.compress_radial, cap)
 
 
 def payload_rvec(t: int, cap: int) -> dict:
-    return _payload_classes("r_vector", reflect.r_vec(t, cap=cap), profiles.compress_biradial, cap)
+    return _payload_classes("r_vector", t, reflect.r_vec(t, cap=cap), profiles.compress_biradial, cap)
 
 
 def payload_verify(result: suites.SuiteResult) -> dict:

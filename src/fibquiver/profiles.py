@@ -277,15 +277,16 @@ def class_size(weights: tuple, s: int) -> int:
 
 
 def expand(p: Profile, *, cap: int = ORACLE_CAP) -> TreeVector:
-    """Write each class value at every vertex of its class."""
+    """Write each class value at every vertex of its class, into the color
+    class of its depth |s|."""
     radius = max(-p.lo, p.hi)
     if radius > cap:
         raise OracleCapExceeded(radius, cap)
-    entries: dict[int, int] = {}
+    colors: tuple[dict[int, int], dict[int, int]] = ({}, {})
     for s, v in zip(p.support(), p.values):
         if v:
-            entries.update(dict.fromkeys(class_codes(p.weights, s), v))
-    return TreeVector._trusted(entries)
+            colors[abs(s) & 1].update(dict.fromkeys(class_codes(p.weights, s), v))
+    return TreeVector._trusted(*colors)
 
 
 # Both names time as one layer in bench/spans.py.
@@ -296,14 +297,17 @@ def _compress(a: TreeVector, weights: tuple, cap: int) -> Profile:
     """Exact inverse of expand on the given line, for a vector constant on
     every class, after as many waves as its rim class. Any other vector is
     rejected with a witness pair of same-class vertices holding unequal
-    entries."""
+    entries, or with the count of entries that no class reads: held at a
+    code that names no vertex, or in the other color class's dict."""
     radius = a.support_radius()
     if radius > cap:
         raise OracleCapExceeded(radius, cap)
-    get = a._entries.get
     classes: dict[int, int] = {}
-    # Class by class outward from the base, -d before d.
+    unread = len(a._classes[0]) + len(a._classes[1])
+    # Class by class outward from the base, -d before d, each read from the
+    # color class of its depth.
     for s in sorted(range(-radius if weights[1][0] else 0, radius + 1), key=abs):
+        get = a._classes[abs(s) & 1].get
         codes = class_codes(weights, s)
         val = get(codes[0], 0)
         if list(map(get, codes, repeat(0))).count(val) != len(codes):
@@ -313,6 +317,9 @@ def _compress(a: TreeVector, weights: tuple, cap: int) -> Profile:
                     raise NotSymmetric(s, tree.word(codes[0]), val, tree.word(c), other)
         if val:
             classes[s] = val
+            unread -= len(codes)
+    if unread:
+        raise ValueError(f"{unread} entries lie outside every class")
     if not classes:
         raise ValueError("the zero vector has no profile")
     lo, hi = min(classes), max(classes)

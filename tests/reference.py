@@ -8,8 +8,10 @@ single-site reflection that the wave equals in any order. Class sizes
 come from the weight-balance recursion rather than from the code ranges.
 
 `code_big_sigma` and `code_parity_sums` are the package's earlier code
-routes: the wave re-inserts every kept entry and maps each parent on its
-own, and the parity sums loop over the entries one at a time.
+routes, on one flat vector read through the public `items`: the wave tests
+each entry's depth parity, re-inserts every kept entry and maps each parent
+on its own, and the parity sums loop over the entries one at a time. The
+package holds a vector as its two color classes instead.
 
 The profile wave here updates one class at a time, where the package updates
 each run of classes with one weight pair as a slice, and `step` builds its
@@ -127,8 +129,8 @@ def big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:
 
 
 def code_big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:
-    """One reflection wave on int codes, each kept entry re-inserted and
-    each parent found on its own."""
+    """One reflection wave on int codes of a flat vector, each kept entry
+    re-inserted and each parent found on its own."""
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     tree.code(x)
@@ -136,7 +138,7 @@ def code_big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:
     new: dict[int, int] = {}
     sums: dict[int, int] = {}
     get = sums.get
-    for c, v in a._entries.items():
+    for c, v in ((tree.code(w), v) for w, v in a.items()):
         if c.bit_length() % 2 == bit:
             sums[c] = get(c, 0) - v
             continue
@@ -147,14 +149,14 @@ def code_big_sigma(a: TreeVector, x: Vertex, parity: str) -> TreeVector:
         sums[left] = get(left, 0) + v
         sums[left + 1] = get(left + 1, 0) + v
     new.update((c, v) for c, v in sums.items() if v)
-    return TreeVector._trusted(new)
+    return TreeVector({tree.word(c): v for c, v in new.items()})
 
 
 def code_parity_sums(a: TreeVector, t: int) -> tuple[int, int]:
     """(minus, plus) entry sums by depth parity against t, entry by entry."""
     minus = plus = 0
-    for v, c in a._entries.items():
-        if v.bit_length() % 2 == t % 2:
+    for v, c in a.items():
+        if len(v) % 2 == t % 2:
             plus += c
         else:
             minus += c

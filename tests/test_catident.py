@@ -241,11 +241,11 @@ def test_a_failed_check_names_the_first_differing_vertex():
 def test_a_failed_check_names_a_code_that_names_no_vertex_as_such():
     # A faulty oracle can leave entries at codes below the base's 2 (or with
     # the head 111); the sides are compared by code, so none is read as a word.
-    failure = _sum_check("x", TreeVector._trusted({1: 1, 3: 2, 5: 1}), [TreeVector._trusted({5: 1})])
+    failure = _sum_check("x", TreeVector._trusted({3: 2}, {1: 1, 5: 1}), [TreeVector._trusted({}, {5: 1})])
     assert failure == "x first differing code 1, which names no vertex: lhs 1, rhs 0"
-    failure = _sum_check("x", TreeVector._trusted({7: 1, 9: 1}), [TreeVector({"01": 2})])
+    failure = _sum_check("x", TreeVector._trusted({9: 1}, {7: 1}), [TreeVector({"01": 2})])
     assert failure == "x first differing code 7, which names no vertex: lhs 1, rhs 0"
-    failure = _sum_check("x", TreeVector._trusted({9: 1}), [TreeVector({"01": 2})])
+    failure = _sum_check("x", TreeVector._trusted({9: 1}, {}), [TreeVector({"01": 2})])
     assert failure == "x first differing vertex '01': lhs 1, rhs 2"
 
 

@@ -722,6 +722,8 @@ GOLDEN = {
     "svec": ["svec", "3"],
     "rvec": ["rvec", "4"],
     "rvec3": ["rvec", "3"],  # an odd wave count, off the signed table's rows
+    "svec12": ["svec", "12"],  # the oracle cap
+    "rvec11": ["rvec", "11"],  # an odd wave count one below the cap
     "verify": ["verify", "cor42", "--t", "2"],
     "oeis-check": ["oeis-check", "A147316"],
 }

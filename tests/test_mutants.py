@@ -77,11 +77,12 @@ def _bump_far_entry(real, a, x, parity):
     """big_sigma, with the entry at the last vertex in code order + 1 once
     the support passes 3,000 vertices (10 waves and more)."""
     a = real(a, x, parity)
-    if len(a._entries) <= 3000:
+    if len(a.items()) <= 3000:
         return a
-    entries = dict(a._entries)
-    entries[max(entries)] += 1
-    return reflect.TreeVector._trusted(entries)
+    classes = [dict(entries) for entries in a._classes]
+    last = max(map(max, filter(None, classes)))
+    classes[last.bit_length() & 1][last] += 1
+    return reflect.TreeVector._trusted(*classes)
 
 
 def _witness_flipped(real, p, q):
@@ -148,9 +149,12 @@ MUTANTS = {
     ),
     SCALED: (
         # every entry off the sites counts twice in its neighbors' sums
-        _rewrite(reflect, "big_sigma", "for c, v in a._entries.items():",
-                 "for c, v in ((c, v if c.bit_length() % 2 == bit else 2 * v) for c, v in a._entries.items()):"),
+        _rewrite(reflect, "big_sigma", "for c, v in rest.items():", "for c, v in ((c, 2 * v) for c, v in rest.items()):"),
         ["verify oracle", "verify prop41", "verify cor42", "verify cor43", "svec 6", "rvec 5"],
+    ),
+    "a wave returns its classes swapped": (
+        _rewrite(reflect, "big_sigma", "if bit else", "if not bit else"),
+        ["verify oracle", "verify prop41", "svec 6", "rvec 5"],
     ),
     "an oracle entry + 1 past 3,000 vertices": (
         _wrap(reflect, "big_sigma", _bump_far_entry),
@@ -218,6 +222,7 @@ def test_every_named_command_fails_under_the_mutant(monkeypatch, name):
         ("big_sigma without its base-region repair", "svec 6"),
         ("big_sigma without its base-region repair", "rvec 5"),
         ("signed class codes split swapped", "rvec 5"),
+        ("a wave returns its classes swapped", "rvec 5"),
     ],
 )
 def test_an_oracle_vector_with_no_profile_is_a_failed_self_check(monkeypatch, name, command):
@@ -227,3 +232,10 @@ def test_an_oracle_vector_with_no_profile_is_a_failed_self_check(monkeypatch, na
     code, out, err = run(command.split())
     assert (code, out) == (1, "")
     assert err.startswith("error: the oracle vector has no profile: ") and err.count("\n") == 1, err
+
+
+def test_an_oracle_vector_of_another_wave_count_is_a_failed_self_check(monkeypatch):
+    # With its classes swapped after every wave, s_6 is the unit vector at the
+    # base: a profile, but one of 0 waves, not 6.
+    MUTANTS["a wave returns its classes swapped"][0](monkeypatch)
+    assert run(["svec", "6"]) == (1, "", "error: the oracle vector grown by 6 waves has the profile of 0\n")

@@ -396,6 +396,18 @@ def test_compress_zero_vector():
         compress_radial(TreeVector({}))
 
 
+def test_compress_rejects_an_entry_that_no_class_reads():
+    # s_vec(1) with its two color classes swapped, and s_vec(1) with an
+    # extra entry at code 7, head 111, which names no vertex.
+    swapped = TreeVector._trusted({4: 1, 5: 1, 6: 1}, {2: 1})
+    with pytest.raises(ValueError, match="^4 entries lie outside every class$"):
+        compress_radial(swapped)
+    stray = TreeVector._trusted({2: 1}, {4: 1, 5: 1, 6: 1, 7: 1})
+    for compress in (compress_radial, compress_biradial):
+        with pytest.raises(ValueError, match="^1 entries lie outside every class$"):
+            compress(stray)
+
+
 def test_expand_cap():
     with pytest.raises(OracleCapExceeded):
         expand_radial(radial_profile(20))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fibquiver import reflect
+from fibquiver import profiles, reflect
 from fibquiver.errors import OracleCapExceeded
 from fibquiver.fibcore import fib
 from fibquiver.reflect import (
@@ -160,6 +160,61 @@ def test_support_is_in_length_then_word_order(a):
     assert support == sorted(support, key=lambda v: (len(v), v))
     assert a.support_radius() == max(map(len, support), default=0)
     assert repr(a) == f"TreeVector({ {v: a.value(v) for v in support}!r})"
+
+
+def held_by_color(vec):
+    """Every entry sits in the color class of its code's bit-length parity,
+    none is zero, and the sized items count the support."""
+    for parity, entries in enumerate(vec._classes):
+        assert all(c.bit_length() & 1 == parity and v != 0 for c, v in entries.items()), vec._classes
+    assert len(vec.items()) == len(vec.support())
+
+
+@given(small_vectors, small_vectors, vertices, st.sampled_from(["even", "odd"]), st.integers(0, 6))
+@settings(max_examples=60)
+def test_every_vector_holds_each_entry_in_the_class_of_its_depth(a, b, x, parity, t):
+    results = [a, unit(x), a.add(b), a.add(negation(a)), a.add(negation(b)), big_sigma(a, x, parity)]
+    results += [edge_unit(x, y) for y in neighbors(x)]
+    results += [profiles.expand_radial(profiles.radial_profile(t)), profiles.expand_biradial(profiles.u_profile(t))]
+    results += [s_vec_at(t, x), r_vec_at(t, x, neighbors(x)[0])]
+    for vec in results:
+        held_by_color(vec)
+
+
+# (start, center, parity, result): waves in which some site's sum cancels to
+# zero; in all but the second, a cancelled sum crosses the base region's
+# parent fix-up.
+CANCELLING = [
+    ({BASE: 1, "0": 1, "1": 1, "2": 1}, BASE, "odd", {BASE: 1}),
+    ({BASE: 1, "0": 1}, "0", "even", {BASE: 1, "1": 1, "2": 1}),
+    ({BASE: 1, "2": 1, "20": 1, "21": 1}, "201", "odd", {"2": 1}),
+    ({BASE: 1, "2": 1, "0": 1, "1": -1}, "2", "odd",
+     {"0": 1, "1": -1, "2": 1, "00": 1, "01": 1, "10": -1, "11": -1, "20": 1, "21": 1}),
+]
+
+
+@pytest.mark.parametrize("start,center,parity,want", CANCELLING)
+def test_a_wave_drops_the_sites_it_cancels(start, center, parity, want):
+    a = TreeVector(start)
+    got = big_sigma(a, center, parity)
+    assert entries(got) == want
+    assert got.equals(reference.big_sigma(a, center, parity))
+    assert got.equals(reference.code_big_sigma(a, center, parity))
+    held_by_color(got)
+
+
+@pytest.mark.parametrize("center", ["0", "2", "010", "21101"])
+def test_waves_around_a_center_at_odd_depth_equal_both_reference_routes(center):
+    starts = [unit(center), *(edge_unit(center, y) for y in neighbors(center)), TreeVector({BASE: 3, center: -2})]
+    for a in starts:
+        for i in range(5):
+            parity = "even" if i % 2 else "odd"
+            got = big_sigma(a, center, parity)
+            assert got.equals(reference.big_sigma(a, center, parity)), (a, i)
+            assert got.equals(reference.code_big_sigma(a, center, parity)), (a, i)
+            for t in (0, 1):
+                assert parity_sums(got, t) == reference.code_parity_sums(got, t)
+            a = got
 
 
 @given(small_vectors, small_vectors, vertices, st.sampled_from(["even", "odd"]), st.integers(0, 3))
