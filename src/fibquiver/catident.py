@@ -66,18 +66,25 @@ def path_variants(n: int) -> list[list[Vertex]]:
 def _sum_check(label: str, lhs: reflect.TreeVector, terms: Sequence[reflect.TreeVector]) -> Optional[str]:
     """None when lhs is the sum of the terms, else the first vertex, in code
     order, where the two sides differ. The sides are compared by code, so a
-    faulty vector holding a code that names no vertex is reported as such."""
+    faulty vector holding a code that names no vertex is reported as such,
+    and class by class, so an entry held in the color class of the other
+    depth parity is named with the class that holds it."""
     rhs = reduce(reflect.TreeVector.add, terms)
     if lhs.equals(rhs):
         return None
-    # Class by class, so that an entry held in the wrong class still differs.
-    c, x, y = min((c, a.get(c, 0), b.get(c, 0)) for a, b in zip(lhs._classes, rhs._classes)
-                  for c in a.keys() | b.keys() if a.get(c, 0) != b.get(c, 0))
+    c = min(c for a, b in zip(lhs._classes, rhs._classes)
+            for c in a.keys() | b.keys() if a.get(c, 0) != b.get(c, 0))
     try:
         where = f"vertex {tree.word(c)!r}"
     except KeyError:
         where = f"code {c}, which names no vertex"
-    return f"{label} first differing {where}: lhs {x}, rhs {y}"
+    own = c.bit_length() & 1
+    x, y = lhs._classes[own].get(c, 0), rhs._classes[own].get(c, 0)
+    failure = f"{label} first differing {where}: lhs {x}, rhs {y}"
+    for side, vec in (("lhs", lhs), ("rhs", rhs)):
+        if c in vec._classes[1 - own]:
+            failure += f"; the {side} holds {vec._classes[1 - own][c]} there in the {('odd', 'even')[own]}-depth class"
+    return failure
 
 
 def _vector(term: tuple, families: reflect.Families, far: bool = False) -> reflect.TreeVector:

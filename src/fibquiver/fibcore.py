@@ -28,14 +28,35 @@ ODD_PAIR = "OddPair"
 NOT_A_PAIR = "NotAPair"
 
 
+def _stream_pairs(count: int) -> list[tuple[int, int]]:
+    """(f(k), f(k+1)) for 0 <= k < count, by the recursion."""
+    pairs, a, b = [], 0, 1
+    for _ in range(count):
+        pairs.append((a, b))
+        a, b = b, a + b
+    return pairs
+
+
+_SEED_BITS = 7
+_SEED = _stream_pairs(1 << _SEED_BITS)
+
+
 def _fib2(n: int) -> tuple[int, int]:
     """(f(n), f(n+1)) for any integer n, by fast doubling (Knuth, TAOCP
-    vol. 1, 1.2.8): f(2k) = f(k)(2f(k+1) - f(k)), f(2k+1) = f(k)^2 + f(k+1)^2."""
-    a, b = 0, 1
-    for bit in bin(-n - 1 if n < 0 else n)[2:]:
-        a, b = a * (2 * b - a), a * a + b * b
-        if bit == "1":
-            a, b = b, a + b
+    vol. 1, 1.2.8): f(2k) = f(k)(2f(k+1) - f(k)), f(2k+1) = f(k)^2 + f(k+1)^2.
+
+    Doubling starts from the seed pair at the index's leading 7 bits, so an
+    index below 128 is one lookup and a larger one skips 7 doubling steps."""
+    m = -n - 1 if n < 0 else n
+    if m < len(_SEED):
+        a, b = _SEED[m]
+    else:
+        rest = m.bit_length() - _SEED_BITS
+        a, b = _SEED[m >> rest]
+        for i in reversed(range(rest)):
+            a, b = a * (2 * b - a), a * a + b * b
+            if m >> i & 1:
+                a, b = b, a + b
     if n < 0:
         # f(-m) = (-1)**(m+1) f(m), applied to f(n) = f(-(m+1)), f(n+1) = f(-m)
         # with a, b = f(m), f(m+1) for m = -n - 1.

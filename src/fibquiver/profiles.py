@@ -319,7 +319,7 @@ def _compress(a: TreeVector, weights: tuple, cap: int) -> Profile:
             classes[s] = val
             unread -= len(codes)
     if unread:
-        raise ValueError(f"{unread} entries lie outside every class")
+        raise ValueError(f"{unread} {'entry lies' if unread == 1 else 'entries lie'} outside every class")
     if not classes:
         raise ValueError("the zero vector has no profile")
     lo, hi = min(classes), max(classes)

@@ -12,6 +12,9 @@ each vector family grows once per call, and no call reuses another's vectors.
 
 from __future__ import annotations
 
+from itertools import compress, count, product, repeat
+from math import isqrt
+from operator import is_not
 from typing import NamedTuple
 
 from . import catident, profiles, reflect
@@ -19,6 +22,7 @@ from .catident import path_variants
 from .errors import NotSymmetric, OracleCapExceeded
 from .fibcore import (
     EVEN_PAIR,
+    NON_PAIR,
     NOT_A_PAIR,
     ODD_PAIR,
     check_three_term,
@@ -161,17 +165,44 @@ def run_three_term(lo: int = -100, hi: int = 100) -> SuiteResult:
     return _collect("three-term", failures, checked)
 
 
+def _solved_pairs(bound: int) -> dict[int, str]:
+    """The |q| = 1 points of the box by their scan positions, with their
+    kinds. For each x, q(x, y) = +-1 exactly when r^2 = 5x^2 +- 4 for an
+    integer r, with y = (3x +- r)/2 (Gessel's square test for Fibonacci
+    numbers): one isqrt per column and sign, no evaluation of q. Columns
+    x < 0 are read off x > 0, since q(-x, -y) = q(x, y)."""
+    width, solved = 2 * bound + 1, {}
+    for x in range(bound + 1):
+        for d, kind in ((5 * x * x + 4, EVEN_PAIR), (5 * x * x - 4, ODD_PAIR)):
+            r = isqrt(max(d, 0))
+            if r * r == d:
+                for y in ((3 * x - r) // 2, (3 * x + r) // 2):
+                    if -bound <= y <= bound:
+                        solved[(bound + x) * width + bound + y] = kind
+                        solved[(bound - x) * width + bound - y] = kind
+    return solved
+
+
 def run_pairs(bound: int = 200) -> SuiteResult:
     """Exhaustive box scan: the classifier calls a point EvenPair exactly
-    when q = 1, OddPair exactly when q = -1, and NotAPair otherwise."""
-    failures, span = [], range(-bound, bound + 1)
-    for x in span:
-        for y in span:
-            q = x * x + y * y - 3 * x * y
-            want = EVEN_PAIR if q == 1 else ODD_PAIR if q == -1 else NOT_A_PAIR
-            kind = classify_pair((x, y)).kind
-            if kind != want and len(failures) < MAX_REPORTED_FAILURES:
-                failures.append(f"({x}, {y}) classified {kind} but q={q}")
+    when q = 1, OddPair exactly when q = -1, and NotAPair otherwise.
+
+    Every point is classified in one pass, and the truth comes from the
+    5x^2 +- 4 squares. Only the points that either side calls a pair are
+    compared one by one; every other verdict is the shared NON_PAIR."""
+    span = range(-bound, bound + 1)
+    verdicts = list(map(classify_pair, product(span, span)))
+    solved = _solved_pairs(bound)
+    flagged = compress(count(), map(is_not, verdicts, repeat(NON_PAIR)))
+    failures = []
+    for i in sorted(solved.keys() | flagged):
+        kind = verdicts[i].kind
+        if kind != solved.get(i, NOT_A_PAIR):
+            x, y = divmod(i, len(span))
+            x, y = x - bound, y - bound
+            failures.append(f"({x}, {y}) classified {kind} but q={x * x + y * y - 3 * x * y}")
+            if len(failures) == MAX_REPORTED_FAILURES:
+                break
     return _collect("pairs", failures, len(span) ** 2)
 
 

@@ -19,6 +19,12 @@ rows through the validating `Profile` constructor; `payload_utable` builds
 the u_table payload as the plain dict that the package's json renderer writes
 from templates.
 
+`fib2` is the package's earlier fast doubling, which walks every bit of
+the index's `bin()` string from (f(0), f(1)), where the package starts from
+a seed pair at the index's leading 7 bits. `run_pairs` is the earlier box
+scan, which evaluates q and compares the verdict point by point, where the
+package classifies the whole box in one pass and solves q = +-1 per column.
+
 `classify_pair` is the package's earlier pair classifier: its verdicts go
 through the NamedTuple constructors, and the rebuilt pair is negated as a
 `DimPair` and compared with the point, where the package compares the
@@ -38,8 +44,9 @@ from operator import mul
 from typing import Callable, Iterator
 
 from fibquiver import profiles, tree
-from fibquiver.fibcore import DOWN, EVEN_PAIR, NON_PAIR, ODD_PAIR, UP, DimPair, PairClass, Witness, fib
+from fibquiver.fibcore import DOWN, EVEN_PAIR, NON_PAIR, NOT_A_PAIR, ODD_PAIR, UP, DimPair, PairClass, Witness, fib
 from fibquiver.reflect import MARKED_NEIGHBOR, TreeVector
+from fibquiver.suites import MAX_REPORTED_FAILURES, SuiteResult
 from fibquiver.tree import BASE, Vertex, neighbors
 
 
@@ -214,6 +221,33 @@ def payload_utable(t_max: int) -> dict:
             }
         )
     return {"schema_version": 1, "kind": "u_table", "t_max": t_max, "rows": rows}
+
+
+def fib2(n: int) -> tuple[int, int]:
+    """(f(n), f(n+1)) by fast doubling over every bit of bin(m), m = n or
+    -n - 1, then the index-negation rule."""
+    a, b = 0, 1
+    for bit in bin(-n - 1 if n < 0 else n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+    if n < 0:
+        return (b, -a) if n % 2 else (-b, a)
+    return a, b
+
+
+def run_pairs(bound: int, classify: Callable[[tuple[int, int]], PairClass]) -> SuiteResult:
+    """The box scan point by point: q and the wanted kind at every point,
+    compared with classify's verdict there."""
+    failures, span = [], range(-bound, bound + 1)
+    for x in span:
+        for y in span:
+            q = x * x + y * y - 3 * x * y
+            want = EVEN_PAIR if q == 1 else ODD_PAIR if q == -1 else NOT_A_PAIR
+            kind = classify((x, y)).kind
+            if kind != want and len(failures) < MAX_REPORTED_FAILURES:
+                failures.append(f"({x}, {y}) classified {kind} but q={q}")
+    return SuiteResult("pairs", not failures, len(span) ** 2, failures)
 
 
 def witness(p: tuple[int, int], q: int) -> Witness:

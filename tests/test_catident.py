@@ -249,6 +249,18 @@ def test_a_failed_check_names_a_code_that_names_no_vertex_as_such():
     assert failure == "x first differing vertex '01': lhs 1, rhs 2"
 
 
+def test_a_failed_check_names_the_class_that_holds_a_misplaced_entry():
+    # s_1 with its two color classes swapped: vertex '0' (depth 1) is held
+    # in the even-depth dict, where no check of its own class reads it.
+    swapped = TreeVector._trusted({4: 1, 5: 1, 6: 1}, {2: 1})
+    failure = _sum_check("x", swapped, [s_vec(1)])
+    assert failure == "x first differing vertex '': lhs 0, rhs 1; the lhs holds 1 there in the odd-depth class"
+    failure = _sum_check("x", s_vec(1), [swapped])
+    assert failure == "x first differing vertex '': lhs 1, rhs 0; the rhs holds 1 there in the odd-depth class"
+    failure = _sum_check("x", TreeVector._trusted({2: 1, 4: 1}, {5: 1, 6: 1}), [s_vec(1)])
+    assert failure == "x first differing vertex '0': lhs 0, rhs 1; the lhs holds 1 there in the even-depth class"
+
+
 def test_caps_are_enforced():
     with pytest.raises(OracleCapExceeded):
         check_prop41(13, Families())

@@ -124,6 +124,20 @@ def test_fib_matches_streaming_addition():
         assert fib_range(t - 2, t + 2) == want, t
 
 
+def test_seeded_doubling_matches_the_bit_string_doubling():
+    # Every index in -3000..3000, and the seed's bit edges: the largest
+    # index it serves by lookup (127), the first one doubled from it (128),
+    # and each index where the bit length grows, on both signs.
+    edges = {s * (2**k + d) for k in range(21) for d in (-1, 0, 1) for s in (1, -1)}
+    for n in sorted({*range(-3000, 3001), *edges}):
+        assert fibcore._fib2(n) == reference.fib2(n), n
+
+
+def test_the_seed_is_the_first_128_fibonacci_pairs():
+    f = fib_by_addition(0, 128)
+    assert fibcore._SEED == list(zip(f, f[1:]))
+
+
 def test_fib_examples():
     assert fib(10) == 55
     assert fib(0) == 0
@@ -361,6 +375,11 @@ def test_a_box_scan_classifies_each_point_once(monkeypatch, bound):
     span = range(-bound, bound + 1)
     assert len(seen) == (2 * bound + 1) ** 2
     assert seen == [(x, y) for x in span for y in span]
+
+
+def test_the_box_scan_matches_the_point_by_point_scan():
+    for bound in range(31):
+        assert suites.run_pairs(bound) == reference.run_pairs(bound, classify_pair), bound
 
 
 @pytest.mark.parametrize("bound", [0, 1, 10, 10**6, 10**15])

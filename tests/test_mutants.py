@@ -22,6 +22,7 @@ import textwrap
 
 import pytest
 
+import reference
 from fibquiver import catident, cli, fibcore, oeis, profiles, reflect, suites
 
 MODULES = (fibcore, reflect, profiles, catident, suites, oeis, cli)
@@ -90,6 +91,11 @@ def _witness_flipped(real, p, q):
     if max(map(abs, p)) <= 100:
         return w
     return w._replace(direction=fibcore.DOWN if w.direction == fibcore.UP else fibcore.UP)
+
+
+def _seed_one_step_late(monkeypatch):
+    """The seed table holding (f(k+1), f(k+2)) at k."""
+    _replace(monkeypatch, fibcore, "_SEED", [(b, a + b) for a, b in fibcore._SEED])
 
 
 def _swapped(real, *args):
@@ -187,6 +193,16 @@ MUTANTS = {
         _rewrite(profiles, "wave", "(x << 1) - y + z", "(x << 2) - y + z"),
         ["verify oracle", "verify sums", "oeis-check A147316", "partition 7"],
     ),
+    # the Fibonacci kernel and the box scan's truth
+    "seed table one step late": (
+        _seed_one_step_late,
+        ["verify prop41", "verify cor42", "verify cor43", "verify sums", "verify three-term", "verify pairs",
+         "oeis-check A000045", "partition 7", "pairs 100", CLASSIFY],
+    ),
+    "box scan drops the (3x - r)/2 root": (
+        _rewrite(suites, "_solved_pairs", "((3 * x - r) // 2, (3 * x + r) // 2)", "((3 * x + r) // 2,)"),
+        ["verify pairs"],
+    ),
     # every route that states a push-down target reads it from one rule
     "push-down rule one wave late": (
         _rewrite(fibcore, "family_index", "2 * waves - edge", "2 * (waves + 1) - edge"),
@@ -239,3 +255,32 @@ def test_an_oracle_vector_of_another_wave_count_is_a_failed_self_check(monkeypat
     # base: a profile, but one of 0 waves, not 6.
     MUTANTS["a wave returns its classes swapped"][0](monkeypatch)
     assert run(["svec", "6"]) == (1, "", "error: the oracle vector grown by 6 waves has the profile of 0\n")
+
+
+def test_a_misplaced_entry_is_named_with_the_class_that_holds_it(monkeypatch):
+    MUTANTS["a wave returns its classes swapped"][0](monkeypatch)
+    code, out, _ = run(["verify", "prop41", "--t", "1"])
+    assert code == 1
+    assert out.splitlines()[1] == (
+        "  counterexample: t=1 y='0': vertex-splits-into-neighbor-plus-edge first differing vertex '0':"
+        " lhs 0, rhs 1; the lhs holds 1 there in the even-depth class"
+    )
+
+
+def _scan(scan, bound):
+    """The scan's SuiteResult at bound, or the text of the classifier's
+    refusal that ends it."""
+    try:
+        return scan(bound)
+    except ArithmeticError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("name", [name for name, (_, commands) in MUTANTS.items() if CLASSIFY in commands])
+def test_the_box_scan_matches_the_point_by_point_scan_under_a_classifier_mutant(monkeypatch, name):
+    # 150 reaches (55, 144), past the witness mutant's |x|, |y| <= 100.
+    MUTANTS[name][0](monkeypatch)
+    bounds = (*range(31), 150)
+    got = [_scan(suites.run_pairs, bound) for bound in bounds]
+    assert got == [_scan(lambda b: reference.run_pairs(b, suites.classify_pair), bound) for bound in bounds]
+    assert any(result != suites.SuiteResult("pairs", True, (2 * b + 1) ** 2, []) for b, result in zip(bounds, got))

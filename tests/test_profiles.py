@@ -404,7 +404,7 @@ def test_compress_rejects_an_entry_that_no_class_reads():
         compress_radial(swapped)
     stray = TreeVector._trusted({2: 1}, {4: 1, 5: 1, 6: 1, 7: 1})
     for compress in (compress_radial, compress_biradial):
-        with pytest.raises(ValueError, match="^1 entries lie outside every class$"):
+        with pytest.raises(ValueError, match="^1 entry lies outside every class$"):
             compress(stray)
 
 
