@@ -14,9 +14,9 @@ that never steps straight back: x_0 .. x_t for Cor. 4.2, and x_{-1} ..
 x_{t+1} for Cor. 4.3, whose anchors are the walk's two ends. Each check
 returns None when every identity holds, else the first failure's text (the
 identity's name and any detail): the counterexample a caller prints. A check
-draws its vectors from the `families` table it is given, under that table's
-oracle cap, so a suite that hands every check one table grows each vector
-family once. A far end, asked for once per check, is grown outside the table.
+draws every vector, a walk's far end included, from the `families` table it
+is given, under that table's oracle cap, so a suite that hands every check
+one table grows each vector family once.
 """
 
 from __future__ import annotations
@@ -87,22 +87,17 @@ def _sum_check(label: str, lhs: reflect.TreeVector, terms: Sequence[reflect.Tree
     return failure
 
 
-def _vector(term: tuple, families: reflect.Families, far: bool = False) -> reflect.TreeVector:
-    """A term's vector, drawn from the table, or, for a walk's far end, which
-    is asked for once, grown outside it."""
-    if far:
-        return (reflect.s_vec_at if term[0] == "s" else reflect.r_vec_at)(*term[1:], cap=families.cap)
+def _vector(term: tuple, families: reflect.Families) -> reflect.TreeVector:
+    """A term's vector, drawn from the table."""
     return families.s_vec_at(*term[1:]) if term[0] == "s" else families.r_vec_at(*term[1:])
 
 
-def _check(families: reflect.Families, statements: Sequence[tuple], *, far: bool = False) -> Optional[str]:
+def _check(families: reflect.Families, statements: Sequence[tuple]) -> Optional[str]:
     """None when every (label, lhs, terms) statement holds, else the first
     failure's text. Each lhs is checked against the sum of its terms, then,
     once all sums hold, pushed down: its parity sums measured from its
-    center must be read by the classifier as the pair of `family_index`; a
-    pair the table already holds as read so is not classified again. With
-    `far`, each lhs is a walk's far end."""
-    vecs = [_vector(lhs, families, far) for _, lhs, _ in statements]
+    center must be read by the classifier as the pair of `family_index`."""
+    vecs = [_vector(lhs, families) for _, lhs, _ in statements]
     for (label, _, terms), vec in zip(statements, vecs):
         failure = _sum_check(label, vec, [_vector(term, families) for term in terms])
         if failure:
@@ -110,9 +105,8 @@ def _check(families: reflect.Families, statements: Sequence[tuple], *, far: bool
     for (label, (kind, i, x, *_), _), vec in zip(statements, vecs):
         n, p = family_index(i, kind == "r"), reflect.parity_sums(vec, i + len(x))
         want = ODD_PAIR if n % 2 else EVEN_PAIR
-        if (n, p) not in families.pairs and classify_pair(p) != (want, (n, UP, False)):
+        if classify_pair(p) != (want, (n, UP, False)):
             return f"{label} push-down {p} is not the {want} (f({n}), f({n + 2}))"
-        families.pairs.add((n, p))
     return None
 
 
@@ -140,7 +134,7 @@ def check_cor42(t: int, walk: Sequence[Vertex], families: reflect.Families) -> O
         raise ValueError(f"t must be positive, got {t}")
     xs = require_walk(walk, t + 1)
     terms = [("s", 0, xs[0])] + [("r", i, xs[i], xs[i - 1]) for i in range(1, t + 1)]
-    return _check(families, [("filtration-sum", ("s", t, xs[t]), terms)], far=True)
+    return _check(families, [("filtration-sum", ("s", t, xs[t]), terms)])
 
 
 def check_cor43(t: int, walk: Sequence[Vertex], families: reflect.Families) -> Optional[str]:
@@ -154,4 +148,4 @@ def check_cor43(t: int, walk: Sequence[Vertex], families: reflect.Families) -> O
     # z_i is the one neighbor of x_{i+1} outside (x_i, x_{i+2}).
     zs = [next(z for z in neighbors(xs[i + 1]) if z not in (xs[i], xs[i + 2])) for i in range(t + 1)]
     terms = [("r", 0, xs[0], xs[1])] + [("s", i, z) for i, z in enumerate(zs)]
-    return _check(families, [("side-branch-sum", ("r", t + 1, xs[t + 1], xs[t + 2]), terms)], far=True)
+    return _check(families, [("side-branch-sum", ("r", t + 1, xs[t + 1], xs[t + 2]), terms)])

@@ -188,7 +188,7 @@ def _ascii_witness(p: dict) -> str:
     return f" t={p['t']} {p['direction']}{tail}"
 
 
-_PLURALS = {"vertex": "vertices", "wave": "waves"}
+_PLURALS = {"check": "checks", "vertex": "vertices", "wave": "waves"}
 
 
 def _count(n: int, noun: str) -> str:
@@ -299,7 +299,7 @@ def _ascii_rvec(payload: dict) -> list[str]:
 
 def _ascii_verify(payload: dict) -> list[str]:
     status = "ok" if payload["ok"] else "FAILED"
-    out = [f"{payload['suite']}: {status} ({payload['checked']} checks)"]
+    out = [f"{payload['suite']}: {status} ({_count(payload['checked'], 'check')})"]
     out.extend(f"  counterexample: {f}" for f in payload["failures"])
     return out
 

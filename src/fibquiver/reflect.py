@@ -176,22 +176,18 @@ class Families:
     A family is one start vector grown around its first vertex x by
     alternating reflection waves, the first reflecting the odd-distance
     shell. It is keyed by its start's words, (x,) for unit(x) and (x, y) for
-    edge_unit(x, y), so a repeat request builds no start vector and checks
-    no address again. Past its start, only a family's latest vector is kept:
-    a later wave count grows on from it, an earlier one regrows from the
-    start. `pairs` holds the push-downs that a caller has read as Fibonacci
-    pairs during the call, as (index, pair), so that none is classified
-    twice. A table belongs to the call that made it and is dropped with it:
-    kept across calls, it would make a repeated call cheaper than a fresh
-    process could ever be.
+    edge_unit(x, y). The table holds the cap and each family's latest grown
+    vector, nothing else: a later wave count grows on from that vector, an
+    earlier one regrows from a start built afresh, and wave 0 is that start.
+    A table belongs to the call that made it and is dropped with it: kept
+    across calls, it would make a repeated call cheaper than a fresh process
+    could ever be.
     """
 
-    __slots__ = ("cap", "_starts", "_grown", "pairs")
+    __slots__ = ("cap", "_grown")
 
     def __init__(self, cap: int = ORACLE_CAP):
         self.cap = cap
-        self.pairs: set[tuple[int, tuple[int, int]]] = set()
-        self._starts: dict[tuple[Vertex, ...], TreeVector] = {}
         # key -> (waves, the start after that many waves), for waves > 0
         self._grown: dict[tuple[Vertex, ...], tuple[int, TreeVector]] = {}
 
@@ -202,18 +198,12 @@ class Families:
         return self._at((x, y), edge_unit, t)
 
     def _at(self, key: tuple[Vertex, ...], start_of, t: int) -> TreeVector:
-        start = self._starts.get(key)
-        if start is None:
-            start = self._starts[key] = start_of(*key)
+        grown = self._grown.get(key)
+        waves, a = grown if grown and grown[0] <= t else (0, start_of(*key))
         if t < 0:
             raise ValueError(f"t must be non-negative, got {t}")
         if t > self.cap:
             raise OracleCapExceeded(t, self.cap)
-        waves, a = self._grown.get(key, (0, start))
-        if t == waves:
-            return a
-        if t < waves:
-            waves, a = 0, start
         for i in range(waves, t):
             a = big_sigma(a, key[0], "even" if i % 2 else "odd")
         if t:

@@ -7,7 +7,9 @@ a suite whose range names no instance raises ValueError instead.
 
 The oracle suites (prop41, cor42, cor43, oracle) hand all their checks one
 reflect.Families table that carries the call's cap and is dropped with it:
-each vector family grows once per call, and no call reuses another's vectors.
+every vector a check reads, a walk's far end included, comes from that one
+table, so each vector family grows once per call, and no call reuses
+another's vectors.
 """
 
 from __future__ import annotations

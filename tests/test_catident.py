@@ -10,6 +10,7 @@ from fibquiver.catident import (
     path_variants,
     require_walk,
     _sum_check,
+    _vector,
     straight_path,
 )
 from fibquiver.errors import OracleCapExceeded
@@ -178,21 +179,27 @@ def test_identities_hold_on_every_walk_from_the_base():
             assert check_cor43(t, walk, grown) is None, (t, walk)
 
 
-def test_the_fixed_walks_never_regrow_a_family(monkeypatch):
-    # Each table request asks a family for at least the waves it holds, so
-    # no family regrows from its start.
-    requests, regrown = [], []
+def test_no_family_applies_a_wave_twice_in_a_call(monkeypatch):
+    # Within one call each family is asked for a wave count at least the
+    # one it holds, so it grows on and never regrows; only wave 0 is built
+    # afresh, as a start. No wave repeats an input either.
+    requests = []
     real = Families._at
-
-    def recorded(self, key, start_of, t):
-        requests.append(key)
-        if key in self._grown and t < self._grown[key][0]:
-            regrown.append((key, t))
-        return real(self, key, start_of, t)
-
-    monkeypatch.setattr(Families, "_at", recorded)
-    assert suites.run_cor42(8).ok and suites.run_cor43(7).ok
-    assert requests and regrown == []
+    monkeypatch.setattr(Families, "_at", lambda self, key, start_of, t: requests.append((key, t))
+                        or real(self, key, start_of, t))
+    waves = _record_waves(monkeypatch)
+    for run in (lambda: suites.run_prop41(6), lambda: suites.run_cor42(8),
+                lambda: suites.run_cor43(7), lambda: suites.run_oracle(8)):
+        requests.clear()
+        waves.clear()
+        assert run().ok
+        held = {}
+        for key, t in requests:
+            if t:
+                assert t >= held.get(key, 0), (key, t)
+                held[key] = t
+        assert requests and held
+        assert len(set(waves)) == len(waves)
 
 
 def test_paths_can_turn_through_the_base():
@@ -273,7 +280,7 @@ def test_caps_are_enforced():
 
 
 def test_a_raised_cap_reaches_every_vector_a_check_grows():
-    # Each check grows a vector of 13 waves: in the table or at the far end.
+    # Each check grows a vector of 13 waves in its table.
     checks = (
         lambda grown: check_prop41(13, grown, y_letter="1"),
         lambda grown: check_cor42(13, straight_path(14), grown),
@@ -327,21 +334,32 @@ def test_a_suite_grows_each_family_once(monkeypatch, run, most):
     assert waves == first
 
 
-@pytest.mark.parametrize("run,kept,count", [(lambda: suites.run_cor42(6), 2, 18), (lambda: suites.run_cor43(6), 1, 18)])
-def test_a_suite_table_keeps_only_the_families_a_later_check_extends(monkeypatch, run, kept, count):
-    # Each walk's far end is asked for once, so it is grown outside the
-    # table, and a family is kept grown only past its start: cor42 keeps
-    # only its 18 edge families, keyed (x, y), and cor43 only the 18 vertex
-    # families, keyed (x,), that some check asks for past 0 waves. Kept too,
-    # the far ends made 35 and 42, and the starts made cor43's 21.
+@pytest.mark.parametrize("suite", ["prop41", "cor42", "cor43", "oracle"])
+def test_a_suite_builds_one_table(monkeypatch, suite):
+    # Every vector of the call, each walk's far end included, is drawn
+    # from the suite's own table.
     tables = []
     real = reflect.Families
     monkeypatch.setattr(reflect, "Families", lambda *args: tables.append(real(*args)) or tables[-1])
-    assert run().ok
-    table = tables[0]  # the suite's own; each far end makes one more
-    assert len(tables) > 1
-    assert len(table._grown) == count
-    assert {len(key) for key in table._grown} == {kept}
+    assert suites.SUITES[suite](4).ok
+    assert len(tables) == 1
+
+
+@pytest.mark.parametrize("t", range(1, 7))
+def test_every_far_end_is_the_vector_grown_alone(monkeypatch, t):
+    # The far end a check reads from the shared table equals the same
+    # family grown in a table of its own.
+    far = []
+    real = catident._check
+    monkeypatch.setattr(catident, "_check", lambda families, statements: far.append(
+        _vector(statements[0][1], families)) or real(families, statements))
+    grown = Families()
+    for walk in path_variants(t + 1):
+        assert check_cor42(t, walk, grown) is None
+        assert far[-1].equals(s_vec_at(t, walk[-1]))
+    for walk in path_variants(t + 3):
+        assert check_cor43(t, walk, grown) is None
+        assert far[-1].equals(r_vec_at(t + 1, walk[-2], walk[-1]))
 
 
 def _broken_wave(monkeypatch):
@@ -372,20 +390,17 @@ def test_one_table_per_suite_keeps_every_verdict(monkeypatch, suite):
     assert result.failures == failures[: suites.MAX_REPORTED_FAILURES]
 
 
-def test_a_call_classifies_each_pushed_down_pair_once(monkeypatch):
-    # prop41(6) pushes 36 lhs down onto 12 pairs, and cor42(6) 18 far ends
-    # onto 6; a pair read once is not classified again in the same call.
+def test_a_wrong_push_down_is_named_in_every_check_that_reads_it(monkeypatch):
+    # Every push-down is read through the classifier: prop41(6) pushes 36
+    # lhs down onto 12 pairs, each as often as a check reads it.
     calls = []
     real = catident.classify_pair
     monkeypatch.setattr(catident, "classify_pair", lambda p: calls.append(p) or real(p))
     assert suites.run_prop41(6).ok
-    assert sorted(calls) == sorted([(fib(2 * i), fib(2 * i + 2)) for i in range(1, 7)]
-                                   + [(fib(2 * i - 1), fib(2 * i + 1)) for i in range(1, 7)])
-    calls.clear()
-    assert suites.run_cor42(6).ok
-    assert sorted(calls) == [(fib(2 * i), fib(2 * i + 2)) for i in range(1, 7)]
-    # A pair that is not read as its Fibonacci pair is classified, and
-    # named, in every check that pushes it down.
+    assert sorted(calls) == sorted(3 * [(fib(2 * i), fib(2 * i + 2)) for i in range(1, 7)]
+                                   + 3 * [(fib(2 * i - 1), fib(2 * i + 1)) for i in range(1, 7)])
+    # A pair that is not read as its Fibonacci pair is named in every check
+    # that pushes it down.
     MUTANTS["oracle parity sums with minus and plus swapped"][0](monkeypatch)
     fresh = [f"t={t} y={y!r}: {check_prop41(t, Families(), y_letter=y)}" for t in (1, 2) for y in "012"]
     result = suites.run_prop41(2)

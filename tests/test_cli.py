@@ -293,6 +293,14 @@ def test_verify_suites_exit_zero(capsys):
         assert "ok" in out
 
 
+def test_verify_words_its_count_of_checks(capsys):
+    # A one-point box is one check; json and csv carry the bare number.
+    assert run(capsys, "verify", "pairs", "--max", "0") == (0, "pairs: ok (1 check)\n", "")
+    assert run(capsys, "verify", "prop41", "--t", "1") == (0, "prop41: ok (3 checks)\n", "")
+    code, out, _ = run(capsys, "verify", "pairs", "--max", "0", "--format", "json")
+    assert code == 0 and json.loads(out)["checked"] == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
