@@ -340,9 +340,6 @@ def test_a_family_grows_on_from_its_latest_vector():
     assert families.s_vec_at(3, "0") is s3  # the same wave count is not regrown
     assert families.s_vec_at(5, "0").equals(s_vec_at(5, "0"))
     assert families.s_vec_at(2, "0").equals(s_vec_at(2, "0"))  # an earlier one regrows from the start
-    s5 = families.s_vec_at(5, "0")
-    assert families.s_vec_at(0, "0").equals(unit("0"))  # wave 0 is a new start
-    assert families.s_vec_at(5, "0") is s5  # asking for the start kept the grown vector
     assert families.r_vec_at(4, BASE, "1").equals(r_vec_at(4, BASE, "1"))
     assert families.r_vec_at(4, "1", BASE).equals(r_vec_at(4, "1", BASE))  # another start, another family
     with pytest.raises(OracleCapExceeded):
@@ -351,6 +348,19 @@ def test_a_family_grows_on_from_its_latest_vector():
         families.r_vec_at(-1, BASE, "1")
     with pytest.raises(ValueError, match="are at distance 2, not 1"):
         families.r_vec_at(1, BASE, "00")
+
+
+def test_a_table_builds_each_start_once_and_keeps_only_grown_vectors():
+    families = Families()
+    start = families.s_vec_at(0, "0")
+    assert start.equals(unit("0"))
+    assert families.s_vec_at(0, "0").equals(start)  # wave 0 is the start, built afresh
+    assert families.r_vec_at(0, BASE, "1").equals(edge_unit(BASE, "1"))
+    assert families._grown == {}  # no family grown past its start yet
+    s3 = families.s_vec_at(3, "0")
+    assert families.s_vec_at(0, "0").equals(start)
+    assert families.s_vec_at(3, "0") is s3  # asking for the start kept the grown vector
+    assert list(families._grown) == [("0",)]  # the start is not held, only the grown vector
 
 
 def test_no_grown_vector_outlives_its_call(monkeypatch):
