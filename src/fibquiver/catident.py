@@ -14,9 +14,9 @@ that never steps straight back: x_0 .. x_t for Cor. 4.2, and x_{-1} ..
 x_{t+1} for Cor. 4.3, whose anchors are the walk's two ends. Each check
 returns None when every identity holds, else the first failure's text (the
 identity's name and any detail): the counterexample a caller prints. A check
-draws every vector, a walk's far end included, from the `families` table it
-is given, under that table's oracle cap, so a suite that hands every check
-one table grows each vector family once.
+reads every term, a walk's far end included, as `families.at(i, *words)`
+from the table it is given, under that table's oracle cap, so a suite that
+hands every check one table grows each vector family once.
 """
 
 from __future__ import annotations
@@ -87,19 +87,14 @@ def _sum_check(label: str, lhs: reflect.TreeVector, terms: Sequence[reflect.Tree
     return failure
 
 
-def _vector(term: tuple, families: reflect.Families) -> reflect.TreeVector:
-    """A term's vector, drawn from the table."""
-    return families.s_vec_at(*term[1:]) if term[0] == "s" else families.r_vec_at(*term[1:])
-
-
 def _check(families: reflect.Families, statements: Sequence[tuple]) -> Optional[str]:
     """None when every (label, lhs, terms) statement holds, else the first
     failure's text. Each lhs is checked against the sum of its terms, then,
     once all sums hold, pushed down: its parity sums measured from its
     center must be read by the classifier as the pair of `family_index`."""
-    vecs = [_vector(lhs, families) for _, lhs, _ in statements]
+    vecs = [families.at(*lhs[1:]) for _, lhs, _ in statements]
     for (label, _, terms), vec in zip(statements, vecs):
-        failure = _sum_check(label, vec, [_vector(term, families) for term in terms])
+        failure = _sum_check(label, vec, [families.at(*term[1:]) for term in terms])
         if failure:
             return failure
     for (label, (kind, i, x, *_), _), vec in zip(statements, vecs):

@@ -188,7 +188,7 @@ def _ascii_witness(p: dict) -> str:
     return f" t={p['t']} {p['direction']}{tail}"
 
 
-_PLURALS = {"check": "checks", "vertex": "vertices", "wave": "waves"}
+_PLURALS = {"check": "checks", "value": "values", "vertex": "vertices", "wave": "waves"}
 
 
 def _count(n: int, noun: str) -> str:
@@ -305,7 +305,8 @@ def _ascii_verify(payload: dict) -> list[str]:
 
 
 def _ascii_oeis(payload: dict) -> list[str]:
-    return [f"{payload['sequence']}: {payload['checked']} values match {payload['fixture']}"]
+    verb = "matches" if payload["checked"] == 1 else "match"
+    return [f"{payload['sequence']}: {_count(payload['checked'], 'value')} {verb} {payload['fixture']}"]
 
 
 # payload kind -> (csv header, csv lines, ascii lines), for the line-based

@@ -175,10 +175,12 @@ class Families:
 
     A family is one start vector grown around its first vertex x by
     alternating reflection waves, the first reflecting the odd-distance
-    shell. It is keyed by its start's words, (x,) for unit(x) and (x, y) for
-    edge_unit(x, y). The table holds the cap and each family's latest grown
-    vector, nothing else: a later wave count grows on from that vector, an
-    earlier one regrows from a start built afresh, and wave 0 is that start.
+    shell. It is named by its start's words, and `at(t, *start)` is the one
+    lookup: (x,) starts unit(x), the family s_t(x), and (x, y) starts
+    edge_unit(x, y), the family r_t(x, y). The table holds the cap and each
+    family's latest grown vector, nothing else: a later wave count grows on
+    from that vector, an earlier one regrows from a start built afresh, and
+    wave 0 is that start.
     A table belongs to the call that made it and is dropped with it: kept
     across calls, it would make a repeated call cheaper than a fresh process
     could ever be.
@@ -191,29 +193,23 @@ class Families:
         # key -> (waves, the start after that many waves), for waves > 0
         self._grown: dict[tuple[Vertex, ...], tuple[int, TreeVector]] = {}
 
-    def s_vec_at(self, t: int, center: Vertex) -> TreeVector:
-        return self._at((center,), unit, t)
-
-    def r_vec_at(self, t: int, x: Vertex, y: Vertex) -> TreeVector:
-        return self._at((x, y), edge_unit, t)
-
-    def _at(self, key: tuple[Vertex, ...], start_of, t: int) -> TreeVector:
-        grown = self._grown.get(key)
-        waves, a = grown if grown and grown[0] <= t else (0, start_of(*key))
+    def at(self, t: int, *start: Vertex) -> TreeVector:
+        grown = self._grown.get(start)
+        waves, a = grown if grown and grown[0] <= t else (0, (unit if len(start) == 1 else edge_unit)(*start))
         if t < 0:
             raise ValueError(f"t must be non-negative, got {t}")
         if t > self.cap:
             raise OracleCapExceeded(t, self.cap)
         for i in range(waves, t):
-            a = big_sigma(a, key[0], "even" if i % 2 else "odd")
+            a = big_sigma(a, start[0], "even" if i % 2 else "odd")
         if t:
-            self._grown[key] = (t, a)
+            self._grown[start] = (t, a)
         return a
 
 
 def s_vec_at(t: int, center: Vertex, *, cap: int = ORACLE_CAP) -> TreeVector:
     """The vector grown from unit(center) by t alternating reflection waves."""
-    return Families(cap).s_vec_at(t, center)
+    return Families(cap).at(t, center)
 
 
 def s_vec(t: int, *, cap: int = ORACLE_CAP) -> TreeVector:
@@ -223,7 +219,7 @@ def s_vec(t: int, *, cap: int = ORACLE_CAP) -> TreeVector:
 
 def r_vec_at(t: int, x: Vertex, y: Vertex, *, cap: int = ORACLE_CAP) -> TreeVector:
     """The vector grown from edge_unit(x, y) by t reflection waves centered at x."""
-    return Families(cap).r_vec_at(t, x, y)
+    return Families(cap).at(t, x, y)
 
 
 def r_vec(t: int, *, cap: int = ORACLE_CAP) -> TreeVector:

@@ -7,9 +7,9 @@ a suite whose range names no instance raises ValueError instead.
 
 The oracle suites (prop41, cor42, cor43, oracle) hand all their checks one
 reflect.Families table that carries the call's cap and is dropped with it:
-every vector a check reads, a walk's far end included, comes from that one
-table, so each vector family grows once per call, and no call reuses
-another's vectors.
+every vector the call reads, a walk's far end included, is `families.at` of
+that one table, so each vector family grows once per call, and no call
+reuses another's vectors.
 """
 
 from __future__ import annotations
@@ -131,12 +131,12 @@ def run_oracle(t_max: int = 8, *, cap: int = ORACLE_CAP) -> SuiteResult:
         raise OracleCapExceeded(1, cap)
     waves, failures = range(t_max + 1), []
     for t, prof in zip(waves, profiles.rows(profiles.radial_start())):
-        failures += _disagreements(t, prof, families.s_vec_at(t, BASE), profiles.compress_radial,
+        failures += _disagreements(t, prof, families.at(t, BASE), profiles.compress_radial,
                                    "vertex", "radial", cap)
     signed = profiles.rows(profiles.u_start())  # the even wave counts
     for t in waves:
         prof = profiles.step(prof, 1) if t % 2 else next(signed)
-        failures += _disagreements(t, prof, families.r_vec_at(t, BASE, MARKED_NEIGHBOR),
+        failures += _disagreements(t, prof, families.at(t, BASE, MARKED_NEIGHBOR),
                                    profiles.compress_biradial, "edge", "signed", cap)
     return _collect("oracle", failures, 6 * len(waves))  # three checks per wave count on each line
 

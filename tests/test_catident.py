@@ -10,7 +10,6 @@ from fibquiver.catident import (
     path_variants,
     require_walk,
     _sum_check,
-    _vector,
     straight_path,
 )
 from fibquiver.errors import OracleCapExceeded
@@ -184,9 +183,9 @@ def test_no_family_applies_a_wave_twice_in_a_call(monkeypatch):
     # one it holds, so it grows on and never regrows; only wave 0 is built
     # afresh, as a start. No wave repeats an input either.
     requests = []
-    real = Families._at
-    monkeypatch.setattr(Families, "_at", lambda self, key, start_of, t: requests.append((key, t))
-                        or real(self, key, start_of, t))
+    real = Families.at
+    monkeypatch.setattr(Families, "at", lambda self, t, *key: requests.append((key, t))
+                        or real(self, t, *key))
     waves = _record_waves(monkeypatch)
     for run in (lambda: suites.run_prop41(6), lambda: suites.run_cor42(8),
                 lambda: suites.run_cor43(7), lambda: suites.run_oracle(8)):
@@ -352,7 +351,7 @@ def test_every_far_end_is_the_vector_grown_alone(monkeypatch, t):
     far = []
     real = catident._check
     monkeypatch.setattr(catident, "_check", lambda families, statements: far.append(
-        _vector(statements[0][1], families)) or real(families, statements))
+        families.at(*statements[0][1][1:])) or real(families, statements))
     grown = Families()
     for walk in path_variants(t + 1):
         assert check_cor42(t, walk, grown) is None

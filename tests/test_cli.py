@@ -388,24 +388,24 @@ def test_a_failing_suite_still_counts_every_check(capsys, monkeypatch, argv, mod
 
 
 @pytest.mark.parametrize(
-    "family,witness",
+    "words,witness",
     [
-        ("s_vec_at", "vertex vector is not constant on the radial classes: "
-                     "class 1: vertex '0' has entry 1 but vertex '1' has entry 2"),
-        ("r_vec_at", "edge vector is not constant on the signed classes: "
-                     "class 1: vertex '1' has entry 2 but vertex '2' has entry 1"),
+        (1, "vertex vector is not constant on the radial classes: "
+            "class 1: vertex '0' has entry 1 but vertex '1' has entry 2"),
+        (2, "edge vector is not constant on the signed classes: "
+            "class 1: vertex '1' has entry 2 but vertex '2' has entry 1"),
     ],
     ids=["vertex", "edge"],
 )
-def test_a_vector_off_the_classes_fails_verify_oracle(capsys, monkeypatch, family, witness):
+def test_a_vector_off_the_classes_fails_verify_oracle(capsys, monkeypatch, words, witness):
     # One oracle entry raised by 1 leaves the vector not constant on its
     # classes, so compress cannot build a profile: the routes disagree, which
     # is a failure with the witness, not a refused input.
-    real = getattr(reflect.Families, family)
+    real = reflect.Families.at
 
-    def bumped(self, t, *at):
-        a = real(self, t, *at)
-        if t != 2:
+    def bumped(self, t, *start):
+        a = real(self, t, *start)
+        if t != 2 or len(start) != words:
             return a
         entries = dict(a.items())
         entries["1"] += 1
@@ -413,7 +413,7 @@ def test_a_vector_off_the_classes_fails_verify_oracle(capsys, monkeypatch, famil
 
     code, out, _ = run(capsys, "verify", "oracle", "--t", "2", "--format", "json")
     checked = json.loads(out)["checked"]
-    monkeypatch.setattr(reflect.Families, family, bumped)
+    monkeypatch.setattr(reflect.Families, "at", bumped)
     code, out, err = run(capsys, "verify", "oracle", "--t", "2")
     assert code == 1 and out.startswith(f"oracle: FAILED ({checked} checks)\n")
     assert f"  counterexample: t=2: {witness}\n" in out
@@ -436,15 +436,15 @@ def _doubled_rim(a):
 def test_a_vector_with_no_profile_fails_verify_oracle(capsys, monkeypatch, t, fault, refusal):
     # A vector constant on its classes that no profile fits: compress refuses
     # it, and the routes disagree, a failure rather than a refused input.
-    real = reflect.Families.s_vec_at
+    real = reflect.Families.at
     code, out, _ = run(capsys, "verify", "oracle", "--t", "2", "--format", "json")
     checked = json.loads(out)["checked"]
 
-    def faulty(self, k, x):
-        a = real(self, k, x)
-        return fault(a) if k == t else a
+    def faulty(self, k, *start):
+        a = real(self, k, *start)
+        return fault(a) if k == t and len(start) == 1 else a
 
-    monkeypatch.setattr(reflect.Families, "s_vec_at", faulty)
+    monkeypatch.setattr(reflect.Families, "at", faulty)
     code, out, err = run(capsys, "verify", "oracle", "--t", "2", "--format", "json")
     assert code == 1 and json.loads(out)["checked"] == checked
     failures = [
@@ -527,7 +527,17 @@ def test_verify_json_payload(capsys):
 
 def test_oeis_check_bundled(capsys):
     code, out, err = run(capsys, "oeis-check", "A000045")
-    assert code == 0 and "501 values match" in out and err == ""
+    assert code == 0 and out.startswith("A000045: 501 values match ") and err == ""
+
+
+def test_oeis_check_words_its_count_of_values(capsys, tmp_path):
+    # One record is one value that matches; json and csv carry the bare number.
+    one = tmp_path / "one.txt"
+    one.write_text("5 5\n")
+    assert run(capsys, "oeis-check", "A000045", "--fixture", str(one)) == (
+        0, f"A000045: 1 value matches {one}\n", "")
+    code, out, _ = run(capsys, "oeis-check", "A000045", "--fixture", str(one), "--format", "json")
+    assert code == 0 and json.loads(out)["checked"] == 1
 
 
 def test_oeis_check_mismatch(capsys, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fibquiver import profiles, reflect
+from fibquiver.catident import path_variants
 from fibquiver.errors import OracleCapExceeded
 from fibquiver.fibcore import fib
 from fibquiver.reflect import (
@@ -244,7 +245,7 @@ def test_non_canonical_addresses_are_refused(build):
 
 
 def test_a_non_word_edge_end_is_refused_by_name_before_its_distance_is_taken():
-    for build in (lambda: edge_unit(None, "0"), lambda: Families().r_vec_at(1, None, "0")):
+    for build in (lambda: edge_unit(None, "0"), lambda: Families().at(1, None, "0")):
         with pytest.raises(ValueError, match="^not a canonical vertex address: None$"):
             build()
     with pytest.raises(ValueError, match="^not a canonical vertex address: 3$"):
@@ -335,39 +336,52 @@ def test_off_center_oracle():
 
 def test_a_family_grows_on_from_its_latest_vector():
     families = Families()
-    s3 = families.s_vec_at(3, "0")
+    s3 = families.at(3, "0")
     assert s3.equals(s_vec_at(3, "0"))
-    assert families.s_vec_at(3, "0") is s3  # the same wave count is not regrown
-    assert families.s_vec_at(5, "0").equals(s_vec_at(5, "0"))
-    assert families.s_vec_at(2, "0").equals(s_vec_at(2, "0"))  # an earlier one regrows from the start
-    assert families.r_vec_at(4, BASE, "1").equals(r_vec_at(4, BASE, "1"))
-    assert families.r_vec_at(4, "1", BASE).equals(r_vec_at(4, "1", BASE))  # another start, another family
+    assert families.at(3, "0") is s3  # the same wave count is not regrown
+    assert families.at(5, "0").equals(s_vec_at(5, "0"))
+    assert families.at(2, "0").equals(s_vec_at(2, "0"))  # an earlier one regrows from the start
+    assert families.at(4, BASE, "1").equals(r_vec_at(4, BASE, "1"))
+    assert families.at(4, "1", BASE).equals(r_vec_at(4, "1", BASE))  # another start, another family
     with pytest.raises(OracleCapExceeded):
-        Families(cap=3).s_vec_at(4, "0")
+        Families(cap=3).at(4, "0")
     with pytest.raises(ValueError):
-        families.r_vec_at(-1, BASE, "1")
+        families.at(-1, BASE, "1")
     with pytest.raises(ValueError, match="are at distance 2, not 1"):
-        families.r_vec_at(1, BASE, "00")
+        families.at(1, BASE, "00")
 
 
 def test_a_table_builds_each_start_once_and_keeps_only_grown_vectors():
     families = Families()
-    start = families.s_vec_at(0, "0")
+    start = families.at(0, "0")
     assert start.equals(unit("0"))
-    assert families.s_vec_at(0, "0").equals(start)  # wave 0 is the start, built afresh
-    assert families.r_vec_at(0, BASE, "1").equals(edge_unit(BASE, "1"))
+    assert families.at(0, "0").equals(start)  # wave 0 is the start, built afresh
+    assert families.at(0, BASE, "1").equals(edge_unit(BASE, "1"))
     assert families._grown == {}  # no family grown past its start yet
-    s3 = families.s_vec_at(3, "0")
-    assert families.s_vec_at(0, "0").equals(start)
-    assert families.s_vec_at(3, "0") is s3  # asking for the start kept the grown vector
+    s3 = families.at(3, "0")
+    assert families.at(0, "0").equals(start)
+    assert families.at(3, "0") is s3  # asking for the start kept the grown vector
     assert list(families._grown) == [("0",)]  # the start is not held, only the grown vector
+
+
+def test_a_start_of_one_word_is_a_vertex_family_and_of_two_an_edge_family():
+    # The start alone names the family: (x,) is s_t(x), (x, y) is r_t(x, y).
+    steps = {step for walk in path_variants(4) for a, b in zip(walk, walk[1:]) for step in ((a, b), (b, a))}
+    for t in range(5):
+        for x, y in steps:
+            assert Families().at(t, x).equals(s_vec_at(t, x)), (t, x)
+            assert Families().at(t, x, y).equals(r_vec_at(t, x, y)), (t, x, y)
+    families = Families()
+    families.at(3, "0")
+    families.at(3, "0", BASE)
+    assert list(families._grown) == [("0",), ("0", BASE)]
 
 
 def test_no_grown_vector_outlives_its_call(monkeypatch):
     waves = []
     real = reflect.big_sigma
     monkeypatch.setattr(reflect, "big_sigma", lambda a, x, parity: waves.append(x) or real(a, x, parity))
-    for grow in (lambda: s_vec(4), lambda: r_vec(4), lambda: Families().s_vec_at(4, BASE)):
+    for grow in (lambda: s_vec(4), lambda: r_vec(4), lambda: Families().at(4, BASE)):
         for _ in range(2):
             waves.clear()
             grow()
