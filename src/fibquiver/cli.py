@@ -20,9 +20,13 @@ faster, take one per row. Its json is byte for byte json.dumps(indent=2)
 of the dict of [s, v] lists.
 Each subparser sets `payload`, a function of the parsed arguments, and
 `main` alone builds, renders and prints it and picks the exit status. A
-command line that starts with a command's name is parsed by that command's
-subparser alone, and what it leaves over is refused by the whole parser,
-as parse_args refuses it; any other command line goes to the whole parser.
+command line that starts with a command's name is read off that command's
+subparser. A plain line (exact option strings each with its value,
+positionals, at most one "--") is read straight from the subparser's
+actions by `_plain`; any other is parsed by the subparser, and what it
+leaves over is refused by the whole parser, as parse_args refuses it. Any
+other command line goes to the whole parser. So the grammar is declared
+once, in `build_parser`, and every usage error and help text is argparse's.
 A stdout closed before the text is written is one `error:` line, exit 2.
 
 A command takes only the options it reads, for verify those in the suite's
@@ -489,13 +493,85 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dashed(command: argparse.ArgumentParser, token: str) -> bool:
+    """Whether argparse reads token as an option string, not a value: it
+    starts with "-" and is not a negative number the command lets through."""
+    return token[:1] == "-" and (
+        command._has_negative_number_optionals or not command._negative_number_matcher.match(token))
+
+
+def _plain(command: argparse.ArgumentParser, rest: list[str]) -> argparse.Namespace | None:
+    """The Namespace `command.parse_known_args(rest)` returns, with nothing
+    left over, when rest is plain; None for any other line.
+
+    A plain line is read off the command's own actions. Each token is an
+    exact option string of a store action followed by its value, or the
+    next positional; one "--", before the first positional and not last,
+    makes every later token a positional. A value may start with "-" only
+    where argparse reads it as a negative number. Each value goes through
+    its action's type and must be one of its choices. Positionals take one
+    token each, or at most one for a command whose only positional has
+    nargs "?" (argparse versions differ on a trailing "?" after another
+    positional). Defaults come from the actions, then the parser's own.
+    """
+    positionals = [a for a in command._actions if not a.option_strings]
+    if command._mutually_exclusive_groups or not all(
+            a.nargs is None or (a.nargs == "?" and len(positionals) == 1) for a in positionals):
+        return None
+    args = argparse.Namespace()
+    values, taken, i, dashes = vars(args), 0, 0, False
+    while i < len(rest):
+        token = rest[i]
+        i += 1
+        if token == "--":
+            if taken or i == len(rest) or "--" in rest[i:]:
+                return None
+            dashes = True
+            continue
+        if dashes or not _dashed(command, token):
+            if taken == len(positionals):
+                return None
+            action = positionals[taken]
+            taken += 1
+        else:
+            action = command._option_string_actions.get(token)
+            if (type(action) is not argparse._StoreAction or action.nargs is not None
+                    or i == len(rest) or _dashed(command, rest[i])):
+                return None
+            token = rest[i]
+            i += 1
+        try:
+            value = command._registry_get("type", action.type, action.type)(token)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    for action in command._actions:
+        if action.dest in values:
+            continue
+        # a required action left out is a usage error; a str default left
+        # unset argparse converts by the action's type
+        if action.required or isinstance(action.default, str) and action.type is not None:
+            return None
+        if action.default is not argparse.SUPPRESS:
+            values[action.dest] = action.default
+    for dest, default in command._defaults.items():
+        values.setdefault(dest, default)
+    return args
+
+
 def _parse(argv: list[str]) -> argparse.Namespace:
     """`build_parser().parse_args(argv)` apart from `command`, with the same
-    usage errors: a command's own subparser parses the rest of its line."""
+    usage errors. A command's line is read by `_plain` when it is plain,
+    and any other is parsed by the command's own subparser."""
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
+    args = _plain(command, argv[1:])
+    if args is not None:
+        return args
     args, extras = command.parse_known_args(argv[1:])
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")

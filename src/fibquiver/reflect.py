@@ -177,10 +177,11 @@ class Families:
     alternating reflection waves, the first reflecting the odd-distance
     shell. It is named by its start's words, and `at(t, *start)` is the one
     lookup: (x,) starts unit(x), the family s_t(x), and (x, y) starts
-    edge_unit(x, y), the family r_t(x, y). The table holds the cap and each
-    family's latest grown vector, nothing else: a later wave count grows on
-    from that vector, an earlier one regrows from a start built afresh, and
-    wave 0 is that start.
+    edge_unit(x, y), the family r_t(x, y); a start of no word, or of three
+    or more, is refused. The table holds the cap and each family's latest
+    grown vector, nothing else: a later wave count grows on from that
+    vector, an earlier one regrows from a start built afresh, and wave 0 is
+    that start.
     A table belongs to the call that made it and is dropped with it: kept
     across calls, it would make a repeated call cheaper than a fresh process
     could ever be.
@@ -194,6 +195,8 @@ class Families:
         self._grown: dict[tuple[Vertex, ...], tuple[int, TreeVector]] = {}
 
     def at(self, t: int, *start: Vertex) -> TreeVector:
+        if not 1 <= len(start) <= 2:
+            raise ValueError(f"a family starts at one word (a vertex) or two (an edge), got {len(start)}")
         grown = self._grown.get(start)
         waves, a = grown if grown and grown[0] <= t else (0, (unit if len(start) == 1 else edge_unit)(*start))
         if t < 0:

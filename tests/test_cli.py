@@ -2,9 +2,12 @@
 
 import contextlib
 import functools
+import importlib.util
 import inspect
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -874,24 +877,23 @@ def _whole_parser_run(capsys, argv):
     return code, captured.out, captured.err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        [],
-        ["-h"],
-        ["nosuch"],
-        ["--format", "csv", "fib", "5"],
-        ["fib", "5", "--bogus"],
-        ["fib", "5", "extra", "--bogus"],
-        ["fib", "-h"],
-        ["fib", "x"],
-        ["classify", "2"],
-        ["utable", "4", "--format", "xml"],
-        ["verify", "nosuch"],
-        ["svec", "3", "--oracle-cap", "many"],
-    ],
-    ids=lambda argv: " ".join(argv) or "(empty)",
-)
+USAGE_ERRORS = [
+    [],
+    ["-h"],
+    ["nosuch"],
+    ["--format", "csv", "fib", "5"],
+    ["fib", "5", "--bogus"],
+    ["fib", "5", "extra", "--bogus"],
+    ["fib", "-h"],
+    ["fib", "x"],
+    ["classify", "2"],
+    ["utable", "4", "--format", "xml"],
+    ["verify", "nosuch"],
+    ["svec", "3", "--oracle-cap", "many"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "(empty)")
 def test_usage_errors_and_help_are_the_whole_parsers(capsys, argv):
     assert run(capsys, *argv) == _whole_parser_run(capsys, argv)
 
@@ -974,3 +976,81 @@ def test_fuzzed_command_lines_exit_cleanly(argv):
     assert code in (0, 1, 2), (argv, code, err.getvalue())
     if code == 0 and argv[-1] == "--format=json":
         assert json.loads(out.getvalue())["schema_version"] == 1
+
+
+# main reads a plain command line straight off its command's subparser
+# (cli._plain), and leaves every other line to argparse.
+ROOT = Path(__file__).parent.parent
+COMMANDS = cli.build_parser().commands
+OPTIONS = sorted({option for command in COMMANDS.values() for option in command._option_string_actions})
+LINE_TOKENS = st.one_of(
+    st.sampled_from([*COMMANDS, *OPTIONS, "--", "-", "", "x", "--bogus", "-h5", "-1 2", *cli.FORMATS, "xml",
+                     *suites.SUITES, "A000045", "b.txt"]),
+    st.sampled_from(OPTIONS).flatmap(lambda o: st.integers(1, len(o) - 1).map(lambda k: o[:k])),  # prefixes
+    st.tuples(st.sampled_from(OPTIONS), st.one_of(NUMBER, st.sampled_from(cli.FORMATS))).map("=".join),
+    NUMBER,
+    st.sampled_from(["-0", "-1.5", "-.5", "1.5", "-1e3", "-5x", "--5", "1_0", " 7 ", "-٣"]),  # signs and decimals
+    st.text(max_size=3),
+)
+
+
+def _read_plain(argv):
+    """The plain reader's Namespace for argv, None where it declines or
+    argv names no command."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    return None if command is None else cli._plain(command, list(argv[1:]))
+
+
+def _subparser_reads(argv):
+    """(Namespace, leftovers) of argv's command's own subparser; a usage
+    error escapes as SystemExit."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        return COMMANDS[argv[0]].parse_known_args(list(argv[1:]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.sampled_from(list(COMMANDS)), st.lists(LINE_TOKENS, max_size=6))
+@example("classify", ["--", "-3", "-8"])
+@example("fib", ["--from", "-5", "--to", "3", "--format", "csv"])
+@example("verify", ["cor42", "--t", "3", "--seed", "-5", "--oracle-cap", "4"])
+@example("oeis-check", ["--fixture", "", "A000045"])
+@example("oeis-check", ["-h"])  # untyped values that start with "-"
+@example("oeis-check", ["A000045", "--fixture", "-x"])
+def test_a_plain_line_is_read_as_its_subparser_reads_it(name, rest):
+    # argparse's rules for "--" and negative numbers vary by version; the
+    # reader must agree with the one it runs on, or decline.
+    args = cli._plain(COMMANDS[name], rest)
+    if args is not None:
+        assert _subparser_reads([name, *rest]) == (args, [])
+
+
+def _benchmark_lines():
+    spec = importlib.util.spec_from_file_location("bench_jobs", ROOT / "bench" / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    return [job.argv for workload in jobs.WORKLOADS for job in jobs.make_jobs(workload, 0, ROOT)]
+
+
+def _ci_lines():
+    """Each fibquiver command line of the CI workflow, up to its pipe,
+    redirection, closing parenthesis or comment."""
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    return [shlex.split(line) for line in re.findall(r"\bfibquiver ([^|#)\n]*?)\s*(?:2>|\||\)|#|$)", text, re.M)]
+
+
+@pytest.mark.parametrize(
+    "lines,declined",
+    [
+        (_benchmark_lines, set()),
+        (lambda: PARSED, {"fib --from=-5 --to=3 --format=csv", "utable 4 --form csv"}),
+        (_ci_lines, {"classify 2", "fib 5 --bogus", "verify cor42 --t 3 --paths 3", "utable 4 --form=csv"}),
+        (lambda: USAGE_ERRORS, {" ".join(argv) for argv in USAGE_ERRORS}),
+    ],
+    ids=["benchmark", "parsed", "ci", "usage-errors"],
+)
+def test_plain_lines_take_the_plain_path(lines, declined):
+    # Every benchmark job is plain, so the reader's gain cannot silently
+    # vanish; "=" forms, abbreviations, usage errors and help go to argparse.
+    read = [(argv, _read_plain(argv)) for argv in lines()]
+    assert {" ".join(argv) for argv, args in read if args is None} == declined
+    assert all(_subparser_reads(argv) == (args, []) for argv, args in read if args is not None)

@@ -9,6 +9,10 @@ every `verify` suite, `oeis-check` on its three ids, `partition 7`, `svec 6`,
 `rvec 5`, `pairs 100` and `classify -- -89 -233` (a third-quadrant odd pair
 past 100, so that every classifier mutant reaches it).
 
+One mutant of the command-line reader, `cli._plain` taking the
+positionals in reverse, is caught by what `classify -- -89 -233` prints, not
+by its exit code: the line still parses, to the point (-233, -89).
+
 One mutant is equivalent and not run: `TreeVector.add` keeping zero
 entries. Every term of the three identities is a non-negative vector, so no
 sum that a check forms cancels to a zero entry, and no other caller in the
@@ -284,3 +288,9 @@ def test_the_box_scan_matches_the_point_by_point_scan_under_a_classifier_mutant(
     got = [_scan(suites.run_pairs, bound) for bound in bounds]
     assert got == [_scan(lambda b: reference.run_pairs(b, suites.classify_pair), bound) for bound in bounds]
     assert any(result != suites.SuiteResult("pairs", True, (2 * b + 1) ** 2, []) for b, result in zip(bounds, got))
+
+
+def test_a_reader_taking_the_positionals_in_reverse_is_caught_by_classify(monkeypatch):
+    unmutated = run(CLASSIFY.split())
+    _rewrite(cli, "_plain", "positionals[taken]", "positionals[-1 - taken]")(monkeypatch)
+    assert run(CLASSIFY.split()) != unmutated

@@ -377,6 +377,12 @@ def test_a_start_of_one_word_is_a_vertex_family_and_of_two_an_edge_family():
     assert list(families._grown) == [("0",), ("0", BASE)]
 
 
+@pytest.mark.parametrize("start", [(), ("0", "", "1"), ("0", "", "1", "2")], ids=len)
+def test_a_start_of_no_word_or_of_three_is_refused_by_name(start):
+    with pytest.raises(ValueError, match=rf"^a family starts at one word \(a vertex\) or two \(an edge\), got {len(start)}$"):
+        Families().at(1, *start)
+
+
 def test_no_grown_vector_outlives_its_call(monkeypatch):
     waves = []
     real = reflect.big_sigma
