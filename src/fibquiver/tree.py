@@ -47,8 +47,9 @@ def word(c: int) -> Vertex:
 
 
 def neighbors(v: Vertex) -> list[Vertex]:
-    """The 3 neighbors, parent first (the base has 3 children instead)."""
-    if v == BASE:
+    """The 3 neighbors, parent first (the base has 3 children instead);
+    a word that names no vertex is refused by `code`."""
+    if code(v) == 2:
         return ["0", "1", "2"]
     return [v[:-1], v + "0", v + "1"]
 

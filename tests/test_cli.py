@@ -5,9 +5,8 @@ import functools
 import importlib.util
 import inspect
 import io
+import itertools
 import json
-import re
-import shlex
 import subprocess
 import sys
 import time
@@ -53,11 +52,6 @@ def test_fib_range_ascii(capsys):
     code, out, err = run(capsys, "fib", "--from", "-10", "--to", "10")
     assert code == 0 and err == ""
     assert out == "-55,34,-21,13,-8,5,-3,2,-1,1,0,1,1,2,3,5,8,13,21,34,55\n"
-
-
-def test_fib_single_value(capsys):
-    code, out, _ = run(capsys, "fib", "10")
-    assert code == 0 and out == "55\n"
 
 
 def test_fib_usage_errors(capsys):
@@ -188,11 +182,6 @@ def test_utable_csv_matches_pinned_fixture(capsys):
     code, out, _ = run(capsys, "utable", "4", "--format", "csv")
     assert code == 0
     assert out == (FIXTURES / "utable4.csv").read_text()
-
-
-def test_utable_header_is_stable(capsys):
-    _, out, _ = run(capsys, "utable", "0", "--format", "csv")
-    assert out == "t,s,value\n0,-1,1\n0,0,1\n"
 
 
 def test_utable_ascii_shows_rows_and_sums(capsys):
@@ -758,6 +747,66 @@ def test_cli_output_matches_golden(capsys, name, fmt):
     assert out.encode() == (FIXTURES / "cli_golden" / f"{name}.{fmt}").read_bytes()
 
 
+class Tail(str):
+    """A pin on the last line of stdout alone."""
+
+
+# Command lines pinned by (line, exit status, stdout): a golden file, the
+# exact text, or the last line alone. A line may start with NAME=value words,
+# the environment it runs in, as in a shell. A new pin is one more row.
+PINNED = [
+    ("fib 10", 0, "55\n"),
+    ("utable 0 --format csv", 0, "t,s,value\n0,-1,1\n0,0,1\n"),  # the csv header
+    ("oeis-check A132262", 0, f"A132262: 231 values match {cli.oeis.default_fixture_path('A132262')}\n"),
+    ("oeis-check A147316", 0, f"A147316: 231 values match {cli.oeis.default_fixture_path('A147316')}\n"),
+    ("verify pairs --max 3", 0, "pairs: ok (49 checks)\n"),
+    ("fib 127", 0, "155576970220531065681649693\n"),  # the last seed pair
+    ("fib 128", 0, "251728825683549488150424261\n"),  # the first index doubled from the seed
+    ("fib -- -129", 0, "407305795904080553832073954\n"),  # m = 128 by index negation
+    ("pairs 1000000000000000", 0, Tail("290 pairs with |x|,|y| <= 1000000000000000")),  # the benchmark's largest bound
+    ("classify 2", 2, ""),  # a usage error
+    ("fib 5 --bogus", 2, ""),  # a leftover is the whole parser's usage error
+    ("svec 3", 0, FIXTURES / "cli_golden" / "svec.ascii"),
+    ("verify oracle --t 4", 0, "oracle: ok (30 checks)\n"),
+    ("verify oracle --t 12", 0, "oracle: ok (78 checks)\n"),  # both routes at the oracle cap
+    ("verify prop41 --t 12", 0, "prop41: ok (36 checks)\n"),  # the code route at the oracle cap
+    ("verify cor42 --t 12", 0, "cor42: ok (36 checks)\n"),  # the corollaries at the oracle cap too
+    ("verify cor43 --t 11", 0, "cor43: ok (36 checks)\n"),
+    ("verify oracle --t 13 --oracle-cap 13", 0, "oracle: ok (84 checks)\n"),  # a raised cap reaches expand and compress
+    ("verify prop41 --t 13 --oracle-cap 13", 0, "prop41: ok (39 checks)\n"),
+    ("verify cor42 --t 13 --oracle-cap 13", 0, "cor42: ok (39 checks)\n"),
+    ("verify cor43 --t 12 --oracle-cap 13", 0, "cor43: ok (39 checks)\n"),
+    ("verify cor43 --t 0 --oracle-cap 0", 2, ""),  # a far end refused by the cap before any wave
+    ("FIBQUIVER_ORACLE_CAP=2 verify cor42 --t 3", 2, ""),
+    ("verify cor42 --t 3 --seed 5", 0, "cor42: ok (9 checks)\n"),  # --seed still parses, and is ignored
+    ("verify cor42 --t 3 --paths 3", 2, ""),  # no --paths option
+    ("verify sums --t 60", 0, "sums: ok (122 checks)\n"),  # the table rows against the push-down rule
+    ("classify -- -3 -8", 0, "EvenPair t=-4 down\n"),  # parsed by classify's own subparser
+    ("fib --from -3 --to 3", 0, "2,-1,1,0,1,1,2\n"),  # negative option values, read as a plain line
+    ("utable 4 --form=csv", 0, FIXTURES / "utable4.csv"),  # an abbreviated "=" option, parsed by argparse
+]
+
+
+def split_line(line):
+    """(environment, argv) of a pinned line."""
+    env = dict(word.split("=", 1) for word in itertools.takewhile(lambda word: "=" in word, line.split()))
+    return env, line.split()[len(env):]
+
+
+@pytest.mark.parametrize("line,code,pin", PINNED, ids=[line for line, _, _ in PINNED])
+def test_a_pinned_line_keeps_its_status_and_output(capsys, monkeypatch, line, code, pin):
+    # As a fresh process would, the call reads PYTHONINTMAXSTRDIGITS as its digit limit.
+    env, argv = split_line(line)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    with int_digit_limit(int(env.get("PYTHONINTMAXSTRDIGITS", sys.get_int_max_str_digits()))):
+        got, out, err = run(capsys, *argv)
+    assert got == code, err
+    if isinstance(pin, Tail):
+        out = out.splitlines()[-1]
+    assert out == (pin.read_text() if isinstance(pin, Path) else pin)
+
+
 # (argv, FIBQUIVER_ORACLE_CAP) of an earlier and a later call in one process
 SEQUENCES = [
     ((["verify", "cor42", "--t", "2", "--seed", "3", "--format", "json"], None),
@@ -1031,22 +1080,15 @@ def _benchmark_lines():
     return [job.argv for workload in jobs.WORKLOADS for job in jobs.make_jobs(workload, 0, ROOT)]
 
 
-def _ci_lines():
-    """Each fibquiver command line of the CI workflow, up to its pipe,
-    redirection, closing parenthesis or comment."""
-    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
-    return [shlex.split(line) for line in re.findall(r"\bfibquiver ([^|#)\n]*?)\s*(?:2>|\||\)|#|$)", text, re.M)]
-
-
 @pytest.mark.parametrize(
     "lines,declined",
     [
         (_benchmark_lines, set()),
         (lambda: PARSED, {"fib --from=-5 --to=3 --format=csv", "utable 4 --form csv"}),
-        (_ci_lines, {"classify 2", "fib 5 --bogus", "verify cor42 --t 3 --paths 3", "utable 4 --form=csv"}),
+        (lambda: [split_line(line)[1] for line, _, _ in PINNED], {"classify 2", "fib 5 --bogus", "verify cor42 --t 3 --paths 3", "utable 4 --form=csv"}),
         (lambda: USAGE_ERRORS, {" ".join(argv) for argv in USAGE_ERRORS}),
     ],
-    ids=["benchmark", "parsed", "ci", "usage-errors"],
+    ids=["benchmark", "parsed", "pinned", "usage-errors"],
 )
 def test_plain_lines_take_the_plain_path(lines, declined):
     # Every benchmark job is plain, so the reader's gain cannot silently

@@ -45,6 +45,9 @@ def test_neighbors_examples():
     assert neighbors(BASE) == ["0", "1", "2"]
     assert neighbors("0") == [BASE, "00", "01"]
     assert neighbors("01") == ["0", "010", "011"]
+    for bad in ("3", "12", "0x", 3):  # no vertex, so no neighbors
+        with pytest.raises(ValueError, match="^not a canonical vertex address: "):
+            neighbors(bad)
 
 
 def test_distance_examples():
