@@ -76,7 +76,7 @@ def _sum_check(label: str, lhs: reflect.TreeVector, terms: Sequence[reflect.Tree
             for c in a.keys() | b.keys() if a.get(c, 0) != b.get(c, 0))
     try:
         where = f"vertex {tree.word(c)!r}"
-    except KeyError:
+    except ValueError:
         where = f"code {c}, which names no vertex"
     own = c.bit_length() & 1
     x, y = lhs._classes[own].get(c, 0), rhs._classes[own].get(c, 0)

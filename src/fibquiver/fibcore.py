@@ -143,32 +143,10 @@ NON_PAIR = PairClass(NOT_A_PAIR)
 
 _LOG2_PHI = math.log2((1 + math.sqrt(5)) / 2)
 _LOG2_SQRT5 = math.log2(5) / 2
-
-
-def _witness(p: tuple[int, int], q: int) -> Witness:
-    """The index witness of a |q| = 1 point.
-
-    Even-index pairs have exactly one witness, never negated. Odd-index
-    pairs have two, [f(t), f(t+2)] = [f(-t), f(-t-2)]; the one chosen, as
-    the norm descent to a seed pair chooses it (the tests replay that
-    descent), is "up", negated in the third quadrant, where the odd values
-    (all positive) give no literal representative.
-    """
-    x, y = p
-    ax = abs(x)
-    if ax > 1:
-        # f(i) = round(phi**i / sqrt(5)) for i >= 0, and f is strictly
-        # increasing from f(2) = 1, so |x| >= 2 is f(i) for one i alone.
-        i = round((math.log2(ax) + _LOG2_SQRT5) / _LOG2_PHI)
-    else:
-        # f(0) = 0 and f(1) = f(2) = 1: the pair's parity settles i.
-        i = 2 * ax if q == 1 else ax
-    # A wrong i (a float read-off gone astray) is rejected by
-    # classify_pair's reconstruction check.
-    if q == 1:
-        # f is strictly increasing on even indices.
-        return tuple.__new__(Witness, (i if x >= 0 else -i, UP if y > x else DOWN, False))
-    return tuple.__new__(Witness, (i if abs(y) > abs(x) else -i, UP, x < 0))
+# f is strictly increasing from f(2) = 1, so each |x| = f(k), 3 <= k < 128,
+# names its k alone; _SEED_TOP = f(128) bounds the table.
+_SEED_INDEX = {a: k for k, (a, _) in enumerate(_SEED) if k >= 3}
+_SEED_TOP = _SEED[-1][1]
 
 
 def classify_pair(p: tuple[int, int]) -> PairClass:
@@ -177,18 +155,42 @@ def classify_pair(p: tuple[int, int]) -> PairClass:
     index pair.
 
     Total: points off the two hyperbolas come back as the shared NON_PAIR.
-    On the hyperbolas, the index is read off |x| and checked by rebuilding
-    p from it: one Fibonacci evaluation per pair. The verdict types are
-    built by tuple.__new__, as their own __new__ would build them.
+    On the hyperbolas, the index i with f(i) = |x| is read off the seed
+    table below f(128) and as round(log_phi(|x| sqrt 5)) above it; for
+    |x| in {0, 1} the pair's parity settles it, since f(1) = f(2) = 1.
+
+    Even-index pairs have exactly one witness, never negated. Odd-index
+    pairs have two, [f(t), f(t+2)] = [f(-t), f(-t-2)]; the one chosen, as
+    the norm descent to a seed pair chooses it (the tests replay that
+    descent), is "up", negated in the third quadrant, where the odd values
+    (all positive) give no literal representative. The witness is checked
+    by rebuilding p from it with one _fib2 call, so a wrong i (a float
+    read-off gone astray) is refused. The verdict types are built by
+    tuple.__new__, as their own __new__ would build them.
     """
     x, y = p
-    q = x * x + y * y - 3 * x * y
-    if q not in (1, -1):
+    q = (x - 3 * y) * x + y * y
+    if q != 1 and q != -1:
         return NON_PAIR
-    w = _witness(p, q)
-    if fib_pair(w.t, w.direction) != ((-x, -y) if w.negated else (x, y)):
+    ax = abs(x)
+    if ax < 2:
+        i = 2 * ax if q == 1 else ax
+    elif ax < _SEED_TOP:
+        i = _SEED_INDEX[ax]
+    else:
+        # f(i) = round(phi**i / sqrt(5)) for i >= 0.
+        i = round((math.log2(ax) + _LOG2_SQRT5) / _LOG2_PHI)
+    if q == 1:
+        # f is strictly increasing on even indices.
+        t, up, negated = i if x >= 0 else -i, y > x, False
+    else:
+        t, up, negated = i if abs(y) > ax else -i, True, x < 0
+    a, b = _fib2(t)
+    # f(t+2) = f(t) + f(t+1) and f(t-2) = f(t) - f(t-1) = 2f(t) - f(t+1).
+    if (a, a + b if up else 2 * a - b) != ((-x, -y) if negated else (x, y)):
         raise ArithmeticError(f"witness reconstruction failed for {p}")
-    return tuple.__new__(PairClass, (EVEN_PAIR if q == 1 else ODD_PAIR, w))
+    witness = tuple.__new__(Witness, (t, UP if up else DOWN, negated))
+    return tuple.__new__(PairClass, (EVEN_PAIR if q == 1 else ODD_PAIR, witness))
 
 
 def enumerate_pairs(bound: int) -> list[tuple[DimPair, PairClass]]:

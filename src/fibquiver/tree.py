@@ -39,11 +39,15 @@ def code(v: object) -> int:
 
 def word(c: int) -> Vertex:
     """The word of a valid int code: the first letter from the head, the
-    rest from the binary digits below it."""
+    rest from the binary digits below it; a code that names no vertex is
+    refused."""
     if c == 2:
         return BASE
     digits = bin(c)
-    return _LETTERS[digits[2:5]] + digits[5:]
+    try:
+        return _LETTERS[digits[2:5]] + digits[5:]
+    except KeyError:
+        raise ValueError(f"code {c} names no vertex") from None
 
 
 def neighbors(v: Vertex) -> list[Vertex]:

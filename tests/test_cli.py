@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fibquiver import cli, errors, fibcore, profiles, reflect, suites
+from fibquiver import cli, errors, profiles, reflect, suites
 from fibquiver.fibcore import NON_PAIR, fib
 from fibquiver.cli import (
     main,
@@ -475,20 +475,16 @@ def test_the_oracle_with_no_wave_is_refused_at_cap_0(capsys):
 def test_a_failed_self_check_exits_through_main(capsys, monkeypatch):
     # The partition targets and the witness reconstruction check the
     # program's own arithmetic: a failure is an error line and exit 1.
-    real_wave, real_witness = profiles.wave, fibcore._witness
+    real_wave = profiles.wave
 
     def bumped_wave(row, lo, weights, parity):
         real_wave(row, lo, weights, parity)
         if len(row) > 12:
             row[len(row) // 2] += 1
 
-    def witness_down(p, q):
-        w = real_witness(p, q)
-        return w._replace(direction=fibcore.DOWN) if max(map(abs, p)) > 100 else w
-
     monkeypatch.setattr(profiles, "wave", bumped_wave)
     assert run(capsys, "partition", "7") == (1, "", "error: partition terms do not reach their targets at t=7\n")
-    monkeypatch.setattr(fibcore, "_witness", witness_down)
+    MUTANTS["witness direction flipped past 100"][0](monkeypatch)
     assert run(capsys, "classify", "233", "610") == (
         1, "", "error: witness reconstruction failed for (233, 610)\n"
     )

@@ -435,6 +435,6 @@ def test_verdicts_keep_their_namedtuple_types():
     assert {type(p) for p, _ in listed} == {DimPair}
     assert {type(v) for _, v in listed} == {PairClass}
     assert {type(v.witness) for _, v in listed} == {Witness}
-    # the witness mutants of tests/test_mutants.py rebuild a witness this way
+    # a witness built by tuple.__new__ is edited as a Witness
     flipped = got.witness._replace(direction=DOWN)
     assert type(flipped) is Witness and flipped == Witness(3, DOWN, False)

@@ -6,8 +6,11 @@ far oracle fault at the oracle cap, out of reach of the defaults), and each
 must exit non-zero: a failure (1) or a refused input (2), never an escaped
 exception. The named commands are the ones that catch the mutant, out of
 every `verify` suite, `oeis-check` on its three ids, `partition 7`, `svec 6`,
-`rvec 5`, `pairs 100` and `classify -- -89 -233` (a third-quadrant odd pair
-past 100, so that every classifier mutant reaches it).
+`rvec 5`, `pairs 100`, `pairs 10**30` (written out; the one command whose
+pairs reach |x| >= f(128), past the seed table, where the classifier reads
+an index off floats) and `classify -- -89 -233` (a third-quadrant odd pair
+past 100, so that every classifier mutant on the seed table's side reaches
+it).
 
 One mutant of the command-line reader, `cli._plain` taking the
 positionals in reverse, is caught by what `classify -- -89 -233` prints, not
@@ -90,16 +93,14 @@ def _bump_far_entry(real, a, x, parity):
     return reflect.TreeVector._trusted(*classes)
 
 
-def _witness_flipped(real, p, q):
-    w = real(p, q)
-    if max(map(abs, p)) <= 100:
-        return w
-    return w._replace(direction=fibcore.DOWN if w.direction == fibcore.UP else fibcore.UP)
-
-
 def _seed_one_step_late(monkeypatch):
     """The seed table holding (f(k+1), f(k+2)) at k."""
     _replace(monkeypatch, fibcore, "_SEED", [(b, a + b) for a, b in fibcore._SEED])
+
+
+def _seed_index_one_high(monkeypatch):
+    """The seed index reading f(11) = 89 as f(12)."""
+    _replace(monkeypatch, fibcore, "_SEED_INDEX", {**fibcore._SEED_INDEX, 89: 12})
 
 
 def _swapped(real, *args):
@@ -108,6 +109,7 @@ def _swapped(real, *args):
 
 
 CLASSIFY = "classify -- -89 -233"
+FAR_PAIRS = f"pairs {10**30}"
 SCALED = "scaled reflection: a site becomes twice its neighbors' sum minus itself"
 
 MUTANTS = {
@@ -134,16 +136,25 @@ MUTANTS = {
     ),
     # the identity suites read each push-down through the classifier
     "witness direction flipped past 100": (
-        _wrap(fibcore, "_witness", _witness_flipped),
-        ["verify prop41", "verify cor42", "verify cor43", "verify pairs", CLASSIFY],
+        _rewrite(fibcore, "classify_pair", "a + b if up else", "a + b if up != (max(ax, abs(y)) > 100) else"),
+        ["verify prop41", "verify cor42", "verify cor43", "verify pairs", FAR_PAIRS, CLASSIFY],
     ),
     "witness index read two too high": (
-        _rewrite(fibcore, "_witness", "/ _LOG2_PHI)", "/ _LOG2_PHI) + 2"),
-        ["verify prop41", "verify cor42", "verify cor43", "verify pairs", "pairs 100", CLASSIFY],
+        _rewrite(fibcore, "classify_pair", "i = _SEED_INDEX[ax]", "i = _SEED_INDEX[ax] + 2"),
+        ["verify prop41", "verify cor42", "verify cor43", "verify pairs", "pairs 100", FAR_PAIRS, CLASSIFY],
     ),
     "pair rebuild ignores the negation": (
-        _rewrite(fibcore, "classify_pair", "(-x, -y) if w.negated else (x, y)", "(x, y)"),
-        ["verify pairs", "pairs 100", CLASSIFY],
+        _rewrite(fibcore, "classify_pair", "(-x, -y) if negated else (x, y)", "(x, y)"),
+        ["verify pairs", "pairs 100", FAR_PAIRS, CLASSIFY],
+    ),
+    # one mutant on each side of f(128), where the index read-off changes
+    "a seed-index entry one too high": (
+        _seed_index_one_high,
+        ["verify prop41", "verify cor43", "verify pairs", "pairs 100", FAR_PAIRS, CLASSIFY],
+    ),
+    "float index read-off two too high": (
+        _rewrite(fibcore, "classify_pair", "/ _LOG2_PHI)", "/ _LOG2_PHI) + 2"),
+        [FAR_PAIRS],
     ),
     "one cell + 1 in every row past 8 waves": (
         _wrap(profiles, "step", lambda real, p, k: _bump_cell(real, p, k) if p.waves + k > 8 else real(p, k)),
@@ -201,7 +212,7 @@ MUTANTS = {
     "seed table one step late": (
         _seed_one_step_late,
         ["verify prop41", "verify cor42", "verify cor43", "verify sums", "verify three-term", "verify pairs",
-         "oeis-check A000045", "partition 7", "pairs 100", CLASSIFY],
+         "oeis-check A000045", "partition 7", "pairs 100", FAR_PAIRS, CLASSIFY],
     ),
     "box scan drops the (3x - r)/2 root": (
         _rewrite(suites, "_solved_pairs", "((3 * x - r) // 2, (3 * x + r) // 2)", "((3 * x + r) // 2,)"),

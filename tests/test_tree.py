@@ -103,6 +103,13 @@ def test_code_refuses_non_canonical_words(bad):
         code(bad)
 
 
+@pytest.mark.parametrize("bad", [0, 1, 3, 7, 14, 15, 29, -1, -4])
+def test_word_refuses_codes_that_name_no_vertex(bad):
+    # Below 4 no code has a three-bit head; head 111 is no letter's.
+    with pytest.raises(ValueError, match=f"^code {bad} names no vertex$"):
+        word(bad)
+
+
 def test_ball_examples():
     assert ball(BASE, 0) == [BASE]
     assert len(ball(BASE, 1)) == 4
